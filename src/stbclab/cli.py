@@ -19,7 +19,7 @@ from .constructions import Family, build_alamouti_block_code, build_diagonal_cod
 
 
 def _add_code_args(p, required=True):
-    p.add_argument("--family", choices=("sec3", "sec4"), required=required,
+    p.add_argument("--family", choices=simharness.FAMILIES, required=required,
                    help="code family: sec3 = diagonal layers, sec4 = Alamouti blocks")
     p.add_argument("--antennas", type=int, required=required)
     p.add_argument("--lambda", dest="group_size", type=int, default=None,
@@ -127,12 +127,21 @@ def _cmd_simulate(args):
         doc["snr_grid_db"] = [float(s) for s in args.snr.split(",")]
     cfg = simharness.SimConfig.from_json(doc)
     result = simharness.run_simulation(cfg, workers=args.workers)
+    if result.overloaded:
+        print("warning: overloaded link, 2*N_r*T < K: fewer real observations "
+              "than real symbols, so the groups cannot all be separated",
+              file=sys.stderr)
     for p in result.points:
         print(f"snr={p.snr_db:5.1f} dB  frames={p.frames:<8d} ber={p.ber:.3e} "
               f"ser={p.ser:.3e} fer={p.fer:.3e} max_evals={p.max_evaluations}")
     if result.diversity_order is not None:
         print(f"diversity order ~ {result.diversity_order:.2f} "
               f"(fit over {list(result.fit_window_db)} dB)")
+    few = [p.snr_db for p in result.points
+           if p.bit_errors < simharness.FIT_MIN_BIT_ERRORS]
+    if few:
+        print(f"left out of the fit: {few} dB "
+              f"(fewer than {simharness.FIT_MIN_BIT_ERRORS} bit errors)")
     if csv_out:
         simharness.write_results(result, csv_out, "csv")
         print(f"csv -> {csv_out}")

@@ -8,6 +8,30 @@ group.  The PIC-SIC decoder sweeps the groups in order, projecting only the
 *later* groups out and subtracting each decoded group's contribution before
 moving on.
 
+Both group decoders search on an n x n triangular block rather than on the
+projected 2*N_r*T-row channel.  Take the reduced QR of G with its columns in
+cancellation order: the interfering groups first, the decoded group last
+(PIC-SIC: all groups in reverse decode order, one QR per frame; PIC: the
+other groups, then the group, one QR per group).  If the group occupies
+columns s:e, then for every candidate x
+
+    ||P (y - sqrt(snr) G_k x)||^2 = ||z[s:e] - sqrt(snr) R[s:e, s:e] x||^2 + c
+
+with P the projector off the interfering columns, z = Q^T y and c free of
+x (the sorted-QR view of SIC, Wubben et al., Electron. Lett. 2001).  So the
+group search sees the same argmin through n rows.  PIC-SIC cancels a
+decoded group by z[:s] -= sqrt(snr) R[:s, s:e] levels.
+
+The triangular view needs every interfering column to be independent, so it
+runs only when the QR is full rank by the rule the reference would apply:
+2*N_r*T >= K and every column keeps a residual above RANK_EPS times its norm
+(PIC-SIC's Gram-Schmidt skip rule), and for PIC also every singular value
+of the other groups' columns above RANK_EPS times the largest
+(complement_projector's rule).  Otherwise, e.g. on an overloaded link with
+2*N_r*T < K, the decoders take the reference path: complement_projector for
+PIC, the Gram-Schmidt bases of _later_group_bases for PIC-SIC.  The input
+alone selects the path; both give the same decisions and counts.
+
 Group search modes:
   * "exhaustive" enumerates the full alphabet product of the group.
   * "conditioned" enumerates all but the first symbol and solves that pivot
@@ -29,6 +53,7 @@ from .lindesign import RANK_EPS, RealSymbolVector
 
 DEGENERATE_PIVOT = 1e-12
 DEFAULT_ML_CAP = 1 << 20
+SEARCH_MODES = ("exhaustive", "conditioned")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +99,51 @@ def complement_projector(b):
     if b.shape[1] == 0:
         return np.eye(dim)
     u, s, _ = np.linalg.svd(b, full_matrices=False)
-    rank = int(np.sum(s > RANK_EPS * s[0])) if s[0] > 0 else 0
-    u = u[:, :rank]
+    u = u[:, :_kept_rank(s)]
     return np.eye(dim) - u @ u.T
+
+
+def _kept_rank(s):
+    """Count of the singular values s (descending) above RANK_EPS times the largest."""
+    return int(np.sum(s > RANK_EPS * s[0])) if s.size and s[0] > 0 else 0
+
+
+def _ordered_qr(g, y, order):
+    """Triangular factor of g's columns taken in `order`, with Q^T y.
+
+    order is one column order (K,) or a stack of orders (B, K).  With
+    g[:, order] = Q r the reduced QR, returns (r, z = Q^T y), shaped
+    (..., K, K) and (..., K).  Q is never formed: r and z are the first K
+    rows of the triangular factor of [g[:, order], y].  None when g has
+    fewer rows than columns, or when a column keeps a residual of at most
+    RANK_EPS times its norm off the columns before it (the column
+    _later_group_bases would skip), in any of the orders.
+    """
+    rows, k = g.shape
+    if rows < k:
+        return None
+    idx = np.concatenate([order, np.full(order.shape[:-1] + (1,), k)], axis=-1)
+    cols = np.vstack([g.T, y])[idx].swapaxes(-1, -2)
+    r = np.linalg.qr(cols, mode="r")[..., :k, :]
+    norms = np.sqrt(np.einsum("ij,ij->j", g, g))[order]
+    if not (np.abs(r.diagonal(0, -2, -1)) > RANK_EPS * norms).all():
+        return None
+    return r[..., :k], r[..., k]
+
+
+@lru_cache(maxsize=None)
+def _cancellation_orders(scheme):
+    """Column orders of the triangular views (cached per scheme).
+
+    PIC-SIC: all groups in reverse decode order, shape (K,).  PIC: for each
+    group the other groups' columns, then the group's, shape (groups, K).
+    """
+    sic = np.array([j for group in reversed(scheme.groups) for j in group])
+    pic = np.array([list(scheme.complement(k)) + list(group)
+                    for k, group in enumerate(scheme.groups)])
+    sic.setflags(write=False)
+    pic.setflags(write=False)
+    return sic, pic
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +189,7 @@ def group_joint_decode(py, pg, alphabets, snr, mode="exhaustive"):
         pivot = pg[:, 0]
         if float(pivot @ pivot) >= DEGENERATE_PIVOT ** 2:
             return _conditioned_search(py, pg, alphabets, root_snr)
-    elif mode not in ("exhaustive", "conditioned"):
+    elif mode not in SEARCH_MODES:
         raise ValueError(f"unknown group search mode {mode!r}")
 
     idx = _candidate_grid(tuple(a.size for a in alphabets))
@@ -152,18 +219,53 @@ def _conditioned_search(py, pg, alphabets, root_snr):
 
 
 def pic_decode(problem, mode="exhaustive"):
-    """Decode every group independently after projecting the others out."""
+    """Decode every group independently after projecting the others out.
+
+    One stacked QR gives every group's triangular block.  When some group's
+    interfering columns are rank-deficient (by complement_projector's
+    singular-value rule), the frame takes _pic_reference instead.
+    """
+    scheme = problem.scheme
+    _, orders = _cancellation_orders(scheme)
+    qr = _ordered_qr(problem.g, problem.y, orders)
+    if qr is None:
+        return _pic_reference(problem, mode)
+    r, z = qr
+    k = problem.g.shape[1]
+    sizes = [k - len(group) for group in scheme.groups]
+    # Dropping columns cannot raise the ratio of largest to smallest singular
+    # value, so when G itself (the block r[0]) passes complement_projector's
+    # rule, every group's interfering columns do.
+    if (_kept_rank(np.linalg.svd(r[0], compute_uv=False)) < k
+            and any(_kept_rank(np.linalg.svd(r[i, :s, :s], compute_uv=False)) < s
+                    for i, s in enumerate(sizes))):
+        return _pic_reference(problem, mode)
+    x_hat = np.zeros(k)
+    counts = []
+    for i, (group, s) in enumerate(zip(scheme.groups, sizes)):
+        levels, _, used = group_joint_decode(
+            z[i, s:], r[i, s:, s:], tuple(problem.alphabets[j] for j in group),
+            problem.snr, mode
+        )
+        x_hat[list(group)] = levels
+        counts.append(used)
+    return DecodeResult(
+        RealSymbolVector(x_hat, alphabets=tuple(problem.alphabets)),
+        int(sum(counts)), tuple(counts),
+    )
+
+
+def _pic_reference(problem, mode="exhaustive"):
+    """PIC through complement_projector; it also decodes a rank-deficient G."""
     scheme = problem.scheme
     x_hat = np.zeros(problem.g.shape[1])
     counts = []
     for k in range(scheme.num_groups):
         group = list(scheme.groups[k])
-        others = list(scheme.complement(k))
-        proj = complement_projector(problem.g[:, others])
-        py = proj @ problem.y
-        pg = proj @ problem.g[:, group]
+        proj = complement_projector(problem.g[:, list(scheme.complement(k))])
         levels, _, used = group_joint_decode(
-            py, pg, tuple(problem.alphabets[j] for j in group), problem.snr, mode
+            proj @ problem.y, proj @ problem.g[:, group],
+            tuple(problem.alphabets[j] for j in group), problem.snr, mode
         )
         x_hat[group] = levels
         counts.append(used)
@@ -198,9 +300,42 @@ def _later_group_bases(scheme, g):
 def picsic_decode(problem, mode="exhaustive"):
     """Decode groups in order, cancelling each decoded group from the residual.
 
-    Projections onto the complements of the later groups' spans are applied
-    through precomputed orthonormal bases (y - U (U^T y)), which is the same
-    map as multiplying by the complement projector.
+    One QR of G with the groups in reverse decode order gives every group's
+    triangular block; a rank-deficient G takes _picsic_reference instead.
+    """
+    scheme = problem.scheme
+    order, _ = _cancellation_orders(scheme)
+    qr = _ordered_qr(problem.g, problem.y, order)
+    if qr is None:
+        return _picsic_reference(problem, mode)
+    r, z = qr
+    root_snr = np.sqrt(problem.snr)
+    x_hat = np.zeros(problem.g.shape[1])
+    counts = []
+    e = problem.g.shape[1]
+    for group in scheme.groups:
+        s = e - len(group)
+        levels, _, used = group_joint_decode(
+            z[s:e], r[s:e, s:e], tuple(problem.alphabets[j] for j in group),
+            problem.snr, mode
+        )
+        x_hat[list(group)] = levels
+        counts.append(used)
+        z[:s] -= root_snr * (r[:s, s:e] @ levels)
+        e = s
+    return DecodeResult(
+        RealSymbolVector(x_hat, alphabets=tuple(problem.alphabets)),
+        int(sum(counts)), tuple(counts),
+    )
+
+
+def _picsic_reference(problem, mode="exhaustive"):
+    """PIC-SIC through the Gram-Schmidt bases of the later groups' spans.
+
+    Projections onto the complements of those spans are applied as
+    y - U (U^T y), the same map as multiplying by the complement projector.
+    Columns inside the running span are skipped, so this also decodes a
+    rank-deficient G.
     """
     scheme = problem.scheme
     x_hat = np.zeros(problem.g.shape[1])

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from .constructions import (
     Family, build_alamouti_block_code, build_diagonal_code,
 )
+from .lindesign import RANK_EPS
 from .rotations import RotationMatrix, certify_rotation
 
-RANK_EPS_REL = 1e-9
 DIFFERENCE_ENUM_CAP = 10_000
 
 
@@ -61,7 +61,7 @@ class RankWitness:
         }
 
 
-def numerical_rank(mat, eps_rel=RANK_EPS_REL):
+def numerical_rank(mat, eps_rel=RANK_EPS):
     """Count of singular values above eps_rel times the largest; 0 for zero input."""
     if not 0 < eps_rel < 1:
         raise ValueError("eps_rel must lie in (0, 1)")
@@ -123,7 +123,7 @@ def _search_group(design, group, interference_idx, diffs, probes):
     else:
         u_mats = np.zeros((1, t, n), dtype=complex)
         probes = np.zeros((1, 0))
-    eps_sq = RANK_EPS_REL ** 2
+    eps_sq = RANK_EPS ** 2
     for i, base in enumerate(a_mats):
         x = base[None, :, :] + u_mats
         gram = np.einsum("bij,bik->bjk", x.conj(), x)

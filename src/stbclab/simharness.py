@@ -8,6 +8,9 @@ scheduled across workers.  Per SNR point the loop stops once it has seen
 min_frame_errors frame errors or max_frames frames, whichever comes first,
 checking at fixed batch boundaries.
 
+A link with fewer real observations than real symbols (2*N_r*T < K) is
+overloaded: it is decoded as configured, and the result carries the flag.
+
 CSV column contract (byte-stable across runs and worker counts):
     snr_db,frames,bit_errors,ber,ser,fer,mean_evals,max_evals
 """
@@ -23,11 +26,14 @@ from .channel import demap, modulate, pam_for_qam, sample_link, transmit
 from .constructions import (
     build_alamouti_block_code, build_diagonal_code, tabulate_tradeoff,
 )
-from .decoders import DEFAULT_ML_CAP, DecodeProblem, decode
+from .decoders import DECODERS, DEFAULT_ML_CAP, SEARCH_MODES, DecodeProblem, decode
 from .lindesign import assemble_codeword, equivalent_channel, vec_complex
 
 CSV_HEADER = "snr_db,frames,bit_errors,ber,ser,fer,mean_evals,max_evals"
 FRAME_BATCH = 256
+FAMILIES = ("sec3", "sec4")
+# SNR points with fewer bit errors than this stay out of the diversity fit.
+FIT_MIN_BIT_ERRORS = 50
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,15 @@ class SimConfig:
             raise ValueError("stop rule must be positive")
         if self.rotation not in ("certified", "identity"):
             raise ValueError("rotation must be 'certified' or 'identity'")
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
+        if self.decoder not in DECODERS:
+            raise ValueError(f"unknown decoder {self.decoder!r}; "
+                             f"choose from {sorted(DECODERS)}")
+        if self.search_mode not in SEARCH_MODES:
+            raise ValueError(f"unknown search mode {self.search_mode!r}; "
+                             f"choose from {SEARCH_MODES}")
+        pam_for_qam(self.qam)
 
     def to_json(self):
         d = asdict(self)
@@ -105,6 +120,7 @@ class SimResult:
     diversity_order: float | None
     fit_window_db: tuple
     wall_time_s: float = field(compare=False)
+    overloaded: bool = False  # 2 * N_r * T < K: fewer observations than symbols
 
 
 class _SimContext:
@@ -115,17 +131,16 @@ class _SimContext:
             rot = np.eye(cfg.group_size) if cfg.rotation == "identity" else None
             built = build_diagonal_code(cfg.antennas, cfg.group_size, cfg.layers,
                                         rotation=rot)
-        elif cfg.family == "sec4":
+        else:
             rot = np.eye(cfg.antennas // 2) if cfg.rotation == "identity" else None
             built = build_alamouti_block_code(cfg.antennas, cfg.layers,
                                               rotation=rot,
                                               variant=cfg.grouping_variant)
-        else:
-            raise ValueError(f"unknown family {cfg.family!r}")
         self.cfg = cfg
         self.design, self.scheme, self.spec = built
         self.alphabet = pam_for_qam(cfg.qam)
         k = self.design.num_real_symbols
+        self.overloaded = 2 * cfg.receive_antennas * self.design.delay < k
         self.alphabets = (self.alphabet,) * k
         self.bits_per_frame = k * self.alphabet.bit_width
         if cfg.decoder == "ml":
@@ -217,7 +232,7 @@ def run_simulation(cfg, workers=1):
             pool.join()
     order, window = _fit_diversity(points)
     return SimResult(cfg, tuple(points), order, window,
-                     time.perf_counter() - t0)
+                     time.perf_counter() - t0, ctx.overloaded)
 
 
 def estimate_diversity_order(ber_points, window):
@@ -237,7 +252,7 @@ def estimate_diversity_order(ber_points, window):
     return -float(slope)
 
 
-def _fit_diversity(points, min_bit_errors=50, window=3):
+def _fit_diversity(points, min_bit_errors=FIT_MIN_BIT_ERRORS, window=3):
     """Default fit: the highest `window` SNR points with enough bit errors."""
     qualified = [p for p in points if p.bit_errors >= min_bit_errors]
     chosen = qualified[-window:]
@@ -272,6 +287,7 @@ def write_results(result, path, fmt="csv"):
             "diversity_order": result.diversity_order,
             "fit_window_db": list(result.fit_window_db),
             "wall_time_s": result.wall_time_s,
+            "overloaded": result.overloaded,
         }
         with open(path, "w") as f:
             json.dump(doc, f, indent=1)
@@ -294,7 +310,7 @@ def read_results(path):
     )
     return SimResult(
         SimConfig.from_json(doc["config"]), points, doc["diversity_order"],
-        tuple(doc["fit_window_db"]), doc["wall_time_s"],
+        tuple(doc["fit_window_db"]), doc["wall_time_s"], doc["overloaded"],
     )
 
 

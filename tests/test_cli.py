@@ -125,6 +125,23 @@ class TestSimulate:
         lines = csv.read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("8.0,64,")
 
+    def test_overloaded_link_warns(self, tmp_path, capsys):
+        # sec4(4,2) has K = 16 and T = 6: N_r = 1 gives 12 < 16 observations
+        for receive_antennas, warned in ((1, True), (2, False)):
+            cfg = self.config(tmp_path, antennas=4, layers=2,
+                              receive_antennas=receive_antennas, max_frames=8)
+            assert cli.main(["simulate", "--config", str(cfg)]) == 0
+            assert ("overloaded link" in capsys.readouterr().err) is warned
+
+    def test_points_left_out_of_the_fit_are_named(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, antennas=4, layers=2, receive_antennas=2,
+                          snr_grid_db=[0.0, 4.0, 30.0], min_frame_errors=10_000,
+                          max_frames=256)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "fit over [0.0, 4.0] dB" in out
+        assert "left out of the fit: [30.0] dB (fewer than 50 bit errors)" in out
+
     def test_bad_config_is_exit_1(self, tmp_path):
         cfg = self.config(tmp_path, family="sec9")
         assert cli.main(["simulate", "--config", str(cfg)]) == 1

@@ -1,0 +1,273 @@
+"""Property tests: the triangular PIC / PIC-SIC path equals the reference path.
+
+pic_decode and picsic_decode search each group on an n x n triangular block
+of an ordered QR when the channel's columns are independent, and fall back
+to the projector references (complement_projector, _later_group_bases)
+otherwise.  Over random small channels and groupings these tests check that
+the fast path makes the same decisions and per-group counts as the
+reference, that the input's rank alone picks the path, and that ties and
+degenerate pivots resolve the same way on both.
+"""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from stbclab import decoders
+from stbclab.channel import pam_for_qam
+from stbclab.decoders import DecodeProblem, pic_decode, picsic_decode
+from stbclab.lindesign import RANK_EPS, Design, GroupingScheme, equivalent_channel
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+PATHS = {
+    "pic": (pic_decode, decoders._pic_reference),
+    "picsic": (picsic_decode, decoders._picsic_reference),
+}
+decoder_names = st.sampled_from(sorted(PATHS))
+modes = st.sampled_from(decoders.SEARCH_MODES)
+
+
+@st.composite
+def groupings(draw, max_symbols=7):
+    """A random ordered partition of 0..K-1 into groups of 1 to 3 symbols."""
+    k = draw(st.integers(2, max_symbols))
+    sizes, left = [], k
+    while left:
+        sizes.append(draw(st.integers(1, min(3, left))))
+        left -= sizes[-1]
+    perm = draw(st.permutations(range(k)))
+    bounds = np.cumsum([0] + sizes)
+    return GroupingScheme(tuple(tuple(perm[a:b]) for a, b in zip(bounds, bounds[1:])), k)
+
+
+@st.composite
+def channels(draw, k, overloaded):
+    """A (rng, G) pair: G has >= K rows, or < K rows when overloaded.
+
+    G is either i.i.d. Gaussian or the equivalent channel of a random
+    linear-dispersion design over a Rayleigh link.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        rows = draw(st.integers(1, k - 1) if overloaded else st.integers(k, k + 4))
+        return rng, rng.standard_normal((rows, k))
+    delay = draw(st.integers(1, 3))
+    need = -(-k // (2 * delay))  # fewest antennas with 2 * T * N >= K, the same for N_r
+    antennas = draw(st.integers(need, need + 2))
+    if overloaded:
+        if need < 2:
+            return rng, rng.standard_normal((draw(st.integers(1, k - 1)), k))
+        receive = draw(st.integers(1, need - 1))
+    else:
+        receive = draw(st.integers(need, need + 1))
+    weights = (rng.standard_normal((k, delay, antennas))
+               + 1j * rng.standard_normal((k, delay, antennas)))
+    h = rng.standard_normal((antennas, receive)) + 1j * rng.standard_normal(
+        (antennas, receive))
+    return rng, equivalent_channel(Design(weights), h)
+
+
+def make_problem(rng, g, scheme, qam, snr_db):
+    alpha = pam_for_qam(qam)
+    snr = 10.0 ** (snr_db / 10.0)
+    x = alpha.levels[rng.integers(0, alpha.size, g.shape[1])]
+    y = np.sqrt(snr) * g @ x + rng.standard_normal(g.shape[0])
+    return DecodeProblem(y, g, scheme, (alpha,) * g.shape[1], snr)
+
+
+@contextmanager
+def reference_calls():
+    """Count the calls the decoders make into the projector references."""
+    with mock.patch.object(decoders, "complement_projector",
+                           wraps=decoders.complement_projector) as proj, \
+            mock.patch.object(decoders, "_later_group_bases",
+                              wraps=decoders._later_group_bases) as bases:
+        yield lambda: proj.call_count + bases.call_count
+
+
+def run_both(name, problem, mode):
+    """(fast-path result, reference calls it made, reference result)."""
+    fast, reference = PATHS[name]
+    with reference_calls() as calls:
+        got = fast(problem, mode)
+        used_reference = calls()
+    return got, used_reference, reference(problem, mode)
+
+
+def assert_same(got, ref):
+    assert np.array_equal(got.decided.entries, ref.decided.entries)
+    assert got.per_group_counts == ref.per_group_counts
+    assert got.candidate_evaluations == ref.candidate_evaluations
+
+
+@st.composite
+def full_rank_problems(draw):
+    scheme = draw(groupings())
+    rng, g = draw(channels(scheme.num_symbols, overloaded=False))
+    return make_problem(rng, g, scheme, draw(st.sampled_from((4, 16))),
+                        draw(st.floats(0.0, 24.0)))
+
+
+@PROPERTY
+@given(full_rank_problems(), decoder_names, modes)
+def test_full_rank_takes_triangular_path_and_matches_reference(problem, name, mode):
+    got, used_reference, ref = run_both(name, problem, mode)
+    assert used_reference == 0
+    assert_same(got, ref)
+
+
+@PROPERTY
+@given(groupings(), st.data(), decoder_names, modes)
+def test_overloaded_link_takes_reference_path(scheme, data, name, mode):
+    rng, g = data.draw(channels(scheme.num_symbols, overloaded=True))
+    assert g.shape[0] < g.shape[1]
+    problem = make_problem(rng, g, scheme, 4, 12.0)
+    got, used_reference, ref = run_both(name, problem, mode)
+    assert used_reference > 0
+    assert_same(got, ref)
+
+
+def with_near_copy(g, rng, residual):
+    """G with unit columns and column 1 a copy of column 0 plus `residual` off all others.
+
+    The added direction is orthogonal to every column, so in any column order
+    the later of columns 0 and 1 keeps a relative residual within a few
+    percent of `residual` off the columns before it.
+    """
+    g = g / np.linalg.norm(g, axis=0)
+    q = np.linalg.qr(np.column_stack([g, rng.standard_normal(g.shape[0])]))[0]
+    g[:, 1] = g[:, 0] + residual * q[:, -1]
+    return g
+
+
+@st.composite
+def near_copy_problems(draw, residual):
+    scheme = draw(groupings())
+    k = scheme.num_symbols
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = with_near_copy(rng.standard_normal((draw(st.integers(k + 1, k + 4)), k)),
+                       rng, residual)
+    return make_problem(rng, g, scheme, 4, draw(st.floats(0.0, 24.0)))
+
+
+@PROPERTY
+@given(near_copy_problems(RANK_EPS / 100), decoder_names, modes)
+def test_residual_below_rank_eps_takes_reference_path(problem, name, mode):
+    got, used_reference, ref = run_both(name, problem, mode)
+    assert used_reference > 0
+    assert_same(got, ref)
+
+
+@PROPERTY
+@given(near_copy_problems(RANK_EPS * 100), decoder_names, modes)
+def test_residual_above_rank_eps_keeps_triangular_path(problem, name, mode):
+    got, used_reference, ref = run_both(name, problem, mode)
+    assert used_reference == 0
+    assert_same(got, ref)
+
+
+@st.composite
+def scaled_column_problems(draw, scale):
+    """Unit columns but one, scaled by `scale`: small against the largest
+    singular value, yet far from the span of the other columns."""
+    scheme = draw(groupings())
+    k = scheme.num_symbols
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = rng.standard_normal((draw(st.integers(k + 1, k + 4)), k))
+    g /= np.linalg.norm(g, axis=0)
+    g[:, draw(st.integers(0, k - 1))] *= scale
+    return make_problem(rng, g, scheme, 4, draw(st.floats(0.0, 24.0)))
+
+
+@PROPERTY
+@given(scaled_column_problems(RANK_EPS / 300), decoder_names, modes)
+def test_column_below_rank_eps_of_the_largest(problem, name, mode):
+    # complement_projector drops that direction wherever the column interferes
+    # with a unit column, so PIC takes the reference path then.  PIC-SIC's
+    # skip rule measures each column against its own norm and keeps it, so
+    # PIC-SIC stays triangular.
+    small = int(np.argmin(np.linalg.norm(problem.g, axis=0)))
+    k = problem.g.shape[1]
+    dropped = any(small not in group and k - len(group) >= 2
+                  for group in problem.scheme.groups)
+    got, used_reference, ref = run_both(name, problem, mode)
+    assert (used_reference > 0) == (name == "pic" and dropped)
+    assert_same(got, ref)
+
+
+@PROPERTY
+@given(scaled_column_problems(RANK_EPS * 300), decoder_names, modes)
+def test_column_above_rank_eps_of_the_largest(problem, name, mode):
+    got, used_reference, ref = run_both(name, problem, mode)
+    assert used_reference == 0
+    assert_same(got, ref)
+
+
+@PROPERTY
+@given(full_rank_problems(), st.integers(0, 6), st.integers(0, 6), decoder_names,
+       modes)
+def test_duplicated_column_takes_reference_path(problem, src, dst, name, mode):
+    k = problem.g.shape[1]
+    src, dst = src % k, dst % k
+    if src == dst:
+        dst = (dst + 1) % k
+    g = problem.g.copy()
+    g[:, dst] = g[:, src]
+    problem = DecodeProblem(problem.y, g, problem.scheme, problem.alphabets,
+                            problem.snr)
+    got, used_reference, ref = run_both(name, problem, mode)
+    assert used_reference > 0
+    assert_same(got, ref)
+
+
+@PROPERTY
+@given(full_rank_problems(), decoder_names, modes)
+def test_exact_ties_resolve_alike(problem, name, mode):
+    # y = 0: every candidate x ties with -x.  Exhaustive search keeps the
+    # earlier of the two, whose first symbol is the negative one.
+    problem = DecodeProblem(np.zeros_like(problem.y), problem.g, problem.scheme,
+                            problem.alphabets, problem.snr)
+    got, used_reference, ref = run_both(name, problem, mode)
+    assert used_reference == 0
+    assert_same(got, ref)
+    if mode == "exhaustive":
+        zero_view = problem.scheme.groups if name == "pic" else problem.scheme.groups[:1]
+        assert all(got.decided.entries[group[0]] < 0 for group in zero_view)
+
+
+@PROPERTY
+@given(full_rank_problems(), decoder_names)
+def test_degenerate_pivots_fall_back_alike_on_the_triangular_path(problem, name):
+    # Scaling G and y by 2**-47 is exact, keeps every relative rank test and
+    # puts every pivot column below DEGENERATE_PIVOT in norm, so the
+    # conditioned search falls back to the exhaustive one on both paths.
+    scale = 2.0 ** -47
+    assert np.linalg.norm(problem.g, axis=0).max() * scale < decoders.DEGENERATE_PIVOT
+    tiny = DecodeProblem(problem.y * scale, problem.g * scale, problem.scheme,
+                         problem.alphabets, problem.snr)
+    got, used_reference, ref = run_both(name, tiny, "conditioned")
+    assert used_reference == 0
+    assert_same(got, ref)
+    exhaustive = PATHS[name][0](tiny, "exhaustive")
+    assert got.per_group_counts == exhaustive.per_group_counts
+    assert np.array_equal(got.decided.entries, exhaustive.decided.entries)
+
+
+@PROPERTY
+@given(full_rank_problems(), decoder_names)
+def test_zero_pivot_column_takes_reference_path(problem, name):
+    # A zero column is rank-deficient; first in its group it is a degenerate
+    # pivot, and the conditioned search falls back to the exhaustive one.
+    g = problem.g.copy()
+    g[:, problem.scheme.groups[0][0]] = 0.0
+    problem = DecodeProblem(problem.y, g, problem.scheme, problem.alphabets,
+                            problem.snr)
+    got, used_reference, ref = run_both(name, problem, "conditioned")
+    assert used_reference > 0
+    assert_same(got, ref)
+    exhaustive = PATHS[name][0](problem, "exhaustive")
+    assert got.per_group_counts[0] == exhaustive.per_group_counts[0]
+    assert np.array_equal(got.decided.entries, exhaustive.decided.entries)

@@ -155,7 +155,7 @@ class TestOracleChain:
             assert np.array_equal(pic.decided.entries, zf.decided.entries)
 
     def test_picsic_matches_projector_reference(self):
-        # the incremental-basis fast path equals a direct projector-based sweep
+        # the triangular fast path equals a direct projector-based sweep
         rng = np.random.default_rng(7)
         for _ in range(40):
             problem, _ = random_problem(build_alamouti_block_code, (4, 2), 4, rng,
@@ -175,6 +175,29 @@ class TestOracleChain:
                 x_ref[group] = levels
                 y_k = y_k - np.sqrt(problem.snr) * problem.g[:, group] @ levels
             assert np.array_equal(fast.decided.entries, x_ref)
+
+    def test_pic_matches_projector_reference(self):
+        # the triangular fast path equals projecting the other groups out
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            problem, _ = random_problem(build_diagonal_code, (3, 2, 4), 16, rng,
+                                        snr_db=10.0)
+            fast = pic_decode(problem, "conditioned")
+            x_ref = np.zeros(problem.g.shape[1])
+            counts = []
+            scheme = problem.scheme
+            for k in range(scheme.num_groups):
+                group = list(scheme.groups[k])
+                proj = complement_projector(problem.g[:, list(scheme.complement(k))])
+                levels, _, used = group_joint_decode(
+                    proj @ problem.y, proj @ problem.g[:, group],
+                    tuple(problem.alphabets[j] for j in group), problem.snr,
+                    "conditioned",
+                )
+                x_ref[group] = levels
+                counts.append(used)
+            assert np.array_equal(fast.decided.entries, x_ref)
+            assert fast.per_group_counts == tuple(counts)
 
 
 class TestMlAndZf:

@@ -119,12 +119,45 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             run_simulation(tiny_config(family="sec5"))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("decoder", "sphere", "unknown decoder"),
+        ("search_mode", "typo", "unknown search mode"),
+        ("family", "sec5", "unknown family"),
+        ("qam", 8, "square QAM"),
+        ("qam", 2, "square QAM"),
+    ])
+    def test_rejected_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**{field: value})
+
+    def test_search_mode_checked_for_every_decoder(self):
+        # ZF ignores the search mode, but a typo in it is still an error
+        with pytest.raises(ValueError, match="unknown search mode"):
+            tiny_config(decoder="zf", search_mode="typo")
+
     def test_ml_cap_enforced(self):
         cfg = SimConfig(family="sec3", antennas=2, layers=6, group_size=2,
                         qam=16, decoder="ml", snr_grid_db=(10.0,),
                         min_frame_errors=1, max_frames=1, master_seed=0)
         with pytest.raises(ValueError, match="cap"):
             run_simulation(cfg)
+
+
+class TestOverload:
+    @pytest.mark.parametrize("receive_antennas, overloaded", [(1, True), (2, False)])
+    def test_flag_follows_observations_against_symbols(self, tmp_path,
+                                                        receive_antennas, overloaded):
+        # sec4(4,2): K = 16 real symbols, T = 6, so 2 * N_r * T is 12 or 24
+        cfg = SimConfig(family="sec4", antennas=4, layers=2,
+                        receive_antennas=receive_antennas, qam=4, decoder="picsic",
+                        search_mode="conditioned", snr_grid_db=(10.0,),
+                        min_frame_errors=1, max_frames=8, master_seed=5)
+        res = run_simulation(cfg)
+        assert res.overloaded is overloaded
+        path = tmp_path / "r.json"
+        write_results(res, path, "json")
+        assert json.loads(path.read_text())["overloaded"] is overloaded
+        assert read_results(path) == res
 
 
 class TestResultsIo:
