@@ -13,7 +13,7 @@ from .lindesign import (
 )
 from .rotations import RotationMatrix, build_rotation, certify_rotation
 from .constructions import (
-    CodeSpec, Family, build_alamouti_block_code, build_diagonal_code,
+    CodeSpec, Family, build_alamouti_block_code, build_code, build_diagonal_code,
     normalize_power, tabulate_tradeoff,
 )
 from .diversity import (

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import diversity, lindesign, simharness
-from .constructions import Family, build_alamouti_block_code, build_diagonal_code
+from .constructions import Family, build_code
 
 
 def _add_code_args(p, required=True):
@@ -30,16 +30,8 @@ def _add_code_args(p, required=True):
 
 
 def _build_code(args):
-    if args.family == "sec3":
-        if args.group_size is None:
-            raise ValueError("sec3 requires --lambda")
-        if args.coarse:
-            raise ValueError("sec3 has no coarse grouping")
-        return build_diagonal_code(args.antennas, args.group_size, args.layers)
-    if args.group_size is not None and args.group_size != args.antennas // 2:
-        raise ValueError(f"sec4 group size is fixed at N/2 = {args.antennas // 2}")
-    variant = "coarse" if args.coarse else "fine"
-    return build_alamouti_block_code(args.antennas, args.layers, variant=variant)
+    return build_code(args.family, args.antennas, args.layers, args.group_size,
+                      variant="coarse" if args.coarse else "fine")
 
 
 def _cmd_build(args):

@@ -203,6 +203,30 @@ def build_alamouti_block_code(antennas, layers, rotation=None, variant="fine",
     return design, grouping, spec
 
 
+def build_code(family, antennas, layers, group_size=None, variant="fine",
+               identity_rotation=False):
+    """Construct a member of either family, named by its token (sec3 | sec4).
+
+    sec3 needs the group size; sec4 fixes it at N/2, so it may be omitted
+    (None or 0).  Only sec4 has the coarse grouping.  identity_rotation
+    builds the deliberately broken ablation with an identity rotation in
+    place of the certified one.  Same return convention as the builders.
+    """
+    family = Family(family)
+    if family is Family.DIAGONAL:
+        if not group_size:
+            raise ValueError("sec3 requires a group size (lambda)")
+        if variant != "fine":
+            raise ValueError("sec3 has no coarse grouping")
+        rotation = np.eye(group_size) if identity_rotation else None
+        return build_diagonal_code(antennas, group_size, layers, rotation=rotation)
+    if group_size and group_size != antennas // 2:
+        raise ValueError(f"sec4 group size is fixed at N/2 = {antennas // 2}")
+    rotation = np.eye(antennas // 2) if identity_rotation else None
+    return build_alamouti_block_code(antennas, layers, rotation=rotation,
+                                     variant=variant)
+
+
 def normalize_power(design, per_symbol_energy=0.5):
     """Set power_scale so that E ||X||_F^2 / T = 1 for independent zero-mean symbols.
 

@@ -23,8 +23,10 @@ import numpy as np
 from dataclasses import dataclass, field, asdict
 
 from .channel import demap, modulate, pam_for_qam, sample_link, transmit
-from .constructions import (
-    build_alamouti_block_code, build_diagonal_code, tabulate_tradeoff,
+# The two family builders stay importable from this module: perfbench's
+# tracer wraps them here as well as in constructions.
+from .constructions import (  # noqa: F401
+    build_alamouti_block_code, build_code, build_diagonal_code, tabulate_tradeoff,
 )
 from .decoders import DECODERS, DEFAULT_ML_CAP, SEARCH_MODES, DecodeProblem, decode
 from .lindesign import assemble_codeword, equivalent_channel, vec_complex
@@ -43,7 +45,7 @@ class SimConfig:
     family: str  # "sec3" | "sec4"
     antennas: int
     layers: int
-    group_size: int = 0  # required for sec3; ignored (derived) for sec4
+    group_size: int = 0  # required for sec3; 0 or N/2 for sec4
     grouping_variant: str = "fine"
     receive_antennas: int = 1
     qam: int = 4
@@ -127,17 +129,10 @@ class _SimContext:
     """Design, grouping and alphabets prebuilt once per process."""
 
     def __init__(self, cfg):
-        if cfg.family == "sec3":
-            rot = np.eye(cfg.group_size) if cfg.rotation == "identity" else None
-            built = build_diagonal_code(cfg.antennas, cfg.group_size, cfg.layers,
-                                        rotation=rot)
-        else:
-            rot = np.eye(cfg.antennas // 2) if cfg.rotation == "identity" else None
-            built = build_alamouti_block_code(cfg.antennas, cfg.layers,
-                                              rotation=rot,
-                                              variant=cfg.grouping_variant)
+        self.design, self.scheme, self.spec = build_code(
+            cfg.family, cfg.antennas, cfg.layers, cfg.group_size,
+            variant=cfg.grouping_variant, identity_rotation=cfg.rotation == "identity")
         self.cfg = cfg
-        self.design, self.scheme, self.spec = built
         self.alphabet = pam_for_qam(cfg.qam)
         k = self.design.num_real_symbols
         self.overloaded = 2 * cfg.receive_antennas * self.design.delay < k

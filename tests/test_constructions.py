@@ -5,7 +5,7 @@ import pytest
 
 from stbclab.channel import pam_for_qam
 from stbclab.constructions import (
-    CodeSpec, Family, alamouti_block, build_alamouti_block_code,
+    CodeSpec, Family, alamouti_block, build_alamouti_block_code, build_code,
     build_diagonal_code, normalize_power, tabulate_tradeoff,
 )
 from stbclab.lindesign import Design, assemble_codeword
@@ -176,6 +176,33 @@ class TestCodeSpecSweep:
             CodeSpec.from_delay("sec3", 4, 3, group_size=2)
         with pytest.raises(ValueError):
             CodeSpec.from_delay("sec4", 4, 7)
+
+
+class TestBuildCode:
+    def test_dispatches_by_family_token(self):
+        cases = (
+            (build_code("sec3", 3, 4, 2), build_diagonal_code(3, 2, 4)),
+            (build_code("sec4", 4, 2), build_alamouti_block_code(4, 2)),
+            (build_code("sec4", 4, 2, 2, variant="coarse"),
+             build_alamouti_block_code(4, 2, variant="coarse")),
+            (build_code("sec3", 3, 4, 2, identity_rotation=True),
+             build_diagonal_code(3, 2, 4, rotation=np.eye(2))),
+            (build_code("sec4", 4, 2, 0, identity_rotation=True),
+             build_alamouti_block_code(4, 2, rotation=np.eye(2))),
+        )
+        for (design, scheme, spec), (want_design, want_scheme, want_spec) in cases:
+            assert np.array_equal(design.weight_matrices, want_design.weight_matrices)
+            assert scheme.groups == want_scheme.groups and spec == want_spec
+
+    @pytest.mark.parametrize("args, kwargs, match", [
+        (("sec3", 3, 4), {}, "requires a group size"),
+        (("sec3", 3, 4, 2), {"variant": "coarse"}, "no coarse grouping"),
+        (("sec4", 4, 2, 3), {}, "fixed at N/2"),
+        (("sec5", 4, 2), {}, "sec5"),
+    ])
+    def test_rejects_ill_posed_input(self, args, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            build_code(*args, **kwargs)
 
 
 class TestNormalizePower:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stbclab import decoders
 from stbclab.channel import modulate, pam_for_qam, sample_link, transmit
 from stbclab.constructions import build_alamouti_block_code, build_diagonal_code
 from stbclab.decoders import (
@@ -81,6 +82,16 @@ class TestGroupJointDecode:
                 lc, ic, cc = group_joint_decode(py, pg, (alpha,) * 2, 2.0, "conditioned")
                 assert np.array_equal(le, lc) and np.array_equal(ie, ic)
                 assert cc <= ce
+        # a 4-symbol 64-QAM group: 4096 candidates, searched in Gram form
+        alpha64 = (pam_for_qam(64),) * 4
+        assert decoders._gram_form(alpha64)
+        for _ in range(20):
+            pg = rng.standard_normal((8, 4))
+            py = rng.standard_normal(8)
+            le, ie, ce = group_joint_decode(py, pg, alpha64, 2.0, "exhaustive")
+            lc, ic, cc = group_joint_decode(py, pg, alpha64, 2.0, "conditioned")
+            assert np.array_equal(le, lc) and np.array_equal(ie, ic)
+            assert (ce, cc) == (4096, 512)
 
     def test_evaluation_counts(self):
         alpha = pam_for_qam(16)
@@ -106,6 +117,19 @@ class TestGroupJointDecode:
         for mode in ("exhaustive", "conditioned"):
             _, idx, _ = group_joint_decode(py, pg, (alpha,) * 2, 1.0, mode)
             assert np.array_equal(idx, [0, 0])
+
+    def test_conditioned_ties_go_to_the_lexicographic_first(self):
+        # y = 0: every candidate ties with its negation, and the conditioned
+        # search must keep the same one of the two as the exhaustive search
+        rng = np.random.default_rng(18)
+        alpha = pam_for_qam(4)
+        for _ in range(200):
+            pg = rng.standard_normal((4, 2))
+            _, ie, _ = group_joint_decode(np.zeros(4), pg, (alpha,) * 2, 1.0,
+                                          "exhaustive")
+            _, ic, cc = group_joint_decode(np.zeros(4), pg, (alpha,) * 2, 1.0,
+                                           "conditioned")
+            assert np.array_equal(ie, ic) and cc == 2
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
