@@ -40,18 +40,21 @@ Group search modes:
     evaluations.  A degenerate pivot column sends it to the exhaustive
     search.
 
-The metric of a candidate x is evaluated in one of two forms, chosen by the
-group's alphabets alone (_gram_form):
-  * residual form, for fewer than GRAM_MIN_CANDIDATES candidates:
-    ||py - sqrt(snr) pg x||^2 from the candidates' residual vectors;
-  * Gram form, from GRAM_MIN_CANDIDATES candidates up to a table of
-    GRAM_MAX_TABLE doubles: ||py||^2 - 2 sqrt(snr) (pg^T py)^T x +
-    snr x^T (pg^T pg) x, all metrics from one matvec of a feature table
-    cached per alphabet tuple (_gram_table), with the constant left out.
-    The weights are rounded so that this product is exact (_gram_weights),
-    so a candidate's metric is the same number in both modes.
-Both forms give the same argmin; the tests run each on the other's side of
-the choice.
+The metric of a candidate x is evaluated in one of two forms:
+  * Gram form, for an exhaustive search whose feature table holds at most
+    GRAM_MAX_TABLE doubles (_gram_form, which reads the alphabets alone):
+    ||py||^2 - 2 sqrt(snr) (pg^T py)^T x + snr x^T (pg^T pg) x, all
+    metrics from one matvec of a feature table cached per alphabet tuple
+    (_gram_table), with the constant left out.  The weights are rounded so
+    that this product is exact (_gram_weights).
+  * residual form, for the conditioned search and an exhaustive search
+    with a larger table (ML near DEFAULT_ML_CAP): ||py - sqrt(snr) pg x||^2
+    from the candidates' residual vectors, with pg x summed elementwise
+    (_residuals).
+In both forms a candidate's computed metric depends on the candidate
+alone, not on the other rows searched with it or on the BLAS build, so
+x and -x tie exactly at y = 0.  The tests run each form on the other's
+inputs.
 
 Ties between equal metrics resolve to the candidate earliest in
 lexicographic enumeration order (the first symbol varies slowest), in both
@@ -70,17 +73,8 @@ from .lindesign import RANK_EPS, RealSymbolVector
 DEGENERATE_PIVOT = 1e-12
 DEFAULT_ML_CAP = 1 << 20
 SEARCH_MODES = ("exhaustive", "conditioned")
-# A group with at least this many candidates (the product of its alphabet
-# sizes) is searched in Gram form, a smaller one in residual form.  Timed
-# per search on a 2-core x86-64 machine (numpy 2.4, OpenBLAS, one thread),
-# the Gram form's fixed cost of about a dozen NumPy calls (3-4 us more than
-# the residual form on 4 candidates) is repaid in exhaustive mode from 256
-# to 512 candidates, and in conditioned mode from 1024, where it won every
-# case timed (0.70-0.92 of the residual time).  At 4096 (four 64-QAM
-# symbols) an exhaustive search takes 0.2-0.3 of the residual time.
-GRAM_MIN_CANDIDATES = 1024
-# Largest Gram feature table, in doubles (16 MB); a larger search, such as
-# ML near DEFAULT_ML_CAP, keeps the residual form.
+# Largest Gram feature table, in doubles (16 MB).  An exhaustive search
+# with a larger table, such as ML near DEFAULT_ML_CAP, runs in residual form.
 GRAM_MAX_TABLE = 1 << 21
 
 
@@ -196,10 +190,10 @@ def _candidates(alphabets):
 
 @lru_cache(maxsize=None)
 def _gram_form(alphabets):
-    """Whether a group over these alphabets is searched in Gram form (cached)."""
+    """Whether an exhaustive search over these alphabets runs in Gram form (cached)."""
     n = len(alphabets)
     total = math.prod(a.size for a in alphabets)
-    return GRAM_MIN_CANDIDATES <= total and total * n * (n + 3) // 2 <= GRAM_MAX_TABLE
+    return total * n * (n + 3) // 2 <= GRAM_MAX_TABLE
 
 
 @lru_cache(maxsize=None)
@@ -232,10 +226,11 @@ def group_joint_decode(py, pg, alphabets, snr, mode="exhaustive"):
     """Jointly decode one group from its projected observation.
 
     Returns (level values, level indices, metric evaluation count).  Both
-    modes return the same argmin, and on a tie the lexicographically first
-    candidate; the conditioned mode falls back to the exhaustive search
-    when the pivot column is degenerate.  The alphabets alone choose the
-    metric's form (_gram_form).
+    modes return the same argmin, and of equal least metrics the
+    lexicographically first candidate; the conditioned mode falls back to
+    the exhaustive search when the pivot column is degenerate.  An
+    exhaustive search runs in Gram form unless its feature table would pass
+    GRAM_MAX_TABLE (_gram_form); every other search runs in residual form.
     """
     py = np.asarray(py, dtype=float)
     pg = np.asarray(pg, dtype=float)
@@ -245,42 +240,65 @@ def group_joint_decode(py, pg, alphabets, snr, mode="exhaustive"):
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown group search mode {mode!r}")
     alphabets = tuple(alphabets)
-    conditioned = (mode == "conditioned" and n >= 1
-                   and float(pg[:, 0] @ pg[:, 0]) >= DEGENERATE_PIVOT ** 2)
-    search = _gram_search if _gram_form(alphabets) else _residual_search
-    row, used = search(py, pg, alphabets, snr, conditioned)
+    if (mode == "conditioned" and n >= 1
+            and float(pg[:, 0] @ pg[:, 0]) >= DEGENERATE_PIVOT ** 2):
+        row, used = _conditioned_search(py, pg, alphabets, snr)
+    elif _gram_form(alphabets):
+        row, used = _gram_search(py, pg, alphabets, snr)
+    else:
+        row, used = _residual_search(py, pg, alphabets, snr)
     idx, levels = _candidates(alphabets)
     return levels[row].copy(), idx[row].copy(), used
 
 
-def _first_minimizer(metrics, rows):
-    """The row of the least metric; of equal least metrics, the least row."""
+@lru_cache(maxsize=None)
+def _candidate_columns(alphabets):
+    """The level values of _candidates transposed: one row per symbol (cached)."""
+    levels = np.ascontiguousarray(_candidates(alphabets)[1].T)
+    levels.setflags(write=False)
+    return levels
+
+
+def _residuals(py, pg, cand, root_snr):
+    """py - root_snr pg x for each column x of cand, shaped (len(py), columns).
+
+    pg x is summed symbol by symbol from elementwise products rather than
+    by a matmul, whose rounding of a candidate can depend on the candidate
+    count or on its place.  Each residual then depends on its candidate
+    alone, and those of x and -x are exact negatives at py = 0.
+    """
+    acc = np.zeros((len(py), cand.shape[1]))
+    for j in range(pg.shape[1]):
+        acc += pg[:, j, None] * cand[j]
+    return py[:, None] - root_snr * acc
+
+
+def _residual_search(py, pg, alphabets, snr):
+    """Exhaustive search by residual norms; returns (row, count)."""
+    resid = _residuals(py, pg, _candidate_columns(alphabets), np.sqrt(snr))
+    return int(np.einsum("ij,ij->j", resid, resid).argmin()), resid.shape[1]
+
+
+def _conditioned_search(py, pg, alphabets, snr):
+    """Search the non-pivot symbols in residual form, each with its nearest pivot level.
+
+    Returns (row, count).  Of equal least metrics it keeps the least row,
+    the lexicographically first candidate, as the exhaustive search does.
+    """
+    root_snr = np.sqrt(snr)
+    pivot = pg[:, 0]
+    # (n-1, C) non-pivot levels; one empty column for n = 1
+    resid = _residuals(py, pg[:, 1:], _candidate_columns(alphabets[1:]), root_snr)
+    piv = alphabets[0].nearest_index(
+        (pivot @ resid) / (root_snr * float(pivot @ pivot)))
+    resid -= root_snr * (pivot[:, None] * alphabets[0].levels[piv])
+    metrics = np.einsum("ij,ij->j", resid, resid)
+    rows = piv * resid.shape[1] + np.arange(resid.shape[1])
     best = metrics.argmin()
     least = metrics == metrics[best]
     if np.count_nonzero(least) > 1:
-        return int(rows[least].min())
-    return int(rows[best])
-
-
-def _pivot_rows(piv, count):
-    """Candidate rows of pivot indices piv, one per non-pivot enumeration position."""
-    return piv * count + np.arange(count)
-
-
-def _residual_search(py, pg, alphabets, snr, conditioned):
-    """Search by the residual norm ||py - sqrt(snr) pg x||^2; returns (row, count)."""
-    root_snr = np.sqrt(snr)
-    cand = _candidates(alphabets)[1]
-    if not conditioned:
-        resid = py - root_snr * (cand @ pg.T)
-        return int(np.einsum("ij,ij->i", resid, resid).argmin()), len(cand)
-    pivot = pg[:, 0]
-    rest = _candidates(alphabets[1:])[1]  # (C, n-1); one empty row for n = 1
-    resid = py - root_snr * (rest @ pg[:, 1:].T)
-    ls = (resid @ pivot) / (root_snr * float(pivot @ pivot))
-    rows = _pivot_rows(alphabets[0].nearest_index(ls), len(rest))
-    resid = py - root_snr * (cand[rows] @ pg.T)
-    return _first_minimizer(np.einsum("ij,ij->i", resid, resid), rows), len(rows)
+        return int(rows[least].min()), len(rows)
+    return int(rows[best]), len(rows)
 
 
 def _gram_weights(py, pg, alphabets, snr):
@@ -289,8 +307,9 @@ def _gram_weights(py, pg, alphabets, snr):
     w is rounded to a power-of-two grid with sum_k fmax_k |w_k| < 2**53 grid.
     Every feature is an integer, so every partial sum of a table row times
     w is a multiple of grid that a double holds exactly.  A candidate's
-    metric is then the same number whatever rows it is evaluated with and
-    in whatever order BLAS adds.
+    metric is then the same number in whatever order BLAS adds, and x and
+    -x tie exactly at py = 0.  Unrounded, they need not: OpenBLAS sums some
+    rows of a table in a different order from others.
     """
     _, fmax, scales, i, j = _gram_table(alphabets)
     gram = pg.T @ pg
@@ -299,30 +318,16 @@ def _gram_weights(py, pg, alphabets, snr):
     return np.rint(w / grid) * grid
 
 
-def _gram_search(py, pg, alphabets, snr, conditioned):
-    """Search by ||py||^2 - 2 sqrt(snr) (pg^T py)^T x + snr x^T (pg^T pg) x.
+def _gram_search(py, pg, alphabets, snr):
+    """Exhaustive search by ||py||^2 - 2 sqrt(snr) (pg^T py)^T x + snr x^T (pg^T pg) x.
 
     The constant ||py||^2 is left out, so the metrics of all candidates are
-    one matvec of the cached feature table with _gram_weights, the same
-    numbers in both modes.  Returns (row, count).
+    one matvec of the cached feature table with _gram_weights.  Returns
+    (row, count).
     """
     features = _gram_table(alphabets)[0]
-    w = _gram_weights(py, pg, alphabets, snr)
-    if not conditioned:
-        return int((features @ w).argmin()), len(features)
-    # metric = w[n] u_0^2 + beta u_0 + (terms free of u_0), exactly; take the
-    # u_0 level nearest -beta / (2 w[n]), the lower one at a midpoint
-    n = pg.shape[1]
-    size = alphabets[0].size
-    count = len(features) // size
-    beta = w[0] + features[:count, 1:n] @ w[n + 1:2 * n]
-    if w[n] > 0:
-        pos = (-beta / (2 * w[n]) + (size - 1)) / 2
-        piv = np.clip(np.ceil(pos - 0.5), 0, size - 1).astype(np.int64)
-    else:  # w[n] rounded to 0: linear in u_0, least at an end of the alphabet
-        piv = np.where(beta < 0, size - 1, 0)
-    rows = _pivot_rows(piv, count)
-    return _first_minimizer(features[rows] @ w, rows), count
+    metrics = features @ _gram_weights(py, pg, alphabets, snr)
+    return int(metrics.argmin()), len(features)
 
 
 def pic_decode(problem, mode="exhaustive"):

@@ -23,8 +23,9 @@ import numpy as np
 from dataclasses import dataclass, field, asdict
 
 from .channel import demap, modulate, pam_for_qam, sample_link, transmit
-# The two family builders stay importable from this module: perfbench's
-# tracer wraps them here as well as in constructions.
+# The two family builders stay importable from this module only because
+# perfbench's tracer still names them here; nothing here calls them, so
+# those spans no longer record.
 from .constructions import (  # noqa: F401
     build_alamouti_block_code, build_code, build_diagonal_code, tabulate_tradeoff,
 )

@@ -82,7 +82,8 @@ class TestGroupJointDecode:
                 lc, ic, cc = group_joint_decode(py, pg, (alpha,) * 2, 2.0, "conditioned")
                 assert np.array_equal(le, lc) and np.array_equal(ie, ic)
                 assert cc <= ce
-        # a 4-symbol 64-QAM group: 4096 candidates, searched in Gram form
+        # a 4-symbol 64-QAM group: 4096 candidates, an exhaustive search in
+        # Gram form against a conditioned one in residual form
         alpha64 = (pam_for_qam(64),) * 4
         assert decoders._gram_form(alpha64)
         for _ in range(20):

@@ -1,12 +1,14 @@
-"""Property tests: the group search's two metric forms make the same decisions.
+"""Property tests: the group search's metric forms make the same decisions.
 
-group_joint_decode searches a small group by residual norms and a large one
-in Gram form, a matvec of a cached feature table; the alphabets alone pick
-the form.  Over random projected groups these tests run both forms on the
-same input, with the form forced, and check that they return the same
-indices and counts in both search modes.  The inputs cover full-rank,
-triangular, rank-1 and short (rows < n) group channels, exact ties at
-y = 0 and degenerate pivot columns, on both sides of the size choice.
+group_joint_decode runs an exhaustive search in Gram form, a matvec of a
+cached feature table, unless that table would pass GRAM_MAX_TABLE; the
+conditioned search and larger exhaustive ones run in residual form.  Over
+random projected groups these tests run the exhaustive search in both
+forms, with the form forced, and the conditioned search on the same input,
+and check that all three return the same indices and that each form
+counts the same evaluations.  The inputs cover full-rank, triangular,
+rank-1 and short (rows < n) group channels, exact ties at y = 0 and
+degenerate pivot columns, on groups of 2 to 4096 candidates.
 """
 
 import math
@@ -15,29 +17,27 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stbclab import decoders
 from stbclab.channel import PamAlphabet, pam_for_qam
-from stbclab.decoders import SEARCH_MODES, group_joint_decode
+from stbclab.decoders import group_joint_decode
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 # QAM orders of a group's symbols; the candidate count is the product of
-# their PAM sizes.
-SMALL_GROUPS = ((4, 4), (16, 16, 16), (64,), (4, 16, 64), (64, 64))
-LARGE_GROUPS = ((64, 64, 64, 64), (16,) * 5, (64, 64, 64, 16), (4,) * 10)
+# their PAM sizes, from 8 to 4096.
+QAM_GROUPS = ((4, 4), (16, 16, 16), (64,), (4, 16, 64), (64, 64),
+              (64, 64, 64, 64), (16,) * 5, (64, 64, 64, 16), (4,) * 10)
 
 
-def test_group_sets_straddle_the_size_choice():
-    assert all(math.prod(pam_for_qam(m).size for m in q) < decoders.GRAM_MIN_CANDIDATES
-               for q in SMALL_GROUPS)
-    assert all(decoders._gram_form(tuple(pam_for_qam(m) for m in q))
-               for q in LARGE_GROUPS)
+def pam(size):
+    """Zero-mean PAM with spacing 2 and any number of levels (QAM's are powers of 2)."""
+    return PamAlphabet(np.arange(1.0 - size, size, 2.0), bit_width=size.bit_length())
 
 
 @st.composite
-def group_inputs(draw, qam_sets=SMALL_GROUPS + LARGE_GROUPS):
+def group_inputs(draw, qam_sets=QAM_GROUPS):
     """(py, pg, alphabets, snr) of one projected group.
 
     pg is Gaussian with n to n + 4 rows, upper triangular n x n (the fast
@@ -68,20 +68,21 @@ def group_inputs(draw, qam_sets=SMALL_GROUPS + LARGE_GROUPS):
 
 
 def search(py, pg, alphabets, snr, mode, gram):
-    """group_joint_decode with the metric form forced."""
+    """group_joint_decode with the exhaustive search's form forced."""
     with mock.patch.object(decoders, "_gram_form", return_value=gram):
         return group_joint_decode(py, pg, alphabets, snr, mode)
 
 
 def assert_forms_and_modes_agree(py, pg, alphabets, snr):
-    results = {(mode, gram): search(py, pg, alphabets, snr, mode, gram)
-               for mode in SEARCH_MODES for gram in (False, True)}
+    """Exhaustive search in both forms and conditioned search, keyed by name."""
+    results = {"gram": search(py, pg, alphabets, snr, "exhaustive", True),
+               "residual": search(py, pg, alphabets, snr, "exhaustive", False),
+               "conditioned": group_joint_decode(py, pg, alphabets, snr, "conditioned")}
     (levels, idx, _), *others = results.values()
     for other_levels, other_idx, _ in others:
         assert np.array_equal(other_idx, idx)
         assert np.array_equal(other_levels, levels)
-    for mode in SEARCH_MODES:
-        assert results[mode, False][2] == results[mode, True][2]
+    assert results["gram"][2] == results["residual"][2]
     return results
 
 
@@ -91,8 +92,8 @@ def test_forms_and_modes_agree(args):
     results = assert_forms_and_modes_agree(*args)
     alphabets = args[2]
     total = math.prod(a.size for a in alphabets)
-    assert results["exhaustive", True][2] == total
-    assert results["conditioned", True][2] == total // alphabets[0].size
+    assert results["gram"][2] == total
+    assert results["conditioned"][2] == total // alphabets[0].size
 
 
 @PROPERTY
@@ -102,8 +103,40 @@ def test_exact_ties_go_to_the_lexicographic_first(args):
     # first symbol whenever x's first symbol is not 0.
     py, pg, alphabets, snr = args
     results = assert_forms_and_modes_agree(np.zeros_like(py), pg, alphabets, snr)
-    levels = results["exhaustive", True][0]
-    assert levels[0] < 0
+    assert results["gram"][0][0] < 0
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(((2, 3, 3, 3), (3, 5, 5), (2, 5, 5, 5), (3,) * 5, (5,) * 4,
+                        (2, 2, 2, 2))))
+def test_metrics_do_not_depend_on_the_rows_searched(seed, sizes):
+    # Alphabets of 2, 3 or 5 levels give tables of 16 to 625 rows, and
+    # conditioned searches of 8 to 125.  A BLAS product may round a row
+    # differently by the row count, or by the row's place in the array.
+    # Row r and row N-1-r of a table are x and -x, so at y = 0 the Gram
+    # metrics must read the same backwards, the residuals must read the
+    # same negated, and all searches must keep the same one of x and -x.
+    # Any 1 to 16 rows must get the residuals they get among all rows.
+    alphabets = tuple(pam(s) for s in sizes)
+    n = len(alphabets)
+    rng = np.random.default_rng(seed)
+    pg, py = rng.standard_normal((n + 2, n)), np.zeros(n + 2)
+    gram = (decoders._gram_table(alphabets)[0]
+            @ decoders._gram_weights(py, pg, alphabets, 1.0))
+    cand = decoders._candidate_columns(alphabets)
+    resid = decoders._residuals(py, pg, cand, 1.0)
+    assert np.array_equal(gram, gram[::-1]) and np.array_equal(resid, -resid[:, ::-1])
+    pg_any = rng.standard_normal((rng.integers(1, 17), n))
+    py_any = rng.standard_normal(len(pg_any))
+    every = decoders._residuals(py_any, pg_any, cand, 2.0)
+    for count in range(1, 17):
+        rows = rng.choice(cand.shape[1], size=count)
+        assert np.array_equal(
+            decoders._residuals(py_any, pg_any, cand[:, rows], 2.0), every[:, rows])
+    results = assert_forms_and_modes_agree(py, pg, alphabets, 1.0)
+    if sizes[0] % 2 == 0:  # no zero level, so x = -x is impossible
+        assert results["gram"][0][0] < 0
 
 
 @PROPERTY
@@ -141,36 +174,49 @@ def test_gram_metrics_are_exact(args, data):
         assert Fraction(metrics[r]) == exact
 
 
-@PROPERTY
-@given(group_inputs(LARGE_GROUPS))
-def test_pivot_below_the_metric_resolution(args):
-    # A pivot column 1e-9 of the others' scale is not degenerate, but its
-    # quadratic weight rounds to 0 on the Gram grid: the metric is then
-    # linear in the pivot, and the conditioned search must still find the
-    # exhaustive argmin.  The residual form cannot resolve the pivot either,
-    # so only the Gram form's two modes are compared.
-    py, pg, alphabets, snr = args
-    pg = pg.copy()
-    pg[:, 0] *= 1e-9
-    assume(pg[:, 0] @ pg[:, 0] >= decoders.DEGENERATE_PIVOT ** 2)
-    assert decoders._gram_weights(py, pg, alphabets, snr)[pg.shape[1]] == 0
-    _, ie, ce = group_joint_decode(py, pg, alphabets, snr, "exhaustive")
-    _, ic, cc = group_joint_decode(py, pg, alphabets, snr, "conditioned")
-    assert np.array_equal(ie, ic)
-    assert cc == ce // alphabets[0].size
+def searches_run(*args):
+    """(Gram, residual, conditioned) call counts of one group_joint_decode."""
+    patches = [mock.patch.object(decoders, name, wraps=getattr(decoders, name))
+               for name in ("_gram_search", "_residual_search", "_conditioned_search")]
+    spies = [p.start() for p in patches]
+    try:
+        group_joint_decode(*args)
+    finally:
+        for p in patches:
+            p.stop()
+    return tuple(spy.call_count for spy in spies)
 
 
 @PROPERTY
-@given(group_inputs(), st.sampled_from(SEARCH_MODES))
-def test_alphabets_alone_choose_the_form(args, mode):
+@given(group_inputs(), st.booleans())
+def test_mode_and_table_size_choose_the_form(args, zero_pivot):
+    # Exhaustive searches here all fit the table ceiling: Gram form.  The
+    # conditioned search runs in residual form, and on a zero pivot column
+    # falls back to the exhaustive search, in Gram form.
     py, pg, alphabets, snr = args
-    with mock.patch.object(decoders, "_gram_search",
-                           wraps=decoders._gram_search) as gram, \
-            mock.patch.object(decoders, "_residual_search",
-                              wraps=decoders._residual_search) as residual:
-        group_joint_decode(py, pg, alphabets, snr, mode)
-    large = math.prod(a.size for a in alphabets) >= decoders.GRAM_MIN_CANDIDATES
-    assert (gram.call_count, residual.call_count) == ((1, 0) if large else (0, 1))
+    if zero_pivot:
+        pg = pg.copy()
+        pg[:, 0] = 0.0
+    assert searches_run(py, pg, alphabets, snr, "exhaustive") == (1, 0, 0)
+    assert searches_run(py, pg, alphabets, snr, "conditioned") == (
+        (1, 0, 0) if zero_pivot else (0, 0, 1))
+
+
+def test_table_ceiling_sends_exhaustive_search_to_residual_form():
+    # 1024 candidates of 5 symbols: a 20-column table of 20480 doubles
+    alphabets = (pam_for_qam(16),) * 5
+    rng = np.random.default_rng(7)
+    pg, py = rng.standard_normal((7, 5)), rng.standard_normal(7)
+    decoders._gram_form.cache_clear()
+    try:
+        with mock.patch.object(decoders, "GRAM_MAX_TABLE", 1024 * 20 - 1):
+            assert searches_run(py, pg, alphabets, 4.0, "exhaustive") == (0, 1, 0)
+            residual = group_joint_decode(py, pg, alphabets, 4.0)
+    finally:
+        decoders._gram_form.cache_clear()
+    assert searches_run(py, pg, alphabets, 4.0, "exhaustive") == (1, 0, 0)
+    gram = group_joint_decode(py, pg, alphabets, 4.0)
+    assert np.array_equal(gram[1], residual[1]) and gram[2] == residual[2] == 1024
 
 
 def test_table_ceiling_keeps_large_ml_in_residual_form():
