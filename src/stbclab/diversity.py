@@ -10,9 +10,17 @@ Two kinds of checkers live here:
 
 * Randomized falsifiers (falsify_pic / falsify_picsic).  They enumerate the
   difference vectors exhaustively (up to a cap) and pair them with random
-  plus deterministic sparse interference probes.  A returned witness is a
-  proof of failure (it is independently re-verified); returning None is NOT
-  a proof of full diversity, only a failed falsification at the given budget.
+  plus deterministic sparse interference probes.  Each (difference, probe)
+  matrix X is screened in batches by its Gram determinant: X is flagged when
+  det(X^H X) <= SCREEN_TAU * tr(X^H X)^N.  Since det <= lambda_min *
+  lambda_max^(N-1) and lambda_max <= tr, every X that numerical_rank calls
+  deficient (s_min <= RANK_EPS * s_max) has det <= RANK_EPS^2 * tr^N, so
+  with SCREEN_TAU far above RANK_EPS^2 and the determinant's rounding the
+  screen flags a superset of the deficient matrices.  Flagged matrices are
+  confirmed by numerical_rank in (difference, probe) order, and the first
+  confirmed one is the witness.  A returned witness is a proof of failure;
+  returning None is NOT a proof of full diversity, only a failed
+  falsification at the given budget.
 
 * Structural certificates (certify_diagonal / certify_alamouti_block) for
   the two constructed families.  These mechanize the structural argument: if
@@ -33,6 +41,8 @@ from .lindesign import RANK_EPS
 from .rotations import RotationMatrix, certify_rotation
 
 DIFFERENCE_ENUM_CAP = 10_000
+SCREEN_TAU = 1e-12  # det(G) / tr(G)^N at or below which numerical_rank confirms
+SCREEN_BLOCK = 1 << 14  # matrices screened per block; a block holds whole differences
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,12 +117,25 @@ def _interference_probes(count, trials, rng):
         return np.zeros((1, 0))
     eye = np.eye(count)
     det = np.concatenate([np.zeros((1, count)), eye, -eye], axis=0)
-    rand = rng.standard_normal((trials, count)) if trials > 0 else np.zeros((0, count))
-    return np.concatenate([det, rand], axis=0)
+    return np.concatenate([det, rng.standard_normal((trials, count))], axis=0)
+
+
+def _rank_screen(x):
+    """Mask over a stack of T x N matrices X, True where
+    det(X^H X) <= SCREEN_TAU * tr(X^H X)^N: a superset of the matrices that
+    numerical_rank calls deficient (see the module docstring).
+    """
+    gram = x.conj().swapaxes(-1, -2) @ x
+    trace = np.einsum("...jj->...", gram).real
+    return np.linalg.det(gram).real <= SCREEN_TAU * trace ** x.shape[-1]
 
 
 def _search_group(design, group, interference_idx, diffs, probes):
-    """Return the first (a, u) making the combined matrix rank-deficient, or None."""
+    """Return the first (a, u) making the combined matrix rank-deficient, or None.
+
+    The (difference, probe) pairs are screened in blocks of whole differences;
+    screened pairs are confirmed by numerical_rank in (difference, probe) order.
+    """
     w = design.weight_matrices
     k, t, n = w.shape
     a_mats = (diffs.astype(float) @ w[list(group)].reshape(len(group), -1)
@@ -123,22 +146,20 @@ def _search_group(design, group, interference_idx, diffs, probes):
     else:
         u_mats = np.zeros((1, t, n), dtype=complex)
         probes = np.zeros((1, 0))
-    eps_sq = RANK_EPS ** 2
-    for i, base in enumerate(a_mats):
-        x = base[None, :, :] + u_mats
-        gram = np.einsum("bij,bik->bjk", x.conj(), x)
-        eig = np.linalg.eigvalsh(gram)
-        flagged = np.nonzero(eig[:, 0].real <= eps_sq * eig[:, -1].real)[0]
-        for j in flagged:
-            cand = x[j]
-            rank = numerical_rank(cand)
+    step = max(1, SCREEN_BLOCK // len(u_mats))
+    for start in range(0, len(a_mats), step):
+        x = a_mats[start:start + step, None] + u_mats[None]
+        for i, j in np.argwhere(_rank_screen(x)):
+            rank = numerical_rank(x[i, j])
             if rank < n:
-                s = np.linalg.svd(cand, compute_uv=False)
-                return diffs[i], probes[j], rank, float(s[-1])
+                s = np.linalg.svd(x[i, j], compute_uv=False)
+                return diffs[start + i], probes[j], rank, float(s[-1])
     return None
 
 
 def _falsify(design, scheme, pam_levels, trials_per_group, rng_seed, interference_of):
+    if trials_per_group < 0:
+        raise ValueError("trials_per_group must be non-negative")
     for k in range(scheme.num_groups):
         rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(k,)))
         group = scheme.groups[k]
@@ -159,7 +180,8 @@ def falsify_pic(design, scheme, pam_levels=4, trials_per_group=1000, rng_seed=0)
     (exhaustively up to a cap), each paired with deterministic sparse probes
     and a shared batch of trials_per_group Gaussian interference vectors over
     the complement.  Witness selection is deterministic: lowest group index,
-    then enumeration order.  Absence of a witness is not a proof.
+    then enumeration order.  Absence of a witness is not a proof.  A negative
+    trials_per_group raises ValueError.
     """
     return _falsify(design, scheme, pam_levels, trials_per_group, rng_seed,
                     scheme.complement)

@@ -66,6 +66,12 @@ class TestVerify:
         assert report["witness"]["group"] == 1
         assert report["witness"]["difference"] == [2, 0]
 
+    def test_negative_trials_is_exit_1(self, capsys):
+        rc = cli.main(["verify", "--family", "sec4", "--antennas", "4",
+                       "--layers", "2", "--mode", "pic", "--trials", "-1"])
+        assert rc == 1
+        assert "error: trials_per_group" in capsys.readouterr().err
+
     def test_design_without_grouping_is_exit_1(self, tmp_path):
         rc = cli.main(["verify", "--design", str(tmp_path / "missing.json"),
                        "--mode", "pic"])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stbclab import diversity
 from stbclab.constructions import (
     CodeSpec, Family, build_alamouti_block_code, build_diagonal_code,
 )
@@ -8,7 +10,7 @@ from stbclab.diversity import (
     certify_alamouti_block, certify_diagonal, falsify_pic, falsify_picsic,
     numerical_rank, pam_difference_values,
 )
-from stbclab.lindesign import GroupingScheme, combine_subset
+from stbclab.lindesign import RANK_EPS, Design, GroupingScheme, combine_subset
 from stbclab.rotations import RotationMatrix, build_rotation
 from tests.test_lindesign import alamouti_design
 
@@ -106,6 +108,104 @@ class TestFalsifyBrokenCodes:
         assert doc["difference"] == [2, 0]
         assert doc["interference_indices"] == [3, 4]
         assert doc["rank"] == 1
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestRankScreen:
+    def test_rank_deficient_product_gives_the_zero_probe_witness(self):
+        # symbol 1's weight B @ C has rank N - 1 and no zero entries, so the
+        # first pair (a = 2, u = 0) is the witness on every seed
+        t, n = 6, 3
+        scheme = GroupingScheme(((0,), (1,)), 2)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            product = _complex_normal(rng, (t, n - 1)) @ _complex_normal(rng, (n - 1, n))
+            design = Design(np.stack([product, _complex_normal(rng, (t, n))]))
+            w = falsify_pic(design, scheme, pam_levels=2, trials_per_group=10,
+                            rng_seed=seed)
+            assert w is not None, seed
+            assert (w.group_index, list(w.difference), w.achieved_rank) == (0, [2], n - 1)
+            assert not w.interference.any()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 4), extra_rows=st.integers(0, 6),
+           scale_exp=st.integers(-40, 40), seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["product", "below", "above"]),
+           margin_exp=st.integers(1, 20))
+    def test_every_deficient_matrix_is_screened(self, n, extra_rows, scale_exp, seed,
+                                                kind, margin_exp):
+        # "product": rank r < N from B @ C; "below"/"above": s_min / s_max set
+        # 2^margin_exp below or above RANK_EPS, the other values in [1/2, 1]
+        t = n + extra_rows
+        rng = np.random.default_rng(seed)
+        if kind == "product":
+            r = int(rng.integers(0, n))
+            x = _complex_normal(rng, (t, r)) @ _complex_normal(rng, (r, n))
+        else:
+            u, _ = np.linalg.qr(_complex_normal(rng, (t, n)))
+            v, _ = np.linalg.qr(_complex_normal(rng, (n, n)))
+            s = rng.uniform(0.5, 1.0, n)
+            s[0] = 1.0
+            s[-1] = RANK_EPS * 2.0 ** (-margin_exp if kind == "below" else margin_exp)
+            x = (u * s) @ v.conj().T
+        x = x * 2.0 ** scale_exp
+        deficient = numerical_rank(x) < n
+        assert deficient == (kind != "above")
+        if deficient:
+            assert diversity._rank_screen(x[None])[0]
+
+
+# (falsifier, builder, PAM levels, trials, seed, grouping) of every broken
+# input in TestFalsifyBrokenCodes; grouping None keeps the built one
+BROKEN_INPUTS = [
+    (falsify_pic, lambda: build_diagonal_code(2, 2, 1, rotation=np.eye(2),
+                                              normalize=False), 2, 10, 0, None),
+    (falsify_picsic, lambda: build_alamouti_block_code(4, 2, rotation=np.eye(2),
+                                                       normalize=False), 2, 10, 0, None),
+    (falsify_pic, lambda: build_diagonal_code(2, 2, 1, rotation=np.eye(2),
+                                              normalize=False), 4, 50, 3, None),
+    (falsify_pic, lambda: build_diagonal_code(2, 2, 2, rotation=np.eye(2),
+                                              normalize=False), 4, 10, 1,
+     GroupingScheme((tuple(range(6)), (6, 7)), 8)),
+    (falsify_pic, lambda: build_diagonal_code(2, 2, 1, rotation=np.eye(2),
+                                              normalize=False), 2, 5, 0, None),
+]
+
+
+def _witness_key(w):
+    return (w.group_index, tuple(w.difference), tuple(w.interference),
+            w.interference_indices, w.achieved_rank)
+
+
+class TestScreenBlocks:
+    @pytest.mark.parametrize("block", [1, 1 << 40], ids=["one-difference", "all"])
+    def test_block_size_does_not_change_the_witness(self, monkeypatch, block):
+        expected = []
+        for falsify, build, pam, trials, seed, scheme in BROKEN_INPUTS:
+            design, grouping, _ = build()
+            expected.append(_witness_key(falsify(design, scheme or grouping, pam, trials,
+                                                 rng_seed=seed)))
+        monkeypatch.setattr(diversity, "SCREEN_BLOCK", block)
+        for (falsify, build, pam, trials, seed, scheme), want in zip(BROKEN_INPUTS,
+                                                                     expected):
+            design, grouping, _ = build()
+            w = falsify(design, scheme or grouping, pam, trials, rng_seed=seed)
+            assert _witness_key(w) == want
+        for design, grouping, _ in (build_diagonal_code(3, 2, 4),
+                                    build_alamouti_block_code(4, 2)):
+            assert falsify_picsic(design, grouping, pam_levels=4,
+                                  trials_per_group=300, rng_seed=1) is None
+
+
+class TestFalsifyInputs:
+    @pytest.mark.parametrize("falsify", [falsify_pic, falsify_picsic])
+    def test_negative_trials_rejected(self, falsify):
+        design, grouping, _ = build_diagonal_code(2, 2, 1)
+        with pytest.raises(ValueError, match="trials_per_group"):
+            falsify(design, grouping, pam_levels=2, trials_per_group=-1)
 
 
 class TestFalsifyCertifiedCodes:
