@@ -41,7 +41,7 @@ from .lindesign import RANK_EPS
 from .rotations import RotationMatrix, certify_rotation
 
 DIFFERENCE_ENUM_CAP = 10_000
-SCREEN_TAU = 1e-12  # det(G) / tr(G)^N at or below which numerical_rank confirms
+SCREEN_TAU = 1e-12  # det(G) / tr(G)^N at or below which numerical_rank checks X
 SCREEN_BLOCK = 1 << 14  # matrices screened per block; a block holds whole differences
 
 

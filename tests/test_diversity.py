@@ -158,20 +158,21 @@ class TestRankScreen:
             assert diversity._rank_screen(x[None])[0]
 
 
+def _identity_diagonal(antennas, group_size, layers):
+    return build_diagonal_code(antennas, group_size, layers, rotation=np.eye(2),
+                               normalize=False)
+
+
 # (falsifier, builder, PAM levels, trials, seed, grouping) of every broken
 # input in TestFalsifyBrokenCodes; grouping None keeps the built one
 BROKEN_INPUTS = [
-    (falsify_pic, lambda: build_diagonal_code(2, 2, 1, rotation=np.eye(2),
-                                              normalize=False), 2, 10, 0, None),
+    (falsify_pic, lambda: _identity_diagonal(2, 2, 1), 2, 10, 0, None),
     (falsify_picsic, lambda: build_alamouti_block_code(4, 2, rotation=np.eye(2),
                                                        normalize=False), 2, 10, 0, None),
-    (falsify_pic, lambda: build_diagonal_code(2, 2, 1, rotation=np.eye(2),
-                                              normalize=False), 4, 50, 3, None),
-    (falsify_pic, lambda: build_diagonal_code(2, 2, 2, rotation=np.eye(2),
-                                              normalize=False), 4, 10, 1,
+    (falsify_pic, lambda: _identity_diagonal(2, 2, 1), 4, 50, 3, None),
+    (falsify_pic, lambda: _identity_diagonal(2, 2, 2), 4, 10, 1,
      GroupingScheme((tuple(range(6)), (6, 7)), 8)),
-    (falsify_pic, lambda: build_diagonal_code(2, 2, 1, rotation=np.eye(2),
-                                              normalize=False), 2, 5, 0, None),
+    (falsify_pic, lambda: _identity_diagonal(2, 2, 1), 2, 5, 0, None),
 ]
 
 
