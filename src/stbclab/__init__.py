@@ -23,8 +23,8 @@ from .diversity import (
 from .channel import LinkInstance, PamAlphabet, demap, modulate, pam_for_qam, \
     sample_link, transmit
 from .decoders import (
-    DecodeProblem, DecodeResult, complement_projector, decode, group_joint_decode,
-    ml_decode, pic_decode, picsic_decode, zf_decode,
+    DecodeProblem, DecodeResult, decode, group_joint_decode, ml_decode, pic_decode,
+    picsic_decode, zf_decode,
 )
 from .simharness import (
     SimConfig, SimResult, estimate_diversity_order, read_results, render_tradeoff,

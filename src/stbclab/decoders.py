@@ -8,12 +8,12 @@ group.  The PIC-SIC decoder sweeps the groups in order, projecting only the
 *later* groups out and subtracting each decoded group's contribution before
 moving on.
 
-Both group decoders search on an n x n triangular block rather than on the
-projected 2*N_r*T-row channel.  Take the reduced QR of G with its columns in
-cancellation order: the interfering groups first, the decoded group last
-(PIC-SIC: all groups in reverse decode order, one QR per frame; PIC: the
-other groups, then the group, one QR per group).  If the group occupies
-columns s:e, then for every candidate x
+Both group decoders search on an n x n block of one thresholded QR rather
+than on the projected 2*N_r*T-row channel.  Take the QR of G with its
+columns in cancellation order: the interfering groups first, the decoded
+group last (PIC-SIC: all groups in reverse decode order, one QR per frame;
+PIC: the other groups, then the group, one QR per group).  If the group
+occupies columns s:e, then for every candidate x
 
     ||P (y - sqrt(snr) G_k x)||^2 = ||z[s:e] - sqrt(snr) R[s:e, s:e] x||^2 + c
 
@@ -22,15 +22,16 @@ x (the sorted-QR view of SIC, Wubben et al., Electron. Lett. 2001).  So the
 group search sees the same argmin through n rows.  PIC-SIC cancels a
 decoded group by z[:s] -= sqrt(snr) R[:s, s:e] levels.
 
-The triangular view needs every interfering column to be independent, so it
-runs only when the QR is full rank by the rule the reference would apply:
-2*N_r*T >= K and every column keeps a residual above RANK_EPS times its norm
-(PIC-SIC's Gram-Schmidt skip rule), and for PIC also every singular value
-of the other groups' columns above RANK_EPS times the largest
-(complement_projector's rule).  Otherwise, e.g. on an overloaded link with
-2*N_r*T < K, the decoders take the reference path: complement_projector for
-PIC, the Gram-Schmidt bases of _later_group_bases for PIC-SIC.  The input
-alone selects the path; both give the same decisions and counts.
+One rank rule decides which columns the QR keeps, for both decoders and on
+every input (_ordered_qr): a column is null when its residual off the kept
+columns before it is at most RANK_EPS times its own norm.  A null column
+owns no row of R; its row is zero, its entries hold its components along
+the kept directions, and its residual below the threshold is dropped.  On
+an overloaded link (2*N_r*T < K) every column after the 2*N_r*T-th kept one
+is null.  A group with null columns keeps fewer rows than symbols: the
+zero rows add nothing to any metric, candidates that differ only along the
+lost directions tie, and the tie rule below picks among them.  A full-rank
+G keeps every column, and its R is the plain QR's.
 
 Group search modes:
   * "exhaustive" enumerates the full alphabet product of the group.
@@ -108,49 +109,55 @@ class DecodeResult:
     per_group_counts: tuple = ()
 
 
-def complement_projector(b):
-    """Orthogonal projector onto the complement of the column space of b.
-
-    b may have zero columns, in which case the projector is the identity.
-    Rank is decided at the package-wide relative singular value threshold.
-    """
-    b = np.asarray(b, dtype=float)
-    dim = b.shape[0]
-    if b.ndim != 2:
-        raise ValueError("expected a 2-D array of spanning columns")
-    if b.shape[1] == 0:
-        return np.eye(dim)
-    u, s, _ = np.linalg.svd(b, full_matrices=False)
-    u = u[:, :_kept_rank(s)]
-    return np.eye(dim) - u @ u.T
-
-
-def _kept_rank(s):
-    """Count of the singular values s (descending) above RANK_EPS times the largest."""
-    return int(np.sum(s > RANK_EPS * s[0])) if s.size and s[0] > 0 else 0
-
-
 def _ordered_qr(g, y, order):
-    """Triangular factor of g's columns taken in `order`, with Q^T y.
+    """Thresholded triangular factor of g's columns taken in `order`, with Q^T y.
 
-    order is one column order (K,) or a stack of orders (B, K).  With
-    g[:, order] = Q r the reduced QR, returns (r, z = Q^T y), shaped
-    (..., K, K) and (..., K).  Q is never formed: r and z are the first K
-    rows of the triangular factor of [g[:, order], y].  None when g has
-    fewer rows than columns, or when a column keeps a residual of at most
-    RANK_EPS times its norm off the columns before it (the column
-    _later_group_bases would skip), in any of the orders.
+    order is one column order (K,) or a stack of orders (B, K).  Returns
+    (r, z) shaped (..., K, K) and (..., K), rows and columns indexed by
+    position in the order.  A column is null when its residual off the kept
+    columns before it is at most RANK_EPS times its norm; a zero column
+    always is, and so is every column after 2*N_r*T kept ones.  Each kept
+    column owns the row of its own direction.  r holds every column's
+    components along the kept directions and z those of y; a null column's
+    row is zero, and its residual below the threshold is dropped.
+
+    Q is never formed: r comes from the triangular factor of [g[:, order],
+    y].  Each null column that factor finds is moved behind y and the factor
+    taken again, so the kept directions are those of the kept columns alone.
+    On a full-rank g nothing moves, and r and z are bitwise the first K rows
+    of that one factor.
     """
-    rows, k = g.shape
-    if rows < k:
-        return None
-    idx = np.concatenate([order, np.full(order.shape[:-1] + (1,), k)], axis=-1)
-    cols = np.vstack([g.T, y])[idx].swapaxes(-1, -2)
-    r = np.linalg.qr(cols, mode="r")[..., :k, :]
-    norms = np.sqrt(np.einsum("ij,ij->j", g, g))[order]
-    if not (np.abs(r.diagonal(0, -2, -1)) > RANK_EPS * norms).all():
-        return None
-    return r[..., :k], r[..., k]
+    k = g.shape[1]
+    orders = order.reshape(-1, k)
+    idx = np.concatenate([orders, np.full((len(orders), 1), k)], axis=1)
+    cols = np.vstack([g.T, y])
+    # a column is null when |r_jj| <= limit; y and the columns behind it never are
+    limit = np.append(RANK_EPS * np.sqrt(np.einsum("ij,ij->j", g, g)), -1.0)[idx]
+    batch = np.arange(len(idx))[:, None]
+    perm = idx
+    while True:
+        r = np.linalg.qr(cols[perm].swapaxes(1, 2), mode="r")
+        m = r.shape[1]
+        null = np.abs(r.diagonal(0, 1, 2)) <= limit[:, :m]
+        if not null.any():
+            break
+        # Move each order's first null column behind y.  Only the first is
+        # sure: the factor took its residual as a direction, which skews the
+        # pivots after it.
+        first = np.where(null.any(axis=1), null.argmax(axis=1), k)[:, None]
+        src = np.arange(k + 1)
+        src = src + (src >= first)
+        src[:, -1:] = first
+        perm, limit = perm[batch, src], limit[batch, src]
+        limit[:, -1] = -1.0
+    if perm is not idx or m < k:
+        # put each kept row at its column's position; null rows stay zero
+        full = np.zeros(idx.shape + (k + 1,))
+        full[:, :m] = np.where(limit[:, :m, None] >= 0, r, 0.0)
+        back = np.argsort(perm, axis=1)[batch, idx]
+        r = full[batch[:, :, None], back[:, :, None], back[:, None, :]]
+    lead = order.shape[:-1]
+    return r[:, :k, :k].reshape(lead + (k, k)), r[:, :k, k].reshape(lead + (k,))
 
 
 @lru_cache(maxsize=None)
@@ -333,28 +340,16 @@ def _gram_search(py, pg, alphabets, snr):
 def pic_decode(problem, mode="exhaustive"):
     """Decode every group independently after projecting the others out.
 
-    One stacked QR gives every group's triangular block.  When some group's
-    interfering columns are rank-deficient (by complement_projector's
-    singular-value rule), the frame takes _pic_reference instead.
+    One stacked thresholded QR gives every group's triangular block.
     """
     scheme = problem.scheme
     _, orders = _cancellation_orders(scheme)
-    qr = _ordered_qr(problem.g, problem.y, orders)
-    if qr is None:
-        return _pic_reference(problem, mode)
-    r, z = qr
+    r, z = _ordered_qr(problem.g, problem.y, orders)
     k = problem.g.shape[1]
-    sizes = [k - len(group) for group in scheme.groups]
-    # Dropping columns cannot raise the ratio of largest to smallest singular
-    # value, so when G itself (the block r[0]) passes complement_projector's
-    # rule, every group's interfering columns do.
-    if (_kept_rank(np.linalg.svd(r[0], compute_uv=False)) < k
-            and any(_kept_rank(np.linalg.svd(r[i, :s, :s], compute_uv=False)) < s
-                    for i, s in enumerate(sizes))):
-        return _pic_reference(problem, mode)
     x_hat = np.zeros(k)
     counts = []
-    for i, (group, s) in enumerate(zip(scheme.groups, sizes)):
+    for i, group in enumerate(scheme.groups):
+        s = k - len(group)
         levels, _, used = group_joint_decode(
             z[i, s:], r[i, s:, s:], tuple(problem.alphabets[j] for j in group),
             problem.snr, mode
@@ -367,60 +362,15 @@ def pic_decode(problem, mode="exhaustive"):
     )
 
 
-def _pic_reference(problem, mode="exhaustive"):
-    """PIC through complement_projector; it also decodes a rank-deficient G."""
-    scheme = problem.scheme
-    x_hat = np.zeros(problem.g.shape[1])
-    counts = []
-    for k in range(scheme.num_groups):
-        group = list(scheme.groups[k])
-        proj = complement_projector(problem.g[:, list(scheme.complement(k))])
-        levels, _, used = group_joint_decode(
-            proj @ problem.y, proj @ problem.g[:, group],
-            tuple(problem.alphabets[j] for j in group), problem.snr, mode
-        )
-        x_hat[group] = levels
-        counts.append(used)
-    return DecodeResult(
-        RealSymbolVector(x_hat, alphabets=tuple(problem.alphabets)),
-        int(sum(counts)), tuple(counts),
-    )
-
-
-def _later_group_bases(scheme, g):
-    """Orthonormal bases of the spans of each group's later channel columns.
-
-    Built in one reverse sweep with reorthogonalized Gram-Schmidt; columns
-    numerically inside the running span (relative residual below RANK_EPS)
-    are skipped.  bases[k] spans exactly {g_j : j in groups after k}.
-    """
-    bases = [None] * scheme.num_groups
-    u = np.zeros((g.shape[0], 0))
-    for k in reversed(range(scheme.num_groups)):
-        bases[k] = u
-        for j in scheme.groups[k]:
-            c = g[:, j]
-            v = c - u @ (u.T @ c)
-            v -= u @ (u.T @ v)
-            norm_v = np.sqrt(v @ v)
-            norm_c = np.sqrt(c @ c)
-            if norm_c > 0 and norm_v > RANK_EPS * norm_c:
-                u = np.concatenate([u, (v / norm_v)[:, None]], axis=1)
-    return bases
-
-
 def picsic_decode(problem, mode="exhaustive"):
     """Decode groups in order, cancelling each decoded group from the residual.
 
-    One QR of G with the groups in reverse decode order gives every group's
-    triangular block; a rank-deficient G takes _picsic_reference instead.
+    One thresholded QR of G with the groups in reverse decode order gives
+    every group's triangular block.
     """
     scheme = problem.scheme
     order, _ = _cancellation_orders(scheme)
-    qr = _ordered_qr(problem.g, problem.y, order)
-    if qr is None:
-        return _picsic_reference(problem, mode)
-    r, z = qr
+    r, z = _ordered_qr(problem.g, problem.y, order)
     root_snr = np.sqrt(problem.snr)
     x_hat = np.zeros(problem.g.shape[1])
     counts = []
@@ -435,41 +385,6 @@ def picsic_decode(problem, mode="exhaustive"):
         counts.append(used)
         z[:s] -= root_snr * (r[:s, s:e] @ levels)
         e = s
-    return DecodeResult(
-        RealSymbolVector(x_hat, alphabets=tuple(problem.alphabets)),
-        int(sum(counts)), tuple(counts),
-    )
-
-
-def _picsic_reference(problem, mode="exhaustive"):
-    """PIC-SIC through the Gram-Schmidt bases of the later groups' spans.
-
-    Projections onto the complements of those spans are applied as
-    y - U (U^T y), the same map as multiplying by the complement projector.
-    Columns inside the running span are skipped, so this also decodes a
-    rank-deficient G.
-    """
-    scheme = problem.scheme
-    x_hat = np.zeros(problem.g.shape[1])
-    counts = []
-    y_k = problem.y.copy()
-    root_snr = np.sqrt(problem.snr)
-    bases = _later_group_bases(scheme, problem.g)
-    for k in range(scheme.num_groups):
-        group = list(scheme.groups[k])
-        u = bases[k]
-        gk = problem.g[:, group]
-        if u.shape[1]:
-            py = y_k - u @ (u.T @ y_k)
-            pg = gk - u @ (u.T @ gk)
-        else:
-            py, pg = y_k, gk
-        levels, _, used = group_joint_decode(
-            py, pg, tuple(problem.alphabets[j] for j in group), problem.snr, mode
-        )
-        x_hat[group] = levels
-        counts.append(used)
-        y_k = y_k - root_snr * (gk @ levels)
     return DecodeResult(
         RealSymbolVector(x_hat, alphabets=tuple(problem.alphabets)),
         int(sum(counts)), tuple(counts),

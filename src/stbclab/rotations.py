@@ -177,14 +177,15 @@ def certify_rotation(q, bound):
         delta = float(np.abs(vals[vals != 0] * q[0, 0]).min())
         return delta > DELTA_THRESHOLD, delta
     # fix the first coordinate per chunk; delta is the global minimum entry
-    # magnitude, excluding the single all-zero vector in the v0 = 0 chunk
+    # magnitude, excluding the single all-zero vector in the v0 = 0 chunk.
+    # a and -a have the same magnitudes, so v0 < 0 repeats v0 > 0.
     grids = np.meshgrid(*([vals] * (dim - 1)), indexing="ij")
     rest = np.stack([g.ravel() for g in grids], axis=1)  # ((2B+1)^(dim-1), dim-1)
     rest_coords = rest.astype(float) @ q[:, 1:].T
     zero_row = int(np.nonzero(~np.any(rest, axis=1))[0][0])
     buf = np.empty_like(rest_coords)
     delta = np.inf
-    for v0 in vals:
+    for v0 in vals[bound:]:
         np.add(rest_coords, v0 * q[:, 0], out=buf)
         np.abs(buf, out=buf)
         if v0 == 0:

@@ -65,6 +65,10 @@ class SimConfig:
             raise ValueError("snr_grid_db must be non-empty and strictly ascending")
         if self.min_frame_errors < 1 or self.max_frames < 1:
             raise ValueError("stop rule must be positive")
+        if self.receive_antennas < 1:
+            raise ValueError("receive_antennas must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
         if self.rotation not in ("certified", "identity"):
             raise ValueError("rotation must be 'certified' or 'identity'")
         if self.family not in FAMILIES:

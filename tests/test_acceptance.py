@@ -18,8 +18,9 @@ from stbclab.constructions import (
     CodeSpec, Family, build_alamouti_block_code, build_diagonal_code,
     tabulate_tradeoff,
 )
-from stbclab.decoders import DecodeProblem, complement_projector, ml_decode, \
-    pic_decode, picsic_decode, zf_decode
+from stbclab import decoders
+from stbclab.decoders import DecodeProblem, ml_decode, pic_decode, picsic_decode, \
+    zf_decode
 from stbclab.diversity import (
     certify_alamouti_block, certify_diagonal, falsify_pic, falsify_picsic,
     numerical_rank,
@@ -30,6 +31,7 @@ from stbclab.lindesign import (
 )
 from stbclab.rotations import build_rotation, certify_rotation
 from stbclab.simharness import SimConfig, run_simulation
+from tests.oracles import complement_projector
 from tests.test_constructions import LAYOUT_N3, LAYOUT_N4, layout_matrix
 
 
@@ -296,12 +298,14 @@ def test_criterion_09_projected_group_ranks():
 
     Projecting each group of the two-layer rate-4/3 code onto the complement
     of its later groups' channel columns leaves the first four groups rank 1
-    at N_r = 1 and every group rank 2 at N_r = 2, on every seeded draw.
+    at N_r = 1 and every group rank 2 at N_r = 2, on every seeded draw.  The
+    decoder's thresholded QR keeps the same number of rows per group.
     """
     t0 = time.perf_counter()
     design, scheme, _ = build_alamouti_block_code(4, 2)
+    order, _ = decoders._cancellation_orders(scheme)
     rng = np.random.default_rng(909)
-    seen = {}
+    seen, kept = {}, {}
     for n_r in (1, 2):
         for _ in range(4):
             g = equivalent_channel(design, sample_link(4, n_r, design.delay, 10.0, rng).h)
@@ -310,11 +314,18 @@ def test_criterion_09_projected_group_ranks():
                                @ g[:, list(group)])
                 for i, group in enumerate(scheme.groups))
             seen.setdefault(n_r, set()).add(ranks)
+            # the groups sit in reverse decode order; a kept row has a nonzero pivot
+            pivots = np.diagonal(decoders._ordered_qr(g, np.zeros(len(g)), order)[0])
+            ends = np.cumsum([0] + [len(group) for group in reversed(scheme.groups)])
+            rows = tuple(int(np.count_nonzero(pivots[s:e]))
+                         for s, e in zip(ends, ends[1:]))
+            kept.setdefault(n_r, set()).add(rows[::-1])
     elapsed = time.perf_counter() - t0
-    ok = (seen == {1: {(1,) * 4 + (2,) * 4}, 2: {(2,) * 8}}
-          and elapsed < 1.0)
+    expected = {1: {(1,) * 4 + (2,) * 4}, 2: {(2,) * 8}}
+    ok = seen == expected and kept == expected and elapsed < 1.0
     report(9, ok, f"(9 cause) projected group ranks by N_r "
-                  f"{ {n: sorted(r) for n, r in seen.items()} }, {elapsed:.2f}s")
+                  f"{ {n: sorted(r) for n, r in seen.items()} }, QR rows kept "
+                  f"{ {n: sorted(r) for n, r in kept.items()} }, {elapsed:.2f}s")
 
 
 def test_criterion_09b_diversity_order_well_posed():

@@ -151,3 +151,8 @@ class TestSimulate:
     def test_bad_config_is_exit_1(self, tmp_path):
         cfg = self.config(tmp_path, family="sec9")
         assert cli.main(["simulate", "--config", str(cfg)]) == 1
+
+    def test_link_without_observations_is_exit_1(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, receive_antennas=0)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 1
+        assert "receive_antennas must be at least 1" in capsys.readouterr().err

@@ -5,12 +5,13 @@ from stbclab import decoders
 from stbclab.channel import modulate, pam_for_qam, sample_link, transmit
 from stbclab.constructions import build_alamouti_block_code, build_diagonal_code
 from stbclab.decoders import (
-    DecodeProblem, complement_projector, decode, group_joint_decode, ml_decode,
-    pic_decode, picsic_decode, zf_decode,
+    DecodeProblem, decode, group_joint_decode, ml_decode, pic_decode, picsic_decode,
+    zf_decode,
 )
 from stbclab.lindesign import (
     GroupingScheme, assemble_codeword, equivalent_channel, vec_complex,
 )
+from tests.oracles import complement_projector
 
 
 def random_problem(builder, args, m, rng, receive_antennas=2, snr_db=14.0,
@@ -136,6 +137,42 @@ class TestGroupJointDecode:
         with pytest.raises(ValueError):
             group_joint_decode(np.zeros(2), np.ones((2, 1)), (pam_for_qam(4),),
                                1.0, "fast")
+
+
+class TestOrderedQr:
+    def test_full_rank_is_the_plain_qr(self):
+        rng = np.random.default_rng(21)
+        g, y = rng.standard_normal((9, 6)), rng.standard_normal(9)
+        orders = np.array([rng.permutation(6) for _ in range(3)])
+        r, z = decoders._ordered_qr(g, y, orders)
+        for i, order in enumerate(orders):
+            plain = np.linalg.qr(np.column_stack([g[:, order], y]), mode="r")
+            assert np.array_equal(r[i], plain[:6, :6])
+            assert np.array_equal(z[i], plain[:6, 6])
+
+    def test_null_column_owns_no_row(self):
+        # column 1 is column 0 plus a residual 1000x below RANK_EPS
+        rng = np.random.default_rng(22)
+        g = rng.standard_normal((5, 3))
+        g[:, 1] = g[:, 0] + 1e-12 * np.linalg.qr(g)[0][:, 2:].sum(axis=1)
+        y = rng.standard_normal(5)
+        r, z = decoders._ordered_qr(g, y, np.arange(3))
+        assert not r[1].any() and z[1] == 0.0
+        assert np.isclose(r[0, 1], r[0, 0]) and r[0, 0] != 0 and r[2, 2] != 0
+        # the kept columns' factor is the plain QR of those columns alone
+        kept = np.linalg.qr(np.column_stack([g[:, [0, 2]], y]), mode="r")
+        assert np.allclose(r[np.ix_([0, 2], [0, 2])], kept[:2, :2])
+        assert np.allclose(z[[0, 2]], kept[:2, 2])
+
+    def test_overloaded_keeps_one_row_per_observation(self):
+        rng = np.random.default_rng(23)
+        g, y = rng.standard_normal((4, 7)), rng.standard_normal(4)
+        r, z = decoders._ordered_qr(g, y, np.arange(7))
+        assert np.count_nonzero(np.abs(np.diagonal(r)) > 0) == 4
+        assert not r[4:].any() and not z[4:].any()
+        # with every observation kept, the rows hold all of y and of each column
+        assert np.isclose(z @ z, y @ y)
+        assert np.allclose(np.einsum("ij,ij->j", r, r), np.einsum("ij,ij->j", g, g))
 
 
 class TestOracleChain:

@@ -19,6 +19,23 @@ def brute_force_delta(q, bound):
     return delta
 
 
+def both_signs_delta(q, bound):
+    """The certificate's scan over every first coordinate, negative ones too."""
+    dim = q.shape[0]
+    vals = np.arange(-bound, bound + 1)
+    grids = np.meshgrid(*([vals] * (dim - 1)), indexing="ij")
+    rest = (np.stack([g.ravel() for g in grids], axis=1) if grids
+            else np.zeros((1, 0), dtype=vals.dtype))
+    rest_coords = rest.astype(float) @ q[:, 1:].T
+    delta = np.inf
+    for v0 in vals:
+        mags = np.abs(rest_coords + v0 * q[:, 0])
+        if v0 == 0:
+            mags[~np.any(rest, axis=1)] = np.inf
+        delta = min(delta, float(mags.min()))
+    return delta
+
+
 class TestBuildRotation:
     def test_scalar(self):
         r = build_rotation(1)
@@ -66,6 +83,12 @@ class TestCertifyRotation:
         q = build_rotation(dim).entries
         _, delta = certify_rotation(q, 2)
         assert np.isclose(delta, brute_force_delta(q, 2), atol=1e-12)
+
+    @pytest.mark.parametrize("dim", SUPPORTED_DIMENSIONS)
+    def test_half_scan_matches_both_signs(self, dim):
+        q = build_rotation(dim).entries
+        for bound in (1, 2, 3):
+            assert certify_rotation(q, bound)[1] == both_signs_delta(q, bound)
 
     def test_brute_force_on_identity(self):
         _, delta = certify_rotation(np.eye(3), 2)

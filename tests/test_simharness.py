@@ -125,6 +125,9 @@ class TestRunSimulation:
         ("family", "sec5", "unknown family"),
         ("qam", 8, "square QAM"),
         ("qam", 2, "square QAM"),
+        ("receive_antennas", 0, "receive_antennas"),
+        ("receive_antennas", -1, "receive_antennas"),
+        ("master_seed", -1, "master_seed"),
     ])
     def test_rejected_at_construction(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -158,6 +161,35 @@ class TestOverload:
         write_results(res, path, "json")
         assert json.loads(path.read_text())["overloaded"] is overloaded
         assert read_results(path) == res
+
+    # sec4(4,2) at N_r = 1, 4-QAM, seed 2026, 64 frames at each of 8/16/24 dB,
+    # early stop off: per point (bit, symbol and frame errors, total and
+    # largest evaluation counts).  Recorded from the projector decoders that
+    # carried the overloaded link before the thresholded QR, which must make
+    # the same decisions.
+    PINNED = {
+        ("picsic", "conditioned"): [(186, 186, 52, 1024, 16), (30, 30, 14, 1024, 16),
+                                    (3, 3, 1, 1024, 16)],
+        ("picsic", "exhaustive"): [(186, 186, 52, 2048, 32), (30, 30, 14, 2048, 32),
+                                   (3, 3, 1, 2048, 32)],
+        ("pic", "conditioned"): [(211, 211, 60, 1024, 16), (31, 31, 24, 1024, 16),
+                                 (3, 3, 2, 1024, 16)],
+        ("pic", "exhaustive"): [(211, 211, 60, 2048, 32), (31, 31, 24, 2048, 32),
+                                (3, 3, 2, 2048, 32)],
+    }
+
+    @pytest.mark.parametrize("decoder, mode", sorted(PINNED))
+    def test_overloaded_link_decisions_are_pinned(self, decoder, mode):
+        cfg = SimConfig(family="sec4", antennas=4, layers=2, receive_antennas=1,
+                        qam=4, decoder=decoder, search_mode=mode,
+                        snr_grid_db=(8.0, 16.0, 24.0), min_frame_errors=1_000_000,
+                        max_frames=64, master_seed=2026)
+        res = run_simulation(cfg)
+        assert res.overloaded
+        got = [(p.bit_errors, p.symbol_errors, p.frame_errors, p.total_evaluations,
+                p.max_evaluations) for p in res.points]
+        assert [p.frames for p in res.points] == [64] * 3
+        assert got == self.PINNED[decoder, mode]
 
 
 class TestResultsIo:
