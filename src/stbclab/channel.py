@@ -14,8 +14,6 @@ from functools import lru_cache
 import numpy as np
 from dataclasses import dataclass
 
-from .lindesign import RealSymbolVector
-
 
 @dataclass(frozen=True, eq=False)
 class PamAlphabet:
@@ -80,18 +78,18 @@ def pam_for_qam(m):
 
 
 def modulate(bits, alphabet):
-    """Gray-map a bit array onto PAM levels; length must divide the bit width."""
+    """Gray-map a bit array onto an array of PAM levels.
+
+    The bit count must be a multiple of the alphabet's bit width.
+    """
     bits = np.asarray(bits, dtype=np.int64)
     if bits.size % alphabet.bit_width:
         raise ValueError("bit count must be a multiple of the per-symbol width")
-    idx = alphabet.bits_to_index(bits)
-    x = alphabet.levels[idx]
-    return RealSymbolVector(x, alphabets=(alphabet,) * x.size)
+    return alphabet.levels[alphabet.bits_to_index(bits)]
 
 
 def demap(x, alphabet):
     """Quantize real values to the alphabet and return their Gray bits."""
-    x = x.entries if isinstance(x, RealSymbolVector) else np.asarray(x, dtype=float)
     return alphabet.index_to_bits(alphabet.nearest_index(x))
 
 

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from . import diversity, lindesign, simharness
+from . import decoders, diversity, lindesign, simharness
 from .constructions import Family, build_code
 
 
@@ -185,8 +185,8 @@ def make_parser():
     s.add_argument("--json-out", default=None)
     s.add_argument("--svg", default=None, help="write a BER waterfall plot here")
     s.add_argument("--snr", default=None, help="override grid, e.g. 8,12,16")
-    s.add_argument("--decoder", choices=("ml", "zf", "pic", "picsic"), default=None)
-    s.add_argument("--search-mode", choices=("exhaustive", "conditioned"), default=None)
+    s.add_argument("--decoder", choices=tuple(decoders.DECODERS), default=None)
+    s.add_argument("--search-mode", choices=decoders.SEARCH_MODES, default=None)
     s.add_argument("--master-seed", type=int, default=None)
     s.add_argument("--min-frame-errors", type=int, default=None)
     s.add_argument("--max-frames", type=int, default=None)

@@ -1,19 +1,24 @@
 """ML, ZF, PIC and PIC-SIC decoders over the real equivalent channel.
 
-All decoders work on the real model y = sqrt(snr) * G @ x + noise with a
-finite per-symbol PAM alphabet.  The PIC decoder handles each symbol group
-independently: it projects the received vector onto the orthogonal
-complement of the other groups' channel columns and jointly decodes the
-group.  The PIC-SIC decoder sweeps the groups in order, projecting only the
-*later* groups out and subtracting each decoded group's contribution before
-moving on.
+All decoders work on the real model y = sqrt(snr) * G @ x + noise with
+every symbol drawn from one finite PAM alphabet.  The PIC decoder handles
+each symbol group independently: it projects the received vector onto the
+orthogonal complement of the other groups' channel columns and jointly
+decodes the group.  The PIC-SIC decoder sweeps the groups in order,
+projecting only the *later* groups out and subtracting each decoded
+group's contribution before moving on.  In the PIC framework of Guo and
+Xia (IEEE Trans. IT 2009), ML is PIC with one group and ZF is PIC with
+single-symbol groups.  ml_decode runs pic_decode on one group, always
+exhaustively; zf_decode reaches the single-symbol estimates by one
+triangular solve instead of K group searches.
 
-Both group decoders search on an n x n block of one thresholded QR rather
-than on the projected 2*N_r*T-row channel.  Take the QR of G with its
-columns in cancellation order: the interfering groups first, the decoded
-group last (PIC-SIC: all groups in reverse decode order, one QR per frame;
-PIC: the other groups, then the group, one QR per group).  If the group
-occupies columns s:e, then for every candidate x
+All four decoders run on one thresholded QR (_ordered_qr).  The group
+decoders search on an n x n block of it rather than on the projected
+2*N_r*T-row channel.  Take the QR of G with its columns in cancellation
+order: the interfering groups first, the decoded group last (PIC-SIC:
+all groups in reverse decode order, one QR per frame; PIC: the other
+groups, then the group, one QR per group).  If the group occupies columns
+s:e, then for every candidate x
 
     ||P (y - sqrt(snr) G_k x)||^2 = ||z[s:e] - sqrt(snr) R[s:e, s:e] x||^2 + c
 
@@ -22,7 +27,7 @@ x (the sorted-QR view of SIC, Wubben et al., Electron. Lett. 2001).  So the
 group search sees the same argmin through n rows.  PIC-SIC cancels a
 decoded group by z[:s] -= sqrt(snr) R[:s, s:e] levels.
 
-One rank rule decides which columns the QR keeps, for both decoders and on
+One rank rule decides which columns the QR keeps, for every decoder and on
 every input (_ordered_qr): a column is null when its residual off the kept
 columns before it is at most RANK_EPS times its own norm.  A null column
 owns no row of R; its row is zero, its entries hold its components along
@@ -32,6 +37,14 @@ is null.  A group with null columns keeps fewer rows than symbols: the
 zero rows add nothing to any metric, candidates that differ only along the
 lost directions tie, and the tie rule below picks among them.  A full-rank
 G keeps every column, and its R is the plain QR's.
+
+ZF takes the QR of sqrt(snr) G in column order, solves the kept rows'
+triangular system for the kept symbols and sets every null symbol's
+estimate to 0, then quantizes each entry to its nearest level.  On a
+full-rank G that is the pseudo-inverse estimate.  A null column lies in
+the span of the kept columns before it, so its symbol is not observed
+apart from them; on an overloaded link this differs from the
+minimum-norm estimate a pseudo-inverse would give (notes/decisions.md).
 
 Group search modes:
   * "exhaustive" enumerates the full alphabet product of the group.
@@ -43,11 +56,12 @@ Group search modes:
 
 The metric of a candidate x is evaluated in one of two forms:
   * Gram form, for an exhaustive search whose feature table holds at most
-    GRAM_MAX_TABLE doubles (_gram_form, which reads the alphabets alone):
-    ||py||^2 - 2 sqrt(snr) (pg^T py)^T x + snr x^T (pg^T pg) x, all
-    metrics from one matvec of a feature table cached per alphabet tuple
-    (_gram_table), with the constant left out.  The weights are rounded so
-    that this product is exact (_gram_weights).
+    GRAM_MAX_TABLE doubles (_gram_form, which reads the alphabet and the
+    symbol count alone): ||py||^2 - 2 sqrt(snr) (pg^T py)^T x +
+    snr x^T (pg^T pg) x, all metrics from one matvec of a feature table
+    cached per alphabet and symbol count (_gram_table), with the constant
+    left out.  The weights are rounded so that this product is exact
+    (_gram_weights).
   * residual form, for the conditioned search and an exhaustive search
     with a larger table (ML near DEFAULT_ML_CAP): ||py - sqrt(snr) pg x||^2
     from the candidates' residual vectors, with pg x summed elementwise
@@ -63,13 +77,14 @@ modes, which keeps every decoder deterministic.  Decoders are pure
 functions; counters are returned by value.
 """
 
+import dataclasses
 import math
 from functools import lru_cache
 
 import numpy as np
 from dataclasses import dataclass
 
-from .lindesign import RANK_EPS, RealSymbolVector
+from .lindesign import RANK_EPS, GroupingScheme
 
 DEGENERATE_PIVOT = 1e-12
 DEFAULT_ML_CAP = 1 << 20
@@ -81,12 +96,12 @@ GRAM_MAX_TABLE = 1 << 21
 
 @dataclass(frozen=True, eq=False)
 class DecodeProblem:
-    """One received vector with its equivalent channel, grouping and alphabets."""
+    """One received vector with its equivalent channel, grouping and alphabet."""
 
     y: np.ndarray  # (2 * N_r * T,) real
     g: np.ndarray  # (2 * N_r * T, K) real equivalent channel
     scheme: object  # GroupingScheme
-    alphabets: tuple  # one PamAlphabet per symbol
+    alphabet: object  # PamAlphabet of every symbol
     snr: float
 
     def __post_init__(self):
@@ -94,17 +109,17 @@ class DecodeProblem:
         g = np.asarray(self.g, dtype=float)
         if y.shape != (g.shape[0],):
             raise ValueError("received vector length must match channel rows")
-        if g.shape[1] != len(self.alphabets):
-            raise ValueError("need one alphabet per channel column")
         if self.scheme is not None and self.scheme.num_symbols != g.shape[1]:
             raise ValueError("grouping scheme does not match channel columns")
+        if not 0 <= self.snr < math.inf:
+            raise ValueError("snr must be finite and non-negative")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "g", g)
 
 
 @dataclass(frozen=True, eq=False)
 class DecodeResult:
-    decided: RealSymbolVector
+    decided: np.ndarray  # (K,) decided levels
     candidate_evaluations: int
     per_group_counts: tuple = ()
 
@@ -176,61 +191,53 @@ def _cancellation_orders(scheme):
 
 
 @lru_cache(maxsize=None)
-def _candidates(alphabets):
-    """(level indices, level values) of every candidate of a group (cached).
+def _candidates(alphabet, n):
+    """(level indices, level values) of every candidate of an n-symbol group (cached).
 
     One row per candidate, in lexicographic order: the first symbol's index
     varies slowest, so row r of a group with C candidates per first-symbol
     level has first index r // C.
     """
-    if not alphabets:
-        idx, levels = np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0))
-    else:
-        grids = np.meshgrid(*[np.arange(a.size) for a in alphabets], indexing="ij")
-        idx = np.stack([g.ravel() for g in grids], axis=1)
-        levels = np.stack([a.levels[idx[:, j]] for j, a in enumerate(alphabets)],
-                          axis=1)
+    idx = np.indices((alphabet.size,) * n).reshape(n, alphabet.size ** n).T
+    levels = alphabet.levels[idx]
     idx.setflags(write=False)
     levels.setflags(write=False)
     return idx, levels
 
 
 @lru_cache(maxsize=None)
-def _gram_form(alphabets):
-    """Whether an exhaustive search over these alphabets runs in Gram form (cached)."""
-    n = len(alphabets)
-    total = math.prod(a.size for a in alphabets)
-    return total * n * (n + 3) // 2 <= GRAM_MAX_TABLE
+def _gram_form(alphabet, n):
+    """Whether an exhaustive search over n symbols runs in Gram form (cached)."""
+    return alphabet.size ** n * n * (n + 3) // 2 <= GRAM_MAX_TABLE
 
 
 @lru_cache(maxsize=None)
-def _gram_table(alphabets):
-    """The Gram form's feature table for a tuple of alphabets (cached).
+def _gram_table(alphabet, n):
+    """The Gram form's feature table for n symbols of one alphabet (cached).
 
-    Levels are taken in units of half their alphabet's spacing, u = x / h,
-    so every feature is a small integer: a row holds one candidate's u_i,
-    then u_i u_j for i <= j, with the rows in lexicographic order.  Returns
-    the table, the largest |feature| of each column, the scales that turn
+    Levels are taken in units of half the alphabet's spacing, u = x / h, so
+    every feature is a small integer: a row holds one candidate's u_i, then
+    u_i u_j for i <= j, with the rows in lexicographic order.  Returns the
+    table, the largest |feature| of each column, the scales that turn
     (sqrt(snr) pg^T py, snr pg^T pg) into the column weights, and the
     (i, j) index arrays of the products.
     """
-    n = len(alphabets)
-    levels = _candidates(alphabets)[1]
-    h = np.array([a.spacing / 2 for a in alphabets])
+    levels = _candidates(alphabet, n)[1]
+    h = alphabet.spacing / 2
     u = np.rint(levels / h)
     if not np.allclose(u * h, levels, rtol=1e-12, atol=0):
         raise ValueError("the Gram form needs zero-mean, equally spaced levels")
     i, j = np.triu_indices(n)
     features = np.hstack([u, u[:, i] * u[:, j]])
-    scales = np.concatenate([-2 * h, np.where(i == j, 1.0, 2.0) * h[i] * h[j]])
+    scales = np.concatenate([np.full(n, -2 * h), np.where(i == j, 1.0, 2.0) * h * h])
     out = (features, np.abs(features).max(axis=0), scales, i, j)
     for a in out:
         a.setflags(write=False)
     return out
 
 
-def group_joint_decode(py, pg, alphabets, snr, mode="exhaustive"):
-    """Jointly decode one group from its projected observation.
+def group_joint_decode(py, pg, alphabet, snr, mode="exhaustive"):
+    """Jointly decode one group of pg.shape[1] symbols from its projected observation.
 
     Returns (level values, level indices, metric evaluation count).  Both
     modes return the same argmin, and of equal least metrics the
@@ -242,26 +249,23 @@ def group_joint_decode(py, pg, alphabets, snr, mode="exhaustive"):
     py = np.asarray(py, dtype=float)
     pg = np.asarray(pg, dtype=float)
     n = pg.shape[1]
-    if len(alphabets) != n:
-        raise ValueError("need one alphabet per group column")
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown group search mode {mode!r}")
-    alphabets = tuple(alphabets)
     if (mode == "conditioned" and n >= 1
             and float(pg[:, 0] @ pg[:, 0]) >= DEGENERATE_PIVOT ** 2):
-        row, used = _conditioned_search(py, pg, alphabets, snr)
-    elif _gram_form(alphabets):
-        row, used = _gram_search(py, pg, alphabets, snr)
+        row, used = _conditioned_search(py, pg, alphabet, snr)
+    elif _gram_form(alphabet, n):
+        row, used = _gram_search(py, pg, alphabet, snr)
     else:
-        row, used = _residual_search(py, pg, alphabets, snr)
-    idx, levels = _candidates(alphabets)
+        row, used = _residual_search(py, pg, alphabet, snr)
+    idx, levels = _candidates(alphabet, n)
     return levels[row].copy(), idx[row].copy(), used
 
 
 @lru_cache(maxsize=None)
-def _candidate_columns(alphabets):
+def _candidate_columns(alphabet, n):
     """The level values of _candidates transposed: one row per symbol (cached)."""
-    levels = np.ascontiguousarray(_candidates(alphabets)[1].T)
+    levels = np.ascontiguousarray(_candidates(alphabet, n)[1].T)
     levels.setflags(write=False)
     return levels
 
@@ -280,13 +284,14 @@ def _residuals(py, pg, cand, root_snr):
     return py[:, None] - root_snr * acc
 
 
-def _residual_search(py, pg, alphabets, snr):
+def _residual_search(py, pg, alphabet, snr):
     """Exhaustive search by residual norms; returns (row, count)."""
-    resid = _residuals(py, pg, _candidate_columns(alphabets), np.sqrt(snr))
+    cand = _candidate_columns(alphabet, pg.shape[1])
+    resid = _residuals(py, pg, cand, np.sqrt(snr))
     return int(np.einsum("ij,ij->j", resid, resid).argmin()), resid.shape[1]
 
 
-def _conditioned_search(py, pg, alphabets, snr):
+def _conditioned_search(py, pg, alphabet, snr):
     """Search the non-pivot symbols in residual form, each with its nearest pivot level.
 
     Returns (row, count).  Of equal least metrics it keeps the least row,
@@ -295,10 +300,10 @@ def _conditioned_search(py, pg, alphabets, snr):
     root_snr = np.sqrt(snr)
     pivot = pg[:, 0]
     # (n-1, C) non-pivot levels; one empty column for n = 1
-    resid = _residuals(py, pg[:, 1:], _candidate_columns(alphabets[1:]), root_snr)
-    piv = alphabets[0].nearest_index(
-        (pivot @ resid) / (root_snr * float(pivot @ pivot)))
-    resid -= root_snr * (pivot[:, None] * alphabets[0].levels[piv])
+    cand = _candidate_columns(alphabet, pg.shape[1] - 1)
+    resid = _residuals(py, pg[:, 1:], cand, root_snr)
+    piv = alphabet.nearest_index((pivot @ resid) / (root_snr * float(pivot @ pivot)))
+    resid -= root_snr * (pivot[:, None] * alphabet.levels[piv])
     metrics = np.einsum("ij,ij->j", resid, resid)
     rows = piv * resid.shape[1] + np.arange(resid.shape[1])
     best = metrics.argmin()
@@ -308,7 +313,7 @@ def _conditioned_search(py, pg, alphabets, snr):
     return int(rows[best]), len(rows)
 
 
-def _gram_weights(py, pg, alphabets, snr):
+def _gram_weights(py, pg, alphabet, snr):
     """Weights w with features @ w = ||py - sqrt(snr) pg x||^2 - ||py||^2.
 
     w is rounded to a power-of-two grid with sum_k fmax_k |w_k| < 2**53 grid.
@@ -318,22 +323,22 @@ def _gram_weights(py, pg, alphabets, snr):
     -x tie exactly at py = 0.  Unrounded, they need not: OpenBLAS sums some
     rows of a table in a different order from others.
     """
-    _, fmax, scales, i, j = _gram_table(alphabets)
+    _, fmax, scales, i, j = _gram_table(alphabet, pg.shape[1])
     gram = pg.T @ pg
     w = scales * np.concatenate([np.sqrt(snr) * (py @ pg), snr * gram[i, j]])
     grid = math.ldexp(1.0, max(math.frexp(fmax @ np.abs(w))[1] - 52, -1074))
     return np.rint(w / grid) * grid
 
 
-def _gram_search(py, pg, alphabets, snr):
+def _gram_search(py, pg, alphabet, snr):
     """Exhaustive search by ||py||^2 - 2 sqrt(snr) (pg^T py)^T x + snr x^T (pg^T pg) x.
 
     The constant ||py||^2 is left out, so the metrics of all candidates are
     one matvec of the cached feature table with _gram_weights.  Returns
     (row, count).
     """
-    features = _gram_table(alphabets)[0]
-    metrics = features @ _gram_weights(py, pg, alphabets, snr)
+    features = _gram_table(alphabet, pg.shape[1])[0]
+    metrics = features @ _gram_weights(py, pg, alphabet, snr)
     return int(metrics.argmin()), len(features)
 
 
@@ -351,15 +356,10 @@ def pic_decode(problem, mode="exhaustive"):
     for i, group in enumerate(scheme.groups):
         s = k - len(group)
         levels, _, used = group_joint_decode(
-            z[i, s:], r[i, s:, s:], tuple(problem.alphabets[j] for j in group),
-            problem.snr, mode
-        )
+            z[i, s:], r[i, s:, s:], problem.alphabet, problem.snr, mode)
         x_hat[list(group)] = levels
         counts.append(used)
-    return DecodeResult(
-        RealSymbolVector(x_hat, alphabets=tuple(problem.alphabets)),
-        int(sum(counts)), tuple(counts),
-    )
+    return DecodeResult(x_hat, int(sum(counts)), tuple(counts))
 
 
 def picsic_decode(problem, mode="exhaustive"):
@@ -378,43 +378,41 @@ def picsic_decode(problem, mode="exhaustive"):
     for group in scheme.groups:
         s = e - len(group)
         levels, _, used = group_joint_decode(
-            z[s:e], r[s:e, s:e], tuple(problem.alphabets[j] for j in group),
-            problem.snr, mode
-        )
+            z[s:e], r[s:e, s:e], problem.alphabet, problem.snr, mode)
         x_hat[list(group)] = levels
         counts.append(used)
         z[:s] -= root_snr * (r[:s, s:e] @ levels)
         e = s
-    return DecodeResult(
-        RealSymbolVector(x_hat, alphabets=tuple(problem.alphabets)),
-        int(sum(counts)), tuple(counts),
-    )
+    return DecodeResult(x_hat, int(sum(counts)), tuple(counts))
+
+
+def check_ml_cap(alphabet, k, cap=DEFAULT_ML_CAP):
+    """Raise ValueError when ML's alphabet.size ** k candidates exceed the cap."""
+    space = alphabet.size ** k
+    if space > cap:
+        raise ValueError(f"ML search space {space} exceeds the cap {cap}")
 
 
 def ml_decode(problem, cap=DEFAULT_ML_CAP):
-    """Exhaustive maximum-likelihood search over the full alphabet product."""
-    sizes = tuple(a.size for a in problem.alphabets)
-    total = int(np.prod(sizes, dtype=np.int64))
-    if total > cap:
-        raise ValueError(f"ML search space {total} exceeds the cap {cap}")
-    levels, _, used = group_joint_decode(
-        problem.y, problem.g, problem.alphabets, problem.snr, mode="exhaustive"
-    )
-    return DecodeResult(
-        RealSymbolVector(levels, alphabets=tuple(problem.alphabets)),
-        used, (used,),
-    )
+    """Maximum likelihood: PIC with every symbol in one group, searched exhaustively."""
+    k = problem.g.shape[1]
+    check_ml_cap(problem.alphabet, k, cap)
+    one_group = GroupingScheme((tuple(range(k)),), k)
+    return pic_decode(dataclasses.replace(problem, scheme=one_group), "exhaustive")
 
 
 def zf_decode(problem):
-    """Zero-forcing: pseudo-inverse estimate, then per-symbol quantization."""
-    estimate = np.linalg.pinv(np.sqrt(problem.snr) * problem.g,
-                              rcond=RANK_EPS) @ problem.y
-    x_hat = np.array([problem.alphabets[j].quantize(estimate[j])
-                      for j in range(estimate.size)])
-    return DecodeResult(
-        RealSymbolVector(x_hat, alphabets=tuple(problem.alphabets)), 0, ()
-    )
+    """Zero-forcing: least squares on the thresholded QR, quantized symbol by symbol.
+
+    The estimate solves the kept rows' triangular system; a null column lies
+    in the span of the kept columns before it, and its estimate is 0.
+    """
+    k = problem.g.shape[1]
+    r, z = _ordered_qr(np.sqrt(problem.snr) * problem.g, problem.y, np.arange(k))
+    kept = np.diagonal(r) != 0
+    estimate = np.zeros(k)
+    estimate[kept] = np.linalg.solve(r[np.ix_(kept, kept)], z[kept])
+    return DecodeResult(problem.alphabet.quantize(estimate), 0, ())
 
 
 DECODERS = {

@@ -131,27 +131,9 @@ class GroupingScheme:
         return cls(groups, k)
 
 
-@dataclass(frozen=True, eq=False)
-class RealSymbolVector:
-    """A length-K real symbol vector plus the PAM alphabet each entry came from."""
-
-    entries: np.ndarray
-    alphabets: tuple = ()  # one PamAlphabet per entry; may be empty for raw vectors
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float).copy()
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-        if self.alphabets and len(self.alphabets) != e.size:
-            raise ValueError("need one alphabet per symbol")
-
-    def __len__(self):
-        return self.entries.size
-
-
 def assemble_codeword(design, x):
     """Codeword matrix power_scale * sum_i x_i A_i for a symbol vector x."""
-    x = x.entries if isinstance(x, RealSymbolVector) else np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     k = design.num_real_symbols
     if x.shape != (k,):
         raise ValueError(f"symbol vector must have length {k}, got {x.shape}")

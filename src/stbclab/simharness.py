@@ -29,7 +29,7 @@ from .channel import demap, modulate, pam_for_qam, sample_link, transmit
 from .constructions import (  # noqa: F401
     build_alamouti_block_code, build_code, build_diagonal_code, tabulate_tradeoff,
 )
-from .decoders import DECODERS, DEFAULT_ML_CAP, SEARCH_MODES, DecodeProblem, decode
+from .decoders import DECODERS, SEARCH_MODES, DecodeProblem, check_ml_cap, decode
 from .lindesign import assemble_codeword, equivalent_channel, vec_complex
 
 CSV_HEADER = "snr_db,frames,bit_errors,ber,ser,fer,mean_evals,max_evals"
@@ -131,7 +131,7 @@ class SimResult:
 
 
 class _SimContext:
-    """Design, grouping and alphabets prebuilt once per process."""
+    """Design, grouping and alphabet prebuilt once per process."""
 
     def __init__(self, cfg):
         self.design, self.scheme, self.spec = build_code(
@@ -141,14 +141,9 @@ class _SimContext:
         self.alphabet = pam_for_qam(cfg.qam)
         k = self.design.num_real_symbols
         self.overloaded = 2 * cfg.receive_antennas * self.design.delay < k
-        self.alphabets = (self.alphabet,) * k
         self.bits_per_frame = k * self.alphabet.bit_width
         if cfg.decoder == "ml":
-            space = self.alphabet.size ** k
-            if space > DEFAULT_ML_CAP:
-                raise ValueError(
-                    f"ML search space {space} exceeds the cap {DEFAULT_ML_CAP}"
-                )
+            check_ml_cap(self.alphabet, k)
 
     def run_frame(self, snr_index, frame_index):
         cfg = self.cfg
@@ -162,11 +157,11 @@ class _SimContext:
                            cfg.snr_grid_db[snr_index], rng)
         y = vec_complex(transmit(codeword, link))
         g = equivalent_channel(self.design, link.h)
-        problem = DecodeProblem(y, g, self.scheme, self.alphabets, link.snr)
+        problem = DecodeProblem(y, g, self.scheme, self.alphabet, link.snr)
         result = decode(problem, cfg.decoder, cfg.search_mode)
         bits_hat = demap(result.decided, self.alphabet)
         bit_err = int(np.sum(bits_hat != bits))
-        sym_err = int(np.sum(result.decided.entries != x.entries))
+        sym_err = int(np.sum(result.decided != x))
         return (bit_err, sym_err, 1 if bit_err else 0, result.candidate_evaluations)
 
     def run_range(self, snr_index, lo, hi):

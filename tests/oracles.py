@@ -1,14 +1,19 @@
-"""Projector oracles for the PIC and PIC-SIC decoders.
+"""Slow reference decoders: projector PIC and PIC-SIC, brute-force ML, skip-rule ZF.
 
 The decoders search each group on a block of one thresholded ordered QR.
-These oracles decode the slow way instead: project the received vector and
-the group's columns off an orthonormal basis of the interfering columns,
-then search the group on the projected 2*N_r*T-row channel.  The basis is
-built by reorthogonalized Gram-Schmidt with the decoders' rank rule: a
-column whose residual off the kept columns before it is at most RANK_EPS
-times its norm is skipped.  The interfering columns are taken in the
-decoders' cancellation order: for PIC the other groups' columns ascending,
-for PIC-SIC the later groups in reverse decode order.
+These oracles decode the slow way instead.  PIC and PIC-SIC project the
+received vector and the group's columns off an orthonormal basis of the
+interfering columns, then search the group on the projected 2*N_r*T-row
+channel.  The basis is built by reorthogonalized Gram-Schmidt with the
+decoders' rank rule: a column whose residual off the kept columns before
+it is at most RANK_EPS times its norm is skipped.  The interfering columns
+are taken in the decoders' cancellation order: for PIC the other groups'
+columns ascending, for PIC-SIC the later groups in reverse decode order.
+
+ML takes the residual norm of every candidate over the raw channel.  ZF
+solves least squares on the columns the same rank rule keeps, with every
+skipped column's estimate 0; on a full-rank channel that is the
+pseudo-inverse solution.
 """
 
 import itertools
@@ -16,16 +21,16 @@ import itertools
 import numpy as np
 
 from stbclab.decoders import DecodeResult, group_joint_decode
-from stbclab.lindesign import RANK_EPS, RealSymbolVector
+from stbclab.lindesign import RANK_EPS
 
 
-def skip_rule_basis(g, columns):
-    """Orthonormal basis of the span of g's `columns`, swept in that order.
+def skip_rule_kept(g, columns):
+    """(orthonormal basis, kept columns) of the span of g's `columns`, swept in order.
 
     A column numerically inside the running span (relative residual at most
     RANK_EPS) is skipped, so the basis may have fewer columns than asked.
     """
-    u = np.zeros((g.shape[0], 0))
+    u, kept = np.zeros((g.shape[0], 0)), []
     for j in columns:
         c = g[:, j]
         v = c - u @ (u.T @ c)
@@ -34,7 +39,13 @@ def skip_rule_basis(g, columns):
         norm_c = np.sqrt(c @ c)
         if norm_c > 0 and norm_v > RANK_EPS * norm_c:
             u = np.concatenate([u, (v / norm_v)[:, None]], axis=1)
-    return u
+            kept.append(j)
+    return u, kept
+
+
+def skip_rule_basis(g, columns):
+    """Orthonormal basis of the span of g's `columns` (skip_rule_kept's first part)."""
+    return skip_rule_kept(g, columns)[0]
 
 
 def complement_projector(b):
@@ -80,14 +91,42 @@ def oracle_decode(problem, name, mode="exhaustive"):
     decided = np.zeros(problem.g.shape[1])
     counts = []
     for group, _, py, pg in group_views(problem, name, decided):
-        levels, _, used = group_joint_decode(
-            py, pg, tuple(problem.alphabets[j] for j in group), problem.snr, mode)
+        levels, _, used = group_joint_decode(py, pg, problem.alphabet, problem.snr, mode)
         decided[group] = levels
         counts.append(used)
-    return DecodeResult(
-        RealSymbolVector(decided, alphabets=tuple(problem.alphabets)),
-        int(sum(counts)), tuple(counts),
-    )
+    return DecodeResult(decided, int(sum(counts)), tuple(counts))
+
+
+def ml_oracle(problem):
+    """Brute-force ML: the least ||y - sqrt(snr) G x||^2 over every candidate.
+
+    Candidates run in lexicographic order (the first symbol slowest), and
+    of equal least metrics the first wins.
+    """
+    k = problem.g.shape[1]
+    cands = np.array(list(itertools.product(problem.alphabet.levels, repeat=k)))
+    resid = problem.y[:, None] - np.sqrt(problem.snr) * (problem.g @ cands.T)
+    metrics = np.einsum("ij,ij->j", resid, resid)
+    return DecodeResult(cands[metrics.argmin()], len(cands), (len(cands),))
+
+
+def zf_estimate(problem):
+    """Least-squares estimate of x from y = sqrt(snr) G x under the rank rule.
+
+    The columns of sqrt(snr) G that the skip rule keeps, swept in index
+    order, are solved for by least squares; every skipped column's entry
+    is 0.
+    """
+    g = np.sqrt(problem.snr) * problem.g
+    _, kept = skip_rule_kept(g, range(g.shape[1]))
+    estimate = np.zeros(g.shape[1])
+    estimate[kept] = np.linalg.lstsq(g[:, kept], problem.y, rcond=None)[0]
+    return estimate
+
+
+def zf_oracle(problem):
+    """ZF through zf_estimate: each entry quantized to its nearest level."""
+    return DecodeResult(problem.alphabet.quantize(zf_estimate(problem)), 0, ())
 
 
 def metric_gaps(problem, name, decided):
@@ -101,13 +140,13 @@ def metric_gaps(problem, name, decided):
     """
     out = []
     for group, y_k, py, pg in group_views(problem, name, decided):
-        alphabets = [problem.alphabets[j] for j in group]
-        cands = np.array(list(itertools.product(*(a.levels for a in alphabets))))
+        levels = problem.alphabet.levels
+        cands = np.array(list(itertools.product(levels, repeat=len(group))))
         resid = py[:, None] - np.sqrt(problem.snr) * (pg @ cands.T)
         metrics = np.einsum("ij,ij->j", resid, resid)
         x = decided[group]
         mine = py - np.sqrt(problem.snr) * (pg @ x)
-        top = max(np.abs(a.levels).max() for a in alphabets)
+        top = np.abs(levels).max()
         scale = (y_k @ y_k + problem.snr * np.sum(problem.g[:, group] ** 2) * top ** 2)
         out.append((float(mine @ mine - metrics.min()), float(scale)))
     return out

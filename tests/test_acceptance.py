@@ -19,8 +19,7 @@ from stbclab.constructions import (
     tabulate_tradeoff,
 )
 from stbclab import decoders
-from stbclab.decoders import DecodeProblem, ml_decode, pic_decode, picsic_decode, \
-    zf_decode
+from stbclab.decoders import DecodeProblem, pic_decode, picsic_decode, zf_decode
 from stbclab.diversity import (
     certify_alamouti_block, certify_diagonal, falsify_pic, falsify_picsic,
     numerical_rank,
@@ -31,7 +30,7 @@ from stbclab.lindesign import (
 )
 from stbclab.rotations import build_rotation, certify_rotation
 from stbclab.simharness import SimConfig, run_simulation
-from tests.oracles import complement_projector
+from tests.oracles import complement_projector, ml_oracle, zf_oracle
 from tests.test_constructions import LAYOUT_N3, LAYOUT_N4, layout_matrix
 
 
@@ -48,7 +47,7 @@ def make_problem(design, grouping, alpha, rng, receive_antennas, snr_db):
     link = sample_link(design.antennas, receive_antennas, design.delay, snr_db, rng)
     y = vec_complex(transmit(assemble_codeword(design, x), link))
     g = equivalent_channel(design, link.h)
-    return DecodeProblem(y, g, grouping, (alpha,) * k, link.snr), bits
+    return DecodeProblem(y, g, grouping, alpha, link.snr), bits
 
 
 def test_criterion_01_construction_fidelity_diagonal(tmp_path):
@@ -143,13 +142,13 @@ def test_criterion_04_single_group_decoders_match_ml():
                                 design.num_real_symbols)
         for _ in range(200):
             problem, _ = make_problem(design, single, alpha, rng, 1, 8.0)
-            ml = ml_decode(problem).decided.entries
-            for fn in (pic_decode, picsic_decode):
-                got = fn(problem, "exhaustive").decided.entries
+            ml = ml_oracle(problem).decided
+            for name in ("ml", "pic", "picsic"):
+                got = decoders.decode(problem, name, "exhaustive").decided
                 mismatches += not np.array_equal(got, ml)
     elapsed = time.perf_counter() - t0
     report(4, mismatches == 0 and elapsed < 30.0,
-           f"PIC/PIC-SIC with one group = ML on 2x200 links, "
+           f"ML and PIC/PIC-SIC with one group = brute-force ML on 2x200 links, "
            f"{mismatches} mismatches, {elapsed:.1f}s")
 
 
@@ -164,8 +163,8 @@ def test_criterion_05_conditioned_equals_exhaustive():
             design, grouping, _ = builder(*args)
             for _ in range(1000):
                 problem, _ = make_problem(design, grouping, alpha, rng, 2, 10.0)
-                a = picsic_decode(problem, "conditioned").decided.entries
-                b = picsic_decode(problem, "exhaustive").decided.entries
+                a = picsic_decode(problem, "conditioned").decided
+                b = picsic_decode(problem, "exhaustive").decided
                 mismatches += not np.array_equal(a, b)
                 total += 1
     elapsed = time.perf_counter() - t0
@@ -182,12 +181,13 @@ def test_criterion_06_toeplitz_pic_equals_zf():
     mismatches = 0
     for _ in range(200):
         problem, _ = make_problem(design, grouping, alpha, rng, 1, 8.0)
-        pic = pic_decode(problem, "conditioned").decided.entries
-        zf = zf_decode(problem).decided.entries
-        mismatches += not np.array_equal(pic, zf)
+        zf = zf_oracle(problem).decided
+        for got in (pic_decode(problem, "conditioned"), zf_decode(problem)):
+            mismatches += not np.array_equal(got.decided, zf)
     elapsed = time.perf_counter() - t0
     report(6, mismatches == 0 and elapsed < 10.0,
-           f"single-symbol PIC = per-symbol ZF on 200 links, {elapsed:.1f}s")
+           f"single-symbol PIC and ZF = least-squares ZF on 200 links, "
+           f"{mismatches} mismatches, {elapsed:.1f}s")
 
 
 def test_criterion_07_rank_falsification_and_certificates():

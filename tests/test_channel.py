@@ -42,7 +42,7 @@ class TestPamAlphabet:
     def test_bit_level_map_qam4(self):
         a = pam_for_qam(4)
         x = modulate([0, 1], a)
-        assert np.allclose(x.entries, [-1 / np.sqrt(2), 1 / np.sqrt(2)])
+        assert np.allclose(x, [-1 / np.sqrt(2), 1 / np.sqrt(2)])
 
     def test_midpoint_quantizes_down(self):
         from stbclab.channel import PamAlphabet
@@ -68,7 +68,7 @@ class TestModulateDemap:
     def test_demap_quantizes_noise(self):
         a = pam_for_qam(4)
         x = modulate(np.array([0, 1, 1, 0]), a)
-        noisy = x.entries + np.array([0.1, -0.1, 0.2, 0.05])
+        noisy = x + np.array([0.1, -0.1, 0.2, 0.05])
         assert np.array_equal(demap(noisy, a), [0, 1, 1, 0])
 
     def test_bad_length(self):

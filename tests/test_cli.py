@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import numpy as np
 
-from stbclab import cli, lindesign
+from stbclab import cli, decoders, lindesign, simharness
 from stbclab.constructions import build_diagonal_code
 
 
@@ -156,3 +157,12 @@ class TestSimulate:
         cfg = self.config(tmp_path, receive_antennas=0)
         assert cli.main(["simulate", "--config", str(cfg)]) == 1
         assert "receive_antennas must be at least 1" in capsys.readouterr().err
+
+    def test_choices_come_from_the_registries(self):
+        sub = next(a for a in cli.make_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        choices = {a.dest: a.choices for a in sub.choices["simulate"]._actions}
+        assert tuple(choices["decoder"]) == tuple(decoders.DECODERS)
+        assert tuple(choices["search_mode"]) == decoders.SEARCH_MODES
+        family = {a.dest: a.choices for a in sub.choices["build"]._actions}["family"]
+        assert tuple(family) == simharness.FAMILIES

@@ -1,16 +1,23 @@
-"""Property tests: the triangular PIC / PIC-SIC decoders against projector oracles.
+"""Property tests: the four decoders on the thresholded QR against slow oracles.
 
 pic_decode and picsic_decode search each group on a block of one
-thresholded ordered QR, whatever the channel's rank.  Over random small
-channels and groupings these tests compare them with the projector oracles
-of tests/oracles.py, which apply the same rank rule through Gram-Schmidt.
-Where every column keeps a residual well away from RANK_EPS, the decisions,
-per-group counts and evaluations must be identical, and so must the
-resolution of ties and degenerate pivots.  Where a column's residual is
-below RANK_EPS, the QR drops it and the oracle keeps it, so a decision may
-differ; it must still be an argmin of the oracle's metric up to RANK_EPS of
-the metric's scale (assert_oracle_argmin).
+thresholded ordered QR, whatever the channel's rank; ml_decode is PIC with
+one group, and zf_decode solves the same QR's kept rows.  Over random small
+channels and groupings these tests compare them with the oracles of
+tests/oracles.py: projector PIC and PIC-SIC, which apply the same rank rule
+through Gram-Schmidt, brute-force ML over the raw channel, and skip-rule
+least-squares ZF.  Where every column keeps a residual well away from
+RANK_EPS, the decisions, per-group counts and evaluations must be
+identical, and so must the resolution of ties and degenerate pivots.  Where
+a column's residual is below RANK_EPS, the QR drops it and the oracle
+keeps it, so a decision may differ; it must still be an argmin of the
+oracle's metric up to RANK_EPS of the metric's scale (assert_oracle_argmin).
+ZF's decision there must equal the ZF oracle's, except where the oracle's
+estimate sits within rounding of a quantization midpoint
+(assert_ml_and_zf_near_their_oracles).
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -19,7 +26,7 @@ from stbclab import decoders
 from stbclab.channel import pam_for_qam
 from stbclab.decoders import DecodeProblem
 from stbclab.lindesign import RANK_EPS, Design, GroupingScheme, equivalent_channel
-from tests.oracles import metric_gaps, oracle_decode
+from tests.oracles import metric_gaps, ml_oracle, oracle_decode, zf_estimate, zf_oracle
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -73,7 +80,7 @@ def make_problem(rng, g, scheme, qam, snr_db):
     snr = 10.0 ** (snr_db / 10.0)
     x = alpha.levels[rng.integers(0, alpha.size, g.shape[1])]
     y = np.sqrt(snr) * g @ x + rng.standard_normal(g.shape[0])
-    return DecodeProblem(y, g, scheme, (alpha,) * g.shape[1], snr)
+    return DecodeProblem(y, g, scheme, alpha, snr)
 
 
 def run_both(name, problem, mode):
@@ -82,7 +89,7 @@ def run_both(name, problem, mode):
 
 
 def assert_same(got, ref):
-    assert np.array_equal(got.decided.entries, ref.decided.entries)
+    assert np.array_equal(got.decided, ref.decided)
     assert got.per_group_counts == ref.per_group_counts
     assert got.candidate_evaluations == ref.candidate_evaluations
 
@@ -95,8 +102,42 @@ def assert_oracle_argmin(problem, name, got):
     a pivot column the QR zeroes while the oracle keeps its residual sends
     only the decoder's conditioned search to the exhaustive one.
     """
-    for gap, scale in metric_gaps(problem, name, got.decided.entries):
+    for gap, scale in metric_gaps(problem, name, got.decided):
         assert gap <= RANK_EPS * scale
+
+
+def one_group(problem):
+    """The problem with all symbols in one group, the grouping ML decodes."""
+    k = problem.g.shape[1]
+    return dataclasses.replace(problem, scheme=GroupingScheme((tuple(range(k)),), k))
+
+
+def assert_ml_and_zf_match_their_oracles(problem):
+    assert_same(decoders.ml_decode(problem), ml_oracle(problem))
+    assert_same(decoders.zf_decode(problem), zf_oracle(problem))
+
+
+def assert_ml_and_zf_near_their_oracles(problem):
+    """ML decides an oracle argmin, and ZF the ZF oracle's levels.
+
+    The one-group projector view is the raw channel, so assert_oracle_argmin
+    bounds ML's gap to the brute-force least metric.  The ZF oracle solves
+    by least squares what the decoder solves on the QR, so their estimates
+    differ by rounding; where the oracle's estimate is within RANK_EPS of a
+    midpoint between two levels, relative to the largest estimate entry and
+    the level range, either level may be decided.
+    """
+    got = decoders.ml_decode(problem)
+    assert got.per_group_counts == ml_oracle(problem).per_group_counts
+    assert_oracle_argmin(one_group(problem), "pic", got)
+    got = decoders.zf_decode(problem)
+    assert (got.candidate_evaluations, got.per_group_counts) == (0, ())
+    estimate = zf_estimate(problem)
+    levels = problem.alphabet.levels
+    midpoints = (levels[1:] + levels[:-1]) / 2
+    tol = RANK_EPS * (np.abs(estimate).max() + np.abs(levels).max())
+    for j in np.flatnonzero(got.decided != zf_oracle(problem).decided):
+        assert np.abs(midpoints - estimate[j]).min() <= tol
 
 
 @st.composite
@@ -115,12 +156,26 @@ def test_full_rank_takes_triangular_path_and_matches_reference(problem, name, mo
 
 
 @PROPERTY
+@given(full_rank_problems())
+def test_full_rank_ml_and_zf_match_their_oracles(problem):
+    assert_ml_and_zf_match_their_oracles(problem)
+
+
+@PROPERTY
 @given(groupings(), st.data(), decoder_names, modes)
 def test_overloaded_link_decides_an_oracle_argmin(scheme, data, name, mode):
     rng, g = data.draw(channels(scheme.num_symbols, overloaded=True))
     assert g.shape[0] < g.shape[1]
     problem = make_problem(rng, g, scheme, 4, 12.0)
     assert_oracle_argmin(problem, name, DECODERS[name](problem, mode))
+
+
+@PROPERTY
+@given(groupings(), st.data())
+def test_overloaded_link_ml_and_zf(scheme, data):
+    rng, g = data.draw(channels(scheme.num_symbols, overloaded=True))
+    problem = make_problem(rng, g, scheme, 4, 12.0)
+    assert_ml_and_zf_near_their_oracles(problem)
 
 
 def with_near_copy(g, rng, residual):
@@ -150,6 +205,18 @@ def near_copy_problems(draw, residual):
 @given(near_copy_problems(RANK_EPS / 100), decoder_names, modes)
 def test_residual_below_rank_eps_decides_an_oracle_argmin(problem, name, mode):
     assert_oracle_argmin(problem, name, DECODERS[name](problem, mode))
+
+
+@PROPERTY
+@given(near_copy_problems(RANK_EPS / 100))
+def test_residual_below_rank_eps_ml_and_zf(problem):
+    assert_ml_and_zf_near_their_oracles(problem)
+
+
+@PROPERTY
+@given(near_copy_problems(RANK_EPS * 100))
+def test_residual_above_rank_eps_ml_and_zf_match_their_oracles(problem):
+    assert_ml_and_zf_match_their_oracles(problem)
 
 
 @PROPERTY
@@ -189,19 +256,30 @@ def test_column_above_rank_eps_of_the_largest(problem, name, mode):
     assert_same(got, ref)
 
 
-@PROPERTY
-@given(full_rank_problems(), st.integers(0, 6), st.integers(0, 6), decoder_names,
-       modes)
-def test_duplicated_column_decides_an_oracle_argmin(problem, src, dst, name, mode):
+def with_duplicate(problem, src, dst):
+    """The problem with column dst of G (mod K, moved off src) a copy of column src."""
     k = problem.g.shape[1]
     src, dst = src % k, dst % k
     if src == dst:
         dst = (dst + 1) % k
     g = problem.g.copy()
     g[:, dst] = g[:, src]
-    problem = DecodeProblem(problem.y, g, problem.scheme, problem.alphabets,
-                            problem.snr)
+    return dataclasses.replace(problem, g=g)
+
+
+@PROPERTY
+@given(full_rank_problems(), st.integers(0, 6), st.integers(0, 6), decoder_names,
+       modes)
+def test_duplicated_column_decides_an_oracle_argmin(problem, src, dst, name, mode):
+    problem = with_duplicate(problem, src, dst)
     assert_oracle_argmin(problem, name, DECODERS[name](problem, mode))
+
+
+@PROPERTY
+@given(full_rank_problems(), st.integers(0, 6), st.integers(0, 6))
+def test_duplicated_column_ml_and_zf(problem, src, dst):
+    problem = with_duplicate(problem, src, dst)
+    assert_ml_and_zf_near_their_oracles(problem)
 
 
 @PROPERTY
@@ -209,13 +287,12 @@ def test_duplicated_column_decides_an_oracle_argmin(problem, src, dst, name, mod
 def test_exact_ties_resolve_alike(problem, name, mode):
     # y = 0: every candidate x ties with -x.  Exhaustive search keeps the
     # earlier of the two, whose first symbol is the negative one.
-    problem = DecodeProblem(np.zeros_like(problem.y), problem.g, problem.scheme,
-                            problem.alphabets, problem.snr)
+    problem = dataclasses.replace(problem, y=np.zeros_like(problem.y))
     got, ref = run_both(name, problem, mode)
     assert_same(got, ref)
     if mode == "exhaustive":
         zero_view = problem.scheme.groups if name == "pic" else problem.scheme.groups[:1]
-        assert all(got.decided.entries[group[0]] < 0 for group in zero_view)
+        assert all(got.decided[group[0]] < 0 for group in zero_view)
 
 
 @PROPERTY
@@ -227,13 +304,12 @@ def test_degenerate_pivots_fall_back_alike_on_the_triangular_path(problem, name)
     # in the oracle.
     scale = 2.0 ** -47
     assert np.linalg.norm(problem.g, axis=0).max() * scale < decoders.DEGENERATE_PIVOT
-    tiny = DecodeProblem(problem.y * scale, problem.g * scale, problem.scheme,
-                         problem.alphabets, problem.snr)
+    tiny = dataclasses.replace(problem, y=problem.y * scale, g=problem.g * scale)
     got, ref = run_both(name, tiny, "conditioned")
     assert_same(got, ref)
     exhaustive = DECODERS[name](tiny, "exhaustive")
     assert got.per_group_counts == exhaustive.per_group_counts
-    assert np.array_equal(got.decided.entries, exhaustive.decided.entries)
+    assert np.array_equal(got.decided, exhaustive.decided)
 
 
 @PROPERTY
@@ -244,10 +320,9 @@ def test_zero_pivot_column_matches_oracle(problem, name):
     # conditioned search falls back to the exhaustive one.
     g = problem.g.copy()
     g[:, problem.scheme.groups[0][0]] = 0.0
-    problem = DecodeProblem(problem.y, g, problem.scheme, problem.alphabets,
-                            problem.snr)
+    problem = dataclasses.replace(problem, g=g)
     got, ref = run_both(name, problem, "conditioned")
     assert_same(got, ref)
     exhaustive = DECODERS[name](problem, "exhaustive")
     assert got.per_group_counts[0] == exhaustive.per_group_counts[0]
-    assert np.array_equal(got.decided.entries, exhaustive.decided.entries)
+    assert np.array_equal(got.decided, exhaustive.decided)

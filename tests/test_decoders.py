@@ -11,7 +11,7 @@ from stbclab.decoders import (
 from stbclab.lindesign import (
     GroupingScheme, assemble_codeword, equivalent_channel, vec_complex,
 )
-from tests.oracles import complement_projector
+from tests.oracles import complement_projector, ml_oracle, zf_oracle
 
 
 def random_problem(builder, args, m, rng, receive_antennas=2, snr_db=14.0,
@@ -27,7 +27,7 @@ def random_problem(builder, args, m, rng, receive_antennas=2, snr_db=14.0,
         link = LinkInstance(link.h, np.zeros_like(link.w), link.snr)
     y = vec_complex(transmit(assemble_codeword(design, x), link))
     g = equivalent_channel(design, link.h)
-    problem = DecodeProblem(y, g, scheme or grouping, (alpha,) * k, link.snr)
+    problem = DecodeProblem(y, g, scheme or grouping, alpha, link.snr)
     return problem, x
 
 
@@ -59,7 +59,7 @@ class TestGroupJointDecode:
         alpha = pam_for_qam(4)
         pg = np.array([[1.0], [2.0]])
         py = pg[:, 0] * alpha.levels[1] * 2.0  # snr 4
-        levels, idx, used = group_joint_decode(py, pg, (alpha,), 4.0, "conditioned")
+        levels, idx, used = group_joint_decode(py, pg, alpha, 4.0, "conditioned")
         assert used == 1 and idx[0] == 1 and levels[0] == alpha.levels[1]
 
     def test_noiseless_recovery(self):
@@ -69,7 +69,7 @@ class TestGroupJointDecode:
         truth = alpha.levels[rng.integers(0, 4, 3)]
         py = np.sqrt(9.0) * pg @ truth
         for mode in ("exhaustive", "conditioned"):
-            levels, _, _ = group_joint_decode(py, pg, (alpha,) * 3, 9.0, mode)
+            levels, _, _ = group_joint_decode(py, pg, alpha, 9.0, mode)
             assert np.array_equal(levels, truth)
 
     def test_modes_agree_on_noisy_instances(self):
@@ -79,14 +79,14 @@ class TestGroupJointDecode:
             for _ in range(300):
                 pg = rng.standard_normal((6, 2))
                 py = rng.standard_normal(6)
-                le, ie, ce = group_joint_decode(py, pg, (alpha,) * 2, 2.0, "exhaustive")
-                lc, ic, cc = group_joint_decode(py, pg, (alpha,) * 2, 2.0, "conditioned")
+                le, ie, ce = group_joint_decode(py, pg, alpha, 2.0, "exhaustive")
+                lc, ic, cc = group_joint_decode(py, pg, alpha, 2.0, "conditioned")
                 assert np.array_equal(le, lc) and np.array_equal(ie, ic)
                 assert cc <= ce
         # a 4-symbol 64-QAM group: 4096 candidates, an exhaustive search in
         # Gram form against a conditioned one in residual form
-        alpha64 = (pam_for_qam(64),) * 4
-        assert decoders._gram_form(alpha64)
+        alpha64 = pam_for_qam(64)
+        assert decoders._gram_form(alpha64, 4)
         for _ in range(20):
             pg = rng.standard_normal((8, 4))
             py = rng.standard_normal(8)
@@ -99,8 +99,8 @@ class TestGroupJointDecode:
         alpha = pam_for_qam(16)
         pg = np.eye(8)[:, :3]
         py = np.zeros(8)
-        _, _, ce = group_joint_decode(py, pg, (alpha,) * 3, 1.0, "exhaustive")
-        _, _, cc = group_joint_decode(py, pg, (alpha,) * 3, 1.0, "conditioned")
+        _, _, ce = group_joint_decode(py, pg, alpha, 1.0, "exhaustive")
+        _, _, cc = group_joint_decode(py, pg, alpha, 1.0, "conditioned")
         assert ce == 64 and cc == 16
 
     def test_degenerate_pivot_falls_back(self):
@@ -108,7 +108,7 @@ class TestGroupJointDecode:
         pg = np.zeros((4, 2))
         pg[:, 1] = [1.0, 0, 0, 0]
         py = np.zeros(4)
-        levels, idx, used = group_joint_decode(py, pg, (alpha,) * 2, 1.0, "conditioned")
+        levels, idx, used = group_joint_decode(py, pg, alpha, 1.0, "conditioned")
         assert used == 4  # exhaustive fallback
         assert np.array_equal(idx, [0, 0])  # all-tie resolves to first candidate
 
@@ -117,7 +117,7 @@ class TestGroupJointDecode:
         pg = np.zeros((4, 2))
         py = np.zeros(4)
         for mode in ("exhaustive", "conditioned"):
-            _, idx, _ = group_joint_decode(py, pg, (alpha,) * 2, 1.0, mode)
+            _, idx, _ = group_joint_decode(py, pg, alpha, 1.0, mode)
             assert np.array_equal(idx, [0, 0])
 
     def test_conditioned_ties_go_to_the_lexicographic_first(self):
@@ -127,16 +127,16 @@ class TestGroupJointDecode:
         alpha = pam_for_qam(4)
         for _ in range(200):
             pg = rng.standard_normal((4, 2))
-            _, ie, _ = group_joint_decode(np.zeros(4), pg, (alpha,) * 2, 1.0,
+            _, ie, _ = group_joint_decode(np.zeros(4), pg, alpha, 1.0,
                                           "exhaustive")
-            _, ic, cc = group_joint_decode(np.zeros(4), pg, (alpha,) * 2, 1.0,
+            _, ic, cc = group_joint_decode(np.zeros(4), pg, alpha, 1.0,
                                            "conditioned")
             assert np.array_equal(ie, ic) and cc == 2
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            group_joint_decode(np.zeros(2), np.ones((2, 1)), (pam_for_qam(4),),
-                               1.0, "fast")
+            group_joint_decode(np.zeros(2), np.ones((2, 1)), pam_for_qam(4), 1.0,
+                               "fast")
 
 
 class TestOrderedQr:
@@ -184,12 +184,14 @@ class TestOracleChain:
             for _ in range(60):
                 problem, _ = random_problem(builder, args, 4, rng,
                                             receive_antennas=1, scheme=single)
-                ml = ml_decode(problem)
+                ref = ml_oracle(problem)
+                got = ml_decode(problem)
+                assert np.array_equal(got.decided, ref.decided)
+                assert got.per_group_counts == ref.per_group_counts == (16,)
                 for fn in (pic_decode, picsic_decode):
                     for mode in ("exhaustive", "conditioned"):
                         got = fn(problem, mode)
-                        assert np.array_equal(got.decided.entries,
-                                              ml.decided.entries)
+                        assert np.array_equal(got.decided, ref.decided)
 
     def test_noiseless_recovery_all_decoders(self):
         rng = np.random.default_rng(4)
@@ -197,14 +199,14 @@ class TestOracleChain:
                                     noiseless=True)
         for name in ("zf", "pic", "picsic"):
             got = decode(problem, name, "conditioned")
-            assert np.array_equal(got.decided.entries, x.entries)
+            assert np.array_equal(got.decided, x)
 
     def test_picsic_noiseless_residual_cancels(self):
         rng = np.random.default_rng(5)
         problem, x = random_problem(build_diagonal_code, (3, 2, 2), 4, rng,
                                     noiseless=True)
         res = picsic_decode(problem, "conditioned")
-        resid = problem.y - np.sqrt(problem.snr) * problem.g @ res.decided.entries
+        resid = problem.y - np.sqrt(problem.snr) * problem.g @ res.decided
         assert np.linalg.norm(resid) <= 1e-9
 
     def test_toeplitz_pic_equals_zf(self):
@@ -212,9 +214,9 @@ class TestOracleChain:
         for _ in range(60):
             problem, _ = random_problem(build_diagonal_code, (3, 1, 3), 4, rng,
                                         receive_antennas=1, snr_db=8.0)
-            pic = pic_decode(problem, "conditioned")
-            zf = zf_decode(problem)
-            assert np.array_equal(pic.decided.entries, zf.decided.entries)
+            ref = zf_oracle(problem).decided
+            assert np.array_equal(pic_decode(problem, "conditioned").decided, ref)
+            assert np.array_equal(zf_decode(problem).decided, ref)
 
     def test_picsic_matches_projector_reference(self):
         # the triangular fast path equals a direct projector-based sweep
@@ -231,12 +233,12 @@ class TestOracleChain:
                 proj = complement_projector(problem.g[:, list(scheme.later(k))])
                 levels, _, _ = group_joint_decode(
                     proj @ y_k, proj @ problem.g[:, group],
-                    tuple(problem.alphabets[j] for j in group), problem.snr,
+                    problem.alphabet, problem.snr,
                     "conditioned",
                 )
                 x_ref[group] = levels
                 y_k = y_k - np.sqrt(problem.snr) * problem.g[:, group] @ levels
-            assert np.array_equal(fast.decided.entries, x_ref)
+            assert np.array_equal(fast.decided, x_ref)
 
     def test_pic_matches_projector_reference(self):
         # the triangular fast path equals projecting the other groups out
@@ -253,12 +255,12 @@ class TestOracleChain:
                 proj = complement_projector(problem.g[:, list(scheme.complement(k))])
                 levels, _, used = group_joint_decode(
                     proj @ problem.y, proj @ problem.g[:, group],
-                    tuple(problem.alphabets[j] for j in group), problem.snr,
+                    problem.alphabet, problem.snr,
                     "conditioned",
                 )
                 x_ref[group] = levels
                 counts.append(used)
-            assert np.array_equal(fast.decided.entries, x_ref)
+            assert np.array_equal(fast.decided, x_ref)
             assert fast.per_group_counts == tuple(counts)
 
 
@@ -268,7 +270,8 @@ class TestMlAndZf:
         problem, _ = random_problem(build_alamouti_block_code, (2, 1), 4, rng,
                                     receive_antennas=1)
         res = ml_decode(problem)
-        assert res.candidate_evaluations == 16
+        assert res.candidate_evaluations == 16 and res.per_group_counts == (16,)
+        assert np.array_equal(res.decided, ml_oracle(problem).decided)
 
     def test_ml_cap(self):
         rng = np.random.default_rng(9)
@@ -280,7 +283,7 @@ class TestMlAndZf:
         rng = np.random.default_rng(10)
         problem, x = random_problem(build_diagonal_code, (2, 2, 1), 16, rng,
                                     noiseless=True)
-        assert np.array_equal(ml_decode(problem).decided.entries, x.entries)
+        assert np.array_equal(ml_decode(problem).decided, x)
 
     def test_zf_orthogonal_channel_is_matched_filter(self):
         rng = np.random.default_rng(11)
@@ -288,20 +291,47 @@ class TestMlAndZf:
         g = np.linalg.qr(rng.standard_normal((8, 4)))[0]
         truth = alpha.levels[rng.integers(0, 2, 4)]
         y = 3.0 * g @ truth + 0.01 * rng.standard_normal(8)
-        problem = DecodeProblem(y, g, None, (alpha,) * 4, 9.0)
+        problem = DecodeProblem(y, g, None, alpha, 9.0)
         zf = zf_decode(problem)
         mf = alpha.quantize((g.T @ y) / 3.0)
-        assert np.array_equal(zf.decided.entries, mf)
+        assert np.array_equal(zf.decided, mf)
 
     def test_ml_equals_zf_on_orthogonal_code(self):
         # the Alamouti equivalent channel has orthogonal columns, so joint ML
-        # and per-symbol ZF make the same decisions
+        # and per-symbol ZF make the same decisions: each decoder equals the
+        # other's oracle
         rng = np.random.default_rng(16)
         for _ in range(50):
             problem, _ = random_problem(build_alamouti_block_code, (2, 1), 4, rng,
                                         receive_antennas=1, snr_db=6.0)
-            assert np.array_equal(ml_decode(problem).decided.entries,
-                                  zf_decode(problem).decided.entries)
+            assert np.array_equal(ml_decode(problem).decided,
+                                  zf_oracle(problem).decided)
+            assert np.array_equal(zf_decode(problem).decided,
+                                  ml_oracle(problem).decided)
+
+    def test_zf_null_column_decides_the_lower_middle_level(self):
+        # column 2 copies column 0, so it lies in the span before it: its
+        # estimate is 0, which quantizes to the lower of the two middle levels
+        rng = np.random.default_rng(19)
+        alpha = pam_for_qam(4)
+        g = rng.standard_normal((8, 4))
+        g[:, 2] = g[:, 0]
+        truth = alpha.levels[[1, 0, 1, 0]]
+        problem = DecodeProblem(2.0 * g @ truth, g, None, alpha, 4.0)
+        got = zf_decode(problem)
+        # column 0 carries both copies, 2 * levels[1], which clamps to levels[1]
+        assert np.array_equal(got.decided, alpha.levels[[1, 0, 0, 0]])
+        assert np.array_equal(got.decided, zf_oracle(problem).decided)
+        assert (got.candidate_evaluations, got.per_group_counts) == (0, ())
+
+    def test_zero_snr_zf_decides_the_lower_middle_levels(self):
+        # at snr = 0 every column of sqrt(snr) G is null
+        rng = np.random.default_rng(20)
+        problem, _ = random_problem(build_diagonal_code, (2, 2, 1), 64, rng)
+        problem = DecodeProblem(problem.y, problem.g, problem.scheme,
+                                problem.alphabet, 0.0)
+        assert np.array_equal(zf_decode(problem).decided,
+                              np.full(4, problem.alphabet.levels[3]))
 
     def test_decisions_stay_in_alphabet(self):
         rng = np.random.default_rng(12)
@@ -309,7 +339,7 @@ class TestMlAndZf:
         problem, _ = random_problem(build_diagonal_code, (2, 2, 2), 4, rng,
                                     snr_db=-20.0)
         for name in ("zf", "pic", "picsic"):
-            got = decode(problem, name, "conditioned").decided.entries
+            got = decode(problem, name, "conditioned").decided
             assert all(v in alpha.levels for v in got)
 
 
@@ -327,16 +357,26 @@ class TestCounters:
         cond = picsic_decode(problem, "conditioned")
         exh = picsic_decode(problem, "exhaustive")
         assert cond.candidate_evaluations < exh.candidate_evaluations
-        assert np.array_equal(cond.decided.entries, exh.decided.entries)
+        assert np.array_equal(cond.decided, exh.decided)
 
 
 class TestValidation:
     def test_problem_shape_checks(self):
         alpha = pam_for_qam(4)
         with pytest.raises(ValueError):
-            DecodeProblem(np.zeros(3), np.zeros((4, 2)), None, (alpha,) * 2, 1.0)
-        with pytest.raises(ValueError):
-            DecodeProblem(np.zeros(4), np.zeros((4, 2)), None, (alpha,), 1.0)
+            DecodeProblem(np.zeros(3), np.zeros((4, 2)), None, alpha, 1.0)
+        with pytest.raises(ValueError, match="grouping"):
+            DecodeProblem(np.zeros(4), np.zeros((4, 2)),
+                          GroupingScheme.contiguous(1, 3), alpha, 1.0)
+
+    @pytest.mark.parametrize("snr", [-1.0, -1e-300, np.nan, np.inf])
+    def test_problem_rejects_bad_snr(self, snr):
+        # a negative snr made the metrics NaN: ML, PIC and PIC-SIC returned
+        # the lowest level for every symbol, and ZF's SVD failed
+        rng = np.random.default_rng(24)
+        with pytest.raises(ValueError, match="snr"):
+            DecodeProblem(rng.standard_normal(8), rng.standard_normal((8, 4)),
+                          GroupingScheme.contiguous(2, 2), pam_for_qam(4), snr)
 
     def test_unknown_decoder(self):
         rng = np.random.default_rng(15)

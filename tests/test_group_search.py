@@ -11,7 +11,6 @@ rank-1 and short (rows < n) group channels, exact ties at y = 0 and
 degenerate pivot columns, on groups of 2 to 4096 candidates.
 """
 
-import math
 from fractions import Fraction
 from unittest import mock
 
@@ -25,10 +24,10 @@ from stbclab.decoders import group_joint_decode
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
-# QAM orders of a group's symbols; the candidate count is the product of
-# their PAM sizes, from 8 to 4096.
-QAM_GROUPS = ((4, 4), (16, 16, 16), (64,), (4, 16, 64), (64, 64),
-              (64, 64, 64, 64), (16,) * 5, (64, 64, 64, 16), (4,) * 10)
+# (QAM order, symbols) of a group; the candidate count is the PAM size to
+# the power of the symbol count, from 4 to 4096.
+QAM_GROUPS = ((4, 2), (16, 3), (64, 1), (16, 2), (64, 2), (64, 4), (16, 5), (64, 3),
+              (4, 10))
 
 
 def pam(size):
@@ -38,15 +37,15 @@ def pam(size):
 
 @st.composite
 def group_inputs(draw, qam_sets=QAM_GROUPS):
-    """(py, pg, alphabets, snr) of one projected group.
+    """(py, pg, alphabet, snr) of one projected group.
 
     pg is Gaussian with n to n + 4 rows, upper triangular n x n (the fast
     paths' blocks), rank 1 (a projected group on an overloaded link), or
     short with fewer rows than columns.  py is a noisy observation of a
     random candidate, or zero, where every x ties with -x.
     """
-    alphabets = tuple(pam_for_qam(m) for m in draw(st.sampled_from(qam_sets)))
-    n = len(alphabets)
+    qam, n = draw(st.sampled_from(qam_sets))
+    alphabet = pam_for_qam(qam)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(("full", "triangular", "rank1", "short")))
     if kind == "full":
@@ -62,22 +61,22 @@ def group_inputs(draw, qam_sets=QAM_GROUPS):
     if draw(st.booleans()):
         py = np.zeros(pg.shape[0])
     else:
-        x = np.array([a.levels[rng.integers(a.size)] for a in alphabets])
+        x = alphabet.levels[rng.integers(alphabet.size, size=n)]
         py = np.sqrt(snr) * pg @ x + rng.standard_normal(pg.shape[0])
-    return py, pg, alphabets, snr
+    return py, pg, alphabet, snr
 
 
-def search(py, pg, alphabets, snr, mode, gram):
+def search(py, pg, alphabet, snr, mode, gram):
     """group_joint_decode with the exhaustive search's form forced."""
     with mock.patch.object(decoders, "_gram_form", return_value=gram):
-        return group_joint_decode(py, pg, alphabets, snr, mode)
+        return group_joint_decode(py, pg, alphabet, snr, mode)
 
 
-def assert_forms_and_modes_agree(py, pg, alphabets, snr):
+def assert_forms_and_modes_agree(py, pg, alphabet, snr):
     """Exhaustive search in both forms and conditioned search, keyed by name."""
-    results = {"gram": search(py, pg, alphabets, snr, "exhaustive", True),
-               "residual": search(py, pg, alphabets, snr, "exhaustive", False),
-               "conditioned": group_joint_decode(py, pg, alphabets, snr, "conditioned")}
+    results = {"gram": search(py, pg, alphabet, snr, "exhaustive", True),
+               "residual": search(py, pg, alphabet, snr, "exhaustive", False),
+               "conditioned": group_joint_decode(py, pg, alphabet, snr, "conditioned")}
     (levels, idx, _), *others = results.values()
     for other_levels, other_idx, _ in others:
         assert np.array_equal(other_idx, idx)
@@ -90,10 +89,10 @@ def assert_forms_and_modes_agree(py, pg, alphabets, snr):
 @given(group_inputs())
 def test_forms_and_modes_agree(args):
     results = assert_forms_and_modes_agree(*args)
-    alphabets = args[2]
-    total = math.prod(a.size for a in alphabets)
+    _, pg, alphabet, _ = args
+    total = alphabet.size ** pg.shape[1]
     assert results["gram"][2] == total
-    assert results["conditioned"][2] == total // alphabets[0].size
+    assert results["conditioned"][2] == total // alphabet.size
 
 
 @PROPERTY
@@ -101,30 +100,30 @@ def test_forms_and_modes_agree(args):
 def test_exact_ties_go_to_the_lexicographic_first(args):
     # At y = 0 every x ties with -x; the first of the two has a negative
     # first symbol whenever x's first symbol is not 0.
-    py, pg, alphabets, snr = args
-    results = assert_forms_and_modes_agree(np.zeros_like(py), pg, alphabets, snr)
+    py, pg, alphabet, snr = args
+    results = assert_forms_and_modes_agree(np.zeros_like(py), pg, alphabet, snr)
     assert results["gram"][0][0] < 0
 
 
 @PROPERTY
 @given(st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(((2, 3, 3, 3), (3, 5, 5), (2, 5, 5, 5), (3,) * 5, (5,) * 4,
-                        (2, 2, 2, 2))))
-def test_metrics_do_not_depend_on_the_rows_searched(seed, sizes):
-    # Alphabets of 2, 3 or 5 levels give tables of 16 to 625 rows, and
-    # conditioned searches of 8 to 125.  A BLAS product may round a row
-    # differently by the row count, or by the row's place in the array.
+       st.sampled_from(((3, 3), (3, 4), (3, 5), (5, 3), (5, 4), (2, 4))))
+def test_metrics_do_not_depend_on_the_rows_searched(seed, size_and_symbols):
+    # Alphabets of 2, 3 or 5 levels give tables of 16 to 625 rows, the odd
+    # sizes 27, 81, 125, 243 and 625 among them, and conditioned searches of
+    # 8 to 125.  A BLAS product may round a row differently by the row
+    # count, or by the row's place in the array.
     # Row r and row N-1-r of a table are x and -x, so at y = 0 the Gram
     # metrics must read the same backwards, the residuals must read the
     # same negated, and all searches must keep the same one of x and -x.
     # Any 1 to 16 rows must get the residuals they get among all rows.
-    alphabets = tuple(pam(s) for s in sizes)
-    n = len(alphabets)
+    size, n = size_and_symbols
+    alphabet = pam(size)
     rng = np.random.default_rng(seed)
     pg, py = rng.standard_normal((n + 2, n)), np.zeros(n + 2)
-    gram = (decoders._gram_table(alphabets)[0]
-            @ decoders._gram_weights(py, pg, alphabets, 1.0))
-    cand = decoders._candidate_columns(alphabets)
+    gram = (decoders._gram_table(alphabet, n)[0]
+            @ decoders._gram_weights(py, pg, alphabet, 1.0))
+    cand = decoders._candidate_columns(alphabet, n)
     resid = decoders._residuals(py, pg, cand, 1.0)
     assert np.array_equal(gram, gram[::-1]) and np.array_equal(resid, -resid[:, ::-1])
     pg_any = rng.standard_normal((rng.integers(1, 17), n))
@@ -134,8 +133,8 @@ def test_metrics_do_not_depend_on_the_rows_searched(seed, sizes):
         rows = rng.choice(cand.shape[1], size=count)
         assert np.array_equal(
             decoders._residuals(py_any, pg_any, cand[:, rows], 2.0), every[:, rows])
-    results = assert_forms_and_modes_agree(py, pg, alphabets, 1.0)
-    if sizes[0] % 2 == 0:  # no zero level, so x = -x is impossible
+    results = assert_forms_and_modes_agree(py, pg, alphabet, 1.0)
+    if size % 2 == 0:  # no zero level, so x = -x is impossible
         assert results["gram"][0][0] < 0
 
 
@@ -145,15 +144,15 @@ def test_degenerate_pivot_falls_back_in_both_forms(args, zero):
     # A zero pivot column, or one below DEGENERATE_PIVOT in norm (the whole
     # group scaled by 2**-47, which keeps every ratio), sends the
     # conditioned search to the exhaustive one in either form.
-    py, pg, alphabets, snr = args
+    py, pg, alphabet, snr = args
     if zero:
         pg = pg.copy()
         pg[:, 0] = 0.0
     else:
         py, pg = py * 2.0 ** -47, pg * 2.0 ** -47
         assert np.linalg.norm(pg[:, 0]) < decoders.DEGENERATE_PIVOT
-    results = assert_forms_and_modes_agree(py, pg, alphabets, snr)
-    total = math.prod(a.size for a in alphabets)
+    results = assert_forms_and_modes_agree(py, pg, alphabet, snr)
+    total = alphabet.size ** pg.shape[1]
     assert all(used == total for _, _, used in results.values())
 
 
@@ -162,9 +161,9 @@ def test_degenerate_pivot_falls_back_in_both_forms(args, zero):
 def test_gram_metrics_are_exact(args, data):
     # Each metric equals the exact rational sum of its row times the weights,
     # so it is the same number in any subset of rows and in any BLAS order.
-    py, pg, alphabets, snr = args
-    features = decoders._gram_table(alphabets)[0]
-    w = decoders._gram_weights(py, pg, alphabets, snr)
+    py, pg, alphabet, snr = args
+    features = decoders._gram_table(alphabet, pg.shape[1])[0]
+    w = decoders._gram_weights(py, pg, alphabet, snr)
     metrics = features @ w
     rows = np.array(data.draw(st.lists(st.integers(0, len(features) - 1),
                                        min_size=1, max_size=13)))
@@ -193,44 +192,43 @@ def test_mode_and_table_size_choose_the_form(args, zero_pivot):
     # Exhaustive searches here all fit the table ceiling: Gram form.  The
     # conditioned search runs in residual form, and on a zero pivot column
     # falls back to the exhaustive search, in Gram form.
-    py, pg, alphabets, snr = args
+    py, pg, alphabet, snr = args
     if zero_pivot:
         pg = pg.copy()
         pg[:, 0] = 0.0
-    assert searches_run(py, pg, alphabets, snr, "exhaustive") == (1, 0, 0)
-    assert searches_run(py, pg, alphabets, snr, "conditioned") == (
+    assert searches_run(py, pg, alphabet, snr, "exhaustive") == (1, 0, 0)
+    assert searches_run(py, pg, alphabet, snr, "conditioned") == (
         (1, 0, 0) if zero_pivot else (0, 0, 1))
 
 
 def test_table_ceiling_sends_exhaustive_search_to_residual_form():
     # 1024 candidates of 5 symbols: a 20-column table of 20480 doubles
-    alphabets = (pam_for_qam(16),) * 5
+    alphabet = pam_for_qam(16)
     rng = np.random.default_rng(7)
     pg, py = rng.standard_normal((7, 5)), rng.standard_normal(7)
     decoders._gram_form.cache_clear()
     try:
         with mock.patch.object(decoders, "GRAM_MAX_TABLE", 1024 * 20 - 1):
-            assert searches_run(py, pg, alphabets, 4.0, "exhaustive") == (0, 1, 0)
-            residual = group_joint_decode(py, pg, alphabets, 4.0)
+            assert searches_run(py, pg, alphabet, 4.0, "exhaustive") == (0, 1, 0)
+            residual = group_joint_decode(py, pg, alphabet, 4.0)
     finally:
         decoders._gram_form.cache_clear()
-    assert searches_run(py, pg, alphabets, 4.0, "exhaustive") == (1, 0, 0)
-    gram = group_joint_decode(py, pg, alphabets, 4.0)
+    assert searches_run(py, pg, alphabet, 4.0, "exhaustive") == (1, 0, 0)
+    gram = group_joint_decode(py, pg, alphabet, 4.0)
     assert np.array_equal(gram[1], residual[1]) and gram[2] == residual[2] == 1024
 
 
 def test_table_ceiling_keeps_large_ml_in_residual_form():
     # 4**10 candidates of 10 symbols: a 65-column table of 68 M doubles
-    alphabets = (pam_for_qam(16),) * 10
-    assert math.prod(a.size for a in alphabets) <= decoders.DEFAULT_ML_CAP
-    assert not decoders._gram_form(alphabets)
-    assert decoders._gram_form((pam_for_qam(16),) * 5)
+    alphabet = pam_for_qam(16)
+    assert alphabet.size ** 10 <= decoders.DEFAULT_ML_CAP
+    assert not decoders._gram_form(alphabet, 10)
+    assert decoders._gram_form(alphabet, 5)
 
 
 def test_gram_form_rejects_unequally_spaced_levels():
     # The integer feature table assumes zero-mean, equally spaced levels.
     uneven = PamAlphabet(np.array([-1.0, -0.2, 0.2, 1.0]), bit_width=2)
-    alphabets = (uneven,) * 5
-    assert decoders._gram_form(alphabets)
+    assert decoders._gram_form(uneven, 5)
     with pytest.raises(ValueError, match="equally spaced"):
-        group_joint_decode(np.zeros(6), np.eye(6)[:, :5], alphabets, 1.0)
+        group_joint_decode(np.zeros(6), np.eye(6)[:, :5], uneven, 1.0)

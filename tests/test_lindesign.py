@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stbclab.lindesign import (
-    Design, GroupingScheme, RealSymbolVector, assemble_codeword, combine_subset,
+    Design, GroupingScheme, assemble_codeword, combine_subset,
     design_from_json, design_to_json, equivalent_channel, extract_design,
     grouping_from_json, grouping_permutation, grouping_to_json, unvec_complex,
     vec_complex,
@@ -211,14 +211,3 @@ class TestJson:
         doc = grouping_to_json(s)
         assert doc == {"groups": [[3, 1], [2]]}
         assert grouping_from_json(doc).groups == s.groups
-
-
-class TestRealSymbolVector:
-    def test_alphabet_count_checked(self):
-        with pytest.raises(ValueError):
-            RealSymbolVector(np.zeros(3), alphabets=(None,))
-
-    def test_immutable(self):
-        v = RealSymbolVector(np.zeros(3))
-        with pytest.raises(ValueError):
-            v.entries[0] = 1.0

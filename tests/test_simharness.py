@@ -64,6 +64,31 @@ class TestRunSimulation:
         assert res.points[0].frames == 100
         assert res.points[0].bit_errors == 0
 
+    # 256 frames at each of 4/10/16 dB, seed 2026, early stop off: per point
+    # (bit, symbol and frame errors, total and largest evaluation counts),
+    # recorded from the raw-channel ML search and pseudo-inverse ZF that
+    # preceded the thresholded QR, which must make the same decisions here.
+    PINNED = {
+        "ml": (dict(family="sec3", antennas=2, group_size=2, layers=1,
+                    receive_antennas=1),
+               [(121, 121, 85, 4096, 16), (21, 21, 19, 4096, 16), (2, 2, 2, 4096, 16)]),
+        "zf": (dict(family="sec4", antennas=4, layers=2, receive_antennas=2),
+               [(344, 344, 167, 0, 0), (68, 68, 45, 0, 0), (15, 15, 9, 0, 0)]),
+    }
+
+    @pytest.mark.parametrize("decoder", sorted(PINNED))
+    def test_full_rank_ml_and_zf_runs_are_pinned(self, decoder):
+        link, expected = self.PINNED[decoder]
+        cfg = SimConfig(**link, qam=4, decoder=decoder, search_mode="exhaustive",
+                        snr_grid_db=(4.0, 10.0, 16.0), min_frame_errors=1_000_000,
+                        max_frames=256, master_seed=2026)
+        res = run_simulation(cfg)
+        assert not res.overloaded
+        got = [(p.bit_errors, p.symbol_errors, p.frame_errors, p.total_evaluations,
+                p.max_evaluations) for p in res.points]
+        assert [p.frames for p in res.points] == [256] * 3
+        assert got == expected
+
     def test_stop_rule_on_frame_errors(self):
         cfg = tiny_config(snr_grid_db=(0.0,), min_frame_errors=5, max_frames=10_000)
         res = run_simulation(cfg)
@@ -164,10 +189,15 @@ class TestOverload:
 
     # sec4(4,2) at N_r = 1, 4-QAM, seed 2026, 64 frames at each of 8/16/24 dB,
     # early stop off: per point (bit, symbol and frame errors, total and
-    # largest evaluation counts).  Recorded from the projector decoders that
-    # carried the overloaded link before the thresholded QR, which must make
-    # the same decisions.
+    # largest evaluation counts).  The PIC and PIC-SIC rows were recorded
+    # from the projector decoders that carried the overloaded link before
+    # the thresholded QR, which must make the same decisions.  The ZF row
+    # was recorded after ZF moved to the thresholded QR: its four null
+    # symbols are estimated 0, where the pseudo-inverse spread the
+    # minimum-norm solution over all 16 (notes/decisions.md).
     PINNED = {
+        ("zf", "exhaustive"): [(243, 243, 64, 0, 0), (195, 195, 64, 0, 0),
+                               (199, 199, 63, 0, 0)],
         ("picsic", "conditioned"): [(186, 186, 52, 1024, 16), (30, 30, 14, 1024, 16),
                                     (3, 3, 1, 1024, 16)],
         ("picsic", "exhaustive"): [(186, 186, 52, 2048, 32), (30, 30, 14, 2048, 32),
