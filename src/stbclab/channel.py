@@ -26,6 +26,7 @@ class PamAlphabet:
         lv = np.asarray(self.levels, dtype=float).copy()
         lv.setflags(write=False)
         object.__setattr__(self, "levels", lv)
+        object.__setattr__(self, "_midpoints", (lv[:-1] + lv[1:]) / 2)
 
     @property
     def size(self):
@@ -36,13 +37,8 @@ class PamAlphabet:
         return float(self.levels[1] - self.levels[0]) if self.size > 1 else 1.0
 
     def nearest_index(self, x):
-        """Index of the nearest level; exact midpoints resolve to the lower index."""
-        x = np.asarray(x, dtype=float)
-        if self.size == 1:
-            return np.zeros(x.shape, dtype=np.int64)
-        pos = (x - self.levels[0]) / self.spacing
-        idx = np.ceil(pos - 0.5).astype(np.int64)
-        return np.minimum(np.maximum(idx, 0), self.size - 1)
+        """Index of the nearest level; a computed midpoint of two levels goes to the lower."""
+        return np.searchsorted(self._midpoints, np.asarray(x, dtype=float))
 
     def quantize(self, x):
         return self.levels[self.nearest_index(x)]

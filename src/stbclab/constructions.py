@@ -246,18 +246,20 @@ class TradeoffRow(NamedTuple):
     exponent: Fraction
 
 
-# Comparison families quoted at their published decoding costs.
+# The constructed families, then diagonal_coarse, quoted at its published cost.
 TRADEOFF_FAMILIES = (
     "toeplitz", "diagonal", "diagonal_coarse", "alamouti_block", "alamouti_block_coarse",
 )
 
 
 def tabulate_tradeoff(antennas, delay, families=None):
-    """Closed-form (rate, worst-case exponent) points for all families at (N, T).
+    """(rate, worst-case exponent) points for all families at (N, T).
 
     families defaults to every family feasible at (N, T); requesting an
     infeasible one explicitly raises ValueError.  Diagonal rows are emitted
-    for every group size 1..N.
+    for every group size 1..N.  The constructed families' rows are their
+    CodeSpec's accounting; diagonal_coarse, which is not constructed here,
+    is the published 2N-symbol grouping of the diagonal code.
     """
     nt, t = antennas, delay
     if nt < 1 or t < nt:
@@ -267,25 +269,18 @@ def tabulate_tradeoff(antennas, delay, families=None):
         families = [f for f in TRADEOFF_FAMILIES
                     if even_ok or not f.startswith("alamouti_block")]
     rows = []
-    base3 = Fraction(t - nt + 1, t)  # 1 - (N-1)/T
-    base4 = Fraction(t - nt + 2, t)  # 1 - (N-2)/T
     for fam in families:
-        if fam == "toeplitz":
-            rows.append(TradeoffRow(fam, 1, base3, Fraction(0)))
-        elif fam == "diagonal":
-            for lam in range(1, nt + 1):
-                rows.append(TradeoffRow(fam, lam, lam * base3, Fraction(lam - 1, 2)))
-        elif fam == "diagonal_coarse":
-            rows.append(TradeoffRow(fam, 2 * nt, nt * base3, Fraction(nt)))
+        if fam == "diagonal_coarse":
+            rows.append(TradeoffRow(fam, 2 * nt, nt * Fraction(t - nt + 1, t), Fraction(nt)))
+            continue
+        if fam in ("toeplitz", "diagonal"):
+            specs = [CodeSpec.from_delay(Family.DIAGONAL, nt, t, lam)
+                     for lam in (range(1, nt + 1) if fam == "diagonal" else (1,))]
         elif fam in ("alamouti_block", "alamouti_block_coarse"):
-            if not even_ok:
-                raise ValueError(f"{fam} needs even N and even T, got N={nt}, T={t}")
-            if fam == "alamouti_block":
-                rows.append(TradeoffRow(fam, nt // 2, Fraction(nt, 2) * base4,
-                                        Fraction(nt - 2, 4)))
-            else:
-                rows.append(TradeoffRow(fam, nt, Fraction(nt, 2) * base4,
-                                        Fraction(nt, 2)))
+            specs = [CodeSpec.from_delay(Family.ALAMOUTI_BLOCK, nt, t, grouping_variant=(
+                "coarse" if fam.endswith("coarse") else "fine"))]
         else:
             raise ValueError(f"unknown family {fam!r}")
+        rows += [TradeoffRow(fam, s.num_real_symbols // s.num_groups, s.rate,
+                             s.worst_case_exponent) for s in specs]
     return rows

@@ -47,29 +47,26 @@ apart from them; on an overloaded link this differs from the
 minimum-norm estimate a pseudo-inverse would give (notes/decisions.md).
 
 Group search modes:
-  * "exhaustive" enumerates the full alphabet product of the group.
-  * "conditioned" enumerates all but the first symbol and solves that pivot
-    symbol in closed form (the level nearest its least-squares value); it
-    returns the same argmin and costs a factor sqrt(M) fewer metric
-    evaluations.  A degenerate pivot column sends it to the exhaustive
-    search.
+  * "exhaustive" evaluates every candidate of the group's alphabet product.
+  * "conditioned" evaluates each candidate of all but the first symbol with
+    the pivot level that minimizes its metric, one Schnorr-Euchner step
+    (Viterbo and Boutros, IEEE Trans. IT 1999): the same argmin from a
+    factor sqrt(M) fewer evaluations.  A degenerate pivot column sends it
+    to the exhaustive search.
 
-The metric of a candidate x is evaluated in one of two forms:
-  * Gram form, for an exhaustive search whose feature table holds at most
-    GRAM_MAX_TABLE doubles (_gram_form, which reads the alphabet and the
-    symbol count alone): ||py||^2 - 2 sqrt(snr) (pg^T py)^T x +
-    snr x^T (pg^T pg) x, all metrics from one matvec of a feature table
-    cached per alphabet and symbol count (_gram_table), with the constant
-    left out.  The weights are rounded so that this product is exact
-    (_gram_weights).
-  * residual form, for the conditioned search and an exhaustive search
-    with a larger table (ML near DEFAULT_ML_CAP): ||py - sqrt(snr) pg x||^2
-    from the candidates' residual vectors, with pg x summed elementwise
-    (_residuals).
-In both forms a candidate's computed metric depends on the candidate
-alone, not on the other rows searched with it or on the BLAS build, so
-x and -x tie exactly at y = 0.  The tests run each form on the other's
-inputs.
+Both evaluate one metric, ||py - sqrt(snr) pg x||^2 less ||py||^2, as
+features(x) @ w (_gram_weights).  The features are the levels of x in units
+of half the spacing, u_i, and their products u_i u_j, all small integers;
+w is rounded to a power-of-two grid on which every partial sum is exact.
+So a candidate's metric is one number whatever the search, layout, order
+of summation or BLAS build, and x and -x tie exactly at y = 0.  The
+exhaustive metrics are one matvec of a feature table cached per alphabet
+and symbol count, or, when that table would pass GRAM_MAX_TABLE doubles
+(ML near DEFAULT_ML_CAP), sums over a head and a tail table (_metrics).
+The conditioned search (_conditioned_metrics) takes the pivot level by
+np.searchsorted of -c / (2 w00) among the midpoints of the levels in
+units: at a true midpoint that quotient of two grid multiples is exact,
+and the lower level wins.
 
 Ties between equal metrics resolve to the candidate earliest in
 lexicographic enumeration order (the first symbol varies slowest), in both
@@ -89,8 +86,8 @@ from .lindesign import RANK_EPS, GroupingScheme
 DEGENERATE_PIVOT = 1e-12
 DEFAULT_ML_CAP = 1 << 20
 SEARCH_MODES = ("exhaustive", "conditioned")
-# Largest Gram feature table, in doubles (16 MB).  An exhaustive search
-# with a larger table, such as ML near DEFAULT_ML_CAP, runs in residual form.
+# Largest feature table, in doubles (16 MB).  A search over more candidates,
+# such as ML near DEFAULT_ML_CAP, sums a head and a tail table instead.
 GRAM_MAX_TABLE = 1 << 21
 
 
@@ -175,6 +172,13 @@ def _ordered_qr(g, y, order):
     return r[:, :k, :k].reshape(lead + (k, k)), r[:, :k, k].reshape(lead + (k,))
 
 
+def _frozen(*arrays):
+    """The arrays, made read-only: the cached ones are shared by every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def _cancellation_orders(scheme):
     """Column orders of the triangular views (cached per scheme).
@@ -185,132 +189,48 @@ def _cancellation_orders(scheme):
     sic = np.array([j for group in reversed(scheme.groups) for j in group])
     pic = np.array([list(scheme.complement(k)) + list(group)
                     for k, group in enumerate(scheme.groups)])
-    sic.setflags(write=False)
-    pic.setflags(write=False)
-    return sic, pic
+    return _frozen(sic, pic)
 
 
 @lru_cache(maxsize=None)
-def _candidates(alphabet, n):
-    """(level indices, level values) of every candidate of an n-symbol group (cached).
+def _units(alphabet):
+    """The levels in units of half their spacing, u = x / h, and u's midpoints (cached)."""
+    h = alphabet.spacing / 2
+    u = np.rint(alphabet.levels / h)
+    if not np.allclose(u * h, alphabet.levels, rtol=1e-12, atol=0):
+        raise ValueError("the Gram form needs zero-mean, equally spaced levels")
+    return _frozen(u, (u[:-1] + u[1:]) / 2)
 
-    One row per candidate, in lexicographic order: the first symbol's index
-    varies slowest, so row r of a group with C candidates per first-symbol
-    level has first index r // C.
+
+@lru_cache(maxsize=None)
+def _gram_constants(alphabet, n):
+    """(fmax, scales, pairs, pivot) of n symbols' features (cached).
+
+    The features are u_i, then u_i u_j for i <= j.  fmax bounds each
+    feature column (the largest |u|, or its square), scales turn
+    (sqrt(snr) pg^T py, snr pg^T pg) into the column weights, and pairs are
+    the flat indices of (i, j) in an n x n matrix.  pivot picks two weight
+    columns over the features of symbols 1..n-1: their own weights, and
+    the pivot's products with their u_i over index 0 as padding.
     """
-    idx = np.indices((alphabet.size,) * n).reshape(n, alphabet.size ** n).T
-    levels = alphabet.levels[idx]
-    idx.setflags(write=False)
-    levels.setflags(write=False)
-    return idx, levels
-
-
-@lru_cache(maxsize=None)
-def _gram_form(alphabet, n):
-    """Whether an exhaustive search over n symbols runs in Gram form (cached)."""
-    return alphabet.size ** n * n * (n + 3) // 2 <= GRAM_MAX_TABLE
+    top = np.abs(_units(alphabet)[0]).max()
+    h = alphabet.spacing / 2
+    i, j = np.triu_indices(n)
+    rest = np.r_[1:n, 2 * n:n + len(i)]
+    cross = np.zeros_like(rest)
+    cross[:n - 1] = np.arange(n + 1, 2 * n)
+    return _frozen(np.concatenate([np.full(n, top), np.full(len(i), top * top)]),
+                   np.concatenate([np.full(n, -2 * h), np.where(i == j, 1.0, 2.0) * h * h]),
+                   i * n + j, np.stack([rest, cross], axis=1))
 
 
 @lru_cache(maxsize=None)
 def _gram_table(alphabet, n):
-    """The Gram form's feature table for n symbols of one alphabet (cached).
-
-    Levels are taken in units of half the alphabet's spacing, u = x / h, so
-    every feature is a small integer: a row holds one candidate's u_i, then
-    u_i u_j for i <= j, with the rows in lexicographic order.  Returns the
-    table, the largest |feature| of each column, the scales that turn
-    (sqrt(snr) pg^T py, snr pg^T pg) into the column weights, and the
-    (i, j) index arrays of the products.
-    """
-    levels = _candidates(alphabet, n)[1]
-    h = alphabet.spacing / 2
-    u = np.rint(levels / h)
-    if not np.allclose(u * h, levels, rtol=1e-12, atol=0):
-        raise ValueError("the Gram form needs zero-mean, equally spaced levels")
+    """The features of every candidate of n symbols, a row each in lexicographic order (cached)."""
+    idx = np.indices((alphabet.size,) * n).reshape(n, alphabet.size ** n).T
+    u = _units(alphabet)[0][idx]
     i, j = np.triu_indices(n)
-    features = np.hstack([u, u[:, i] * u[:, j]])
-    scales = np.concatenate([np.full(n, -2 * h), np.where(i == j, 1.0, 2.0) * h * h])
-    out = (features, np.abs(features).max(axis=0), scales, i, j)
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
-def group_joint_decode(py, pg, alphabet, snr, mode="exhaustive"):
-    """Jointly decode one group of pg.shape[1] symbols from its projected observation.
-
-    Returns (level values, level indices, metric evaluation count).  Both
-    modes return the same argmin, and of equal least metrics the
-    lexicographically first candidate; the conditioned mode falls back to
-    the exhaustive search when the pivot column is degenerate.  An
-    exhaustive search runs in Gram form unless its feature table would pass
-    GRAM_MAX_TABLE (_gram_form); every other search runs in residual form.
-    """
-    py = np.asarray(py, dtype=float)
-    pg = np.asarray(pg, dtype=float)
-    n = pg.shape[1]
-    if mode not in SEARCH_MODES:
-        raise ValueError(f"unknown group search mode {mode!r}")
-    if (mode == "conditioned" and n >= 1
-            and float(pg[:, 0] @ pg[:, 0]) >= DEGENERATE_PIVOT ** 2):
-        row, used = _conditioned_search(py, pg, alphabet, snr)
-    elif _gram_form(alphabet, n):
-        row, used = _gram_search(py, pg, alphabet, snr)
-    else:
-        row, used = _residual_search(py, pg, alphabet, snr)
-    idx, levels = _candidates(alphabet, n)
-    return levels[row].copy(), idx[row].copy(), used
-
-
-@lru_cache(maxsize=None)
-def _candidate_columns(alphabet, n):
-    """The level values of _candidates transposed: one row per symbol (cached)."""
-    levels = np.ascontiguousarray(_candidates(alphabet, n)[1].T)
-    levels.setflags(write=False)
-    return levels
-
-
-def _residuals(py, pg, cand, root_snr):
-    """py - root_snr pg x for each column x of cand, shaped (len(py), columns).
-
-    pg x is summed symbol by symbol from elementwise products rather than
-    by a matmul, whose rounding of a candidate can depend on the candidate
-    count or on its place.  Each residual then depends on its candidate
-    alone, and those of x and -x are exact negatives at py = 0.
-    """
-    acc = np.zeros((len(py), cand.shape[1]))
-    for j in range(pg.shape[1]):
-        acc += pg[:, j, None] * cand[j]
-    return py[:, None] - root_snr * acc
-
-
-def _residual_search(py, pg, alphabet, snr):
-    """Exhaustive search by residual norms; returns (row, count)."""
-    cand = _candidate_columns(alphabet, pg.shape[1])
-    resid = _residuals(py, pg, cand, np.sqrt(snr))
-    return int(np.einsum("ij,ij->j", resid, resid).argmin()), resid.shape[1]
-
-
-def _conditioned_search(py, pg, alphabet, snr):
-    """Search the non-pivot symbols in residual form, each with its nearest pivot level.
-
-    Returns (row, count).  Of equal least metrics it keeps the least row,
-    the lexicographically first candidate, as the exhaustive search does.
-    """
-    root_snr = np.sqrt(snr)
-    pivot = pg[:, 0]
-    # (n-1, C) non-pivot levels; one empty column for n = 1
-    cand = _candidate_columns(alphabet, pg.shape[1] - 1)
-    resid = _residuals(py, pg[:, 1:], cand, root_snr)
-    piv = alphabet.nearest_index((pivot @ resid) / (root_snr * float(pivot @ pivot)))
-    resid -= root_snr * (pivot[:, None] * alphabet.levels[piv])
-    metrics = np.einsum("ij,ij->j", resid, resid)
-    rows = piv * resid.shape[1] + np.arange(resid.shape[1])
-    best = metrics.argmin()
-    least = metrics == metrics[best]
-    if np.count_nonzero(least) > 1:
-        return int(rows[least].min()), len(rows)
-    return int(rows[best]), len(rows)
+    return _frozen(np.hstack([u, u[:, i] * u[:, j]]))[0]
 
 
 def _gram_weights(py, pg, alphabet, snr):
@@ -318,28 +238,94 @@ def _gram_weights(py, pg, alphabet, snr):
 
     w is rounded to a power-of-two grid with sum_k fmax_k |w_k| < 2**53 grid.
     Every feature is an integer, so every partial sum of a table row times
-    w is a multiple of grid that a double holds exactly.  A candidate's
-    metric is then the same number in whatever order BLAS adds, and x and
-    -x tie exactly at py = 0.  Unrounded, they need not: OpenBLAS sums some
-    rows of a table in a different order from others.
+    w is a multiple of grid that a double holds exactly, and a candidate's
+    metric is the same number however it is summed.  Unrounded, it need
+    not be: OpenBLAS sums some rows of a table in a different order from
+    others.
     """
-    _, fmax, scales, i, j = _gram_table(alphabet, pg.shape[1])
+    fmax, scales, pairs, _ = _gram_constants(alphabet, pg.shape[1])
     gram = pg.T @ pg
-    w = scales * np.concatenate([np.sqrt(snr) * (py @ pg), snr * gram[i, j]])
+    w = scales * np.concatenate([math.sqrt(snr) * (py @ pg), snr * gram.take(pairs)])
     grid = math.ldexp(1.0, max(math.frexp(fmax @ np.abs(w))[1] - 52, -1074))
     return np.rint(w / grid) * grid
 
 
-def _gram_search(py, pg, alphabet, snr):
-    """Exhaustive search by ||py||^2 - 2 sqrt(snr) (pg^T py)^T x + snr x^T (pg^T pg) x.
+def _metrics(w, alphabet, n):
+    """features @ w for every candidate of n symbols, in lexicographic order.
 
-    The constant ||py||^2 is left out, so the metrics of all candidates are
-    one matvec of the cached feature table with _gram_weights.  Returns
-    (row, count).
+    One matvec of the n-symbol table when it holds at most GRAM_MAX_TABLE
+    doubles; otherwise (F_h @ w_h)[:, None] + F_t @ w_t + (U_h @ W_x) @ U_t^T
+    from the tables of the first n // 2 symbols (head) and of the rest
+    (tail), with U their u columns and W_x the head-tail product weights.
     """
-    features = _gram_table(alphabet, pg.shape[1])[0]
-    metrics = features @ _gram_weights(py, pg, alphabet, snr)
-    return int(metrics.argmin()), len(features)
+    if alphabet.size ** n * n * (n + 3) // 2 <= GRAM_MAX_TABLE:
+        return _gram_table(alphabet, n) @ w
+    if w.ndim > 1:
+        return np.stack([_metrics(v, alphabet, n) for v in w.T], axis=1)
+    a = n // 2
+    i, j = np.triu_indices(n)
+    head = np.r_[:a, n + np.flatnonzero(j < a)]
+    tail = np.r_[a:n, n + np.flatnonzero(i >= a)]
+    w_x = w[n + np.flatnonzero((i < a) & (j >= a))].reshape(a, n - a)
+    fh, ft = _gram_table(alphabet, a), _gram_table(alphabet, n - a)
+    mixed = (fh[:, :a] @ w_x) @ ft[:, :n - a].T
+    return ((fh @ w[head])[:, None] + ft @ w[tail] + mixed).ravel()
+
+
+def group_joint_decode(py, pg, alphabet, snr, mode="exhaustive"):
+    """Jointly decode one group of pg.shape[1] symbols from its projected observation.
+
+    Returns (level values, level indices, metric evaluation count).  Both
+    modes evaluate the metric of _gram_weights and return the same argmin,
+    and of equal least metrics the lexicographically first candidate; the
+    conditioned mode falls back to the exhaustive search when the pivot
+    column is degenerate.
+    """
+    py = np.asarray(py, dtype=float)
+    pg = np.asarray(pg, dtype=float)
+    n = pg.shape[1]
+    if mode not in SEARCH_MODES:
+        raise ValueError(f"unknown group search mode {mode!r}")
+    w = _gram_weights(py, pg, alphabet, snr)
+    if (mode == "conditioned" and n >= 1
+            and float(pg[:, 0] @ pg[:, 0]) >= DEGENERATE_PIVOT ** 2):
+        piv, metrics = _conditioned_metrics(w, alphabet, n)
+        # candidate r of the non-pivot symbols is row piv[r] * len(metrics) + r
+        row = int(metrics.argmin())
+        least = metrics == metrics[row]
+        if np.count_nonzero(least) > 1:
+            least = np.flatnonzero(least)
+            row = int((piv[least] * len(metrics) + least).min())
+        else:
+            row += int(piv[row]) * len(metrics)
+    else:
+        metrics = _metrics(w, alphabet, n)
+        row = int(metrics.argmin())
+    # the row's digits in base L, the first symbol's the most significant
+    size = alphabet.size
+    idx = np.array([row // size ** k % size for k in range(n - 1, -1, -1)])
+    return alphabet.levels[idx], idx, len(metrics)
+
+
+def _conditioned_metrics(w, alphabet, n):
+    """(pivot indices, metrics) of the non-pivot candidates, each with its best pivot.
+
+    With u the pivot's level in units, the metric is the rest's own plus
+    (w00 u + c) u, with c = u_rest @ w_cross + w_lin0.  The least u is the
+    level nearest -c / (2 w00), the lower one at a midpoint; a w00 that
+    rounds to 0 leaves c u, least at the lowest level unless c < 0.
+    """
+    u, mid = _units(alphabet)
+    w00, both = w[n], w[_gram_constants(alphabet, n)[3]]
+    both[n - 1:, 1] = 0.0  # the padding of the cross weights
+    rest, c = _metrics(both, alphabet, n - 1).T
+    c += w[0]
+    if w00 > 0:
+        piv = np.searchsorted(mid, c / (-2 * w00))
+    else:
+        piv = np.where(c < 0, alphabet.size - 1, 0)
+    level = u[piv]
+    return piv, rest + (w00 * level + c) * level
 
 
 def pic_decode(problem, mode="exhaustive"):

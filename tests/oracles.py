@@ -1,4 +1,4 @@
-"""Slow reference decoders: projector PIC and PIC-SIC, brute-force ML, skip-rule ZF.
+"""Slow references: projector PIC and PIC-SIC, brute-force ML and group metrics, skip-rule ZF.
 
 The decoders search each group on a block of one thresholded ordered QR.
 These oracles decode the slow way instead.  PIC and PIC-SIC project the
@@ -10,7 +10,8 @@ it is at most RANK_EPS times its norm is skipped.  The interfering columns
 are taken in the decoders' cancellation order: for PIC the other groups'
 columns ascending, for PIC-SIC the later groups in reverse decode order.
 
-ML takes the residual norm of every candidate over the raw channel.  ZF
+ML takes the residual norm of every candidate over the raw channel, and
+the group-search oracle that of every candidate of one group.  ZF
 solves least squares on the columns the same rank rule keeps, with every
 skipped column's estimate 0; on a full-rank channel that is the
 pseudo-inverse solution.
@@ -97,16 +98,23 @@ def oracle_decode(problem, name, mode="exhaustive"):
     return DecodeResult(decided, int(sum(counts)), tuple(counts))
 
 
+def group_metrics(py, pg, alphabet, snr):
+    """(candidates, ||py - sqrt(snr) pg x||^2 of each) over every x of the group.
+
+    The brute-force residual metric: one row per candidate, in
+    lexicographic order (the first symbol slowest).
+    """
+    cands = np.array(list(itertools.product(alphabet.levels, repeat=pg.shape[1])))
+    resid = py[:, None] - np.sqrt(snr) * (pg @ cands.T)
+    return cands, np.einsum("ij,ij->j", resid, resid)
+
+
 def ml_oracle(problem):
     """Brute-force ML: the least ||y - sqrt(snr) G x||^2 over every candidate.
 
-    Candidates run in lexicographic order (the first symbol slowest), and
-    of equal least metrics the first wins.
+    Of equal least metrics the lexicographically first candidate wins.
     """
-    k = problem.g.shape[1]
-    cands = np.array(list(itertools.product(problem.alphabet.levels, repeat=k)))
-    resid = problem.y[:, None] - np.sqrt(problem.snr) * (problem.g @ cands.T)
-    metrics = np.einsum("ij,ij->j", resid, resid)
+    cands, metrics = group_metrics(problem.y, problem.g, problem.alphabet, problem.snr)
     return DecodeResult(cands[metrics.argmin()], len(cands), (len(cands),))
 
 
@@ -140,13 +148,10 @@ def metric_gaps(problem, name, decided):
     """
     out = []
     for group, y_k, py, pg in group_views(problem, name, decided):
-        levels = problem.alphabet.levels
-        cands = np.array(list(itertools.product(levels, repeat=len(group))))
-        resid = py[:, None] - np.sqrt(problem.snr) * (pg @ cands.T)
-        metrics = np.einsum("ij,ij->j", resid, resid)
+        _, metrics = group_metrics(py, pg, problem.alphabet, problem.snr)
         x = decided[group]
         mine = py - np.sqrt(problem.snr) * (pg @ x)
-        top = np.abs(levels).max()
+        top = np.abs(problem.alphabet.levels).max()
         scale = (y_k @ y_k + problem.snr * np.sum(problem.g[:, group] ** 2) * top ** 2)
         out.append((float(mine @ mine - metrics.min()), float(scale)))
     return out

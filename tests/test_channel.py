@@ -51,6 +51,15 @@ class TestPamAlphabet:
         assert a.nearest_index(np.array([0.0]))[0] == 1
         assert a.nearest_index(np.array([1.0]))[0] == 2
 
+    def test_every_computed_midpoint_maps_to_the_lower_index(self):
+        # (l_k + l_(k+1)) / 2 as a double is a tie, whatever its rounding
+        for m in (4, 16, 64, 256):
+            a = pam_for_qam(m)
+            mid = (a.levels[:-1] + a.levels[1:]) / 2
+            assert np.array_equal(a.nearest_index(mid), np.arange(a.size - 1))
+            assert np.array_equal(a.nearest_index(np.nextafter(mid, np.inf)),
+                                  np.arange(1, a.size))
+
     def test_quantize_clamps(self):
         a = pam_for_qam(4)
         assert a.quantize(np.array([99.0]))[0] == a.levels[-1]

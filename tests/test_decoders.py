@@ -83,10 +83,9 @@ class TestGroupJointDecode:
                 lc, ic, cc = group_joint_decode(py, pg, alpha, 2.0, "conditioned")
                 assert np.array_equal(le, lc) and np.array_equal(ie, ic)
                 assert cc <= ce
-        # a 4-symbol 64-QAM group: 4096 candidates, an exhaustive search in
-        # Gram form against a conditioned one in residual form
+        # a 4-symbol 64-QAM group: 4096 candidates, whose table fits one matvec
         alpha64 = pam_for_qam(64)
-        assert decoders._gram_form(alpha64, 4)
+        assert decoders._gram_table(alpha64, 4).size <= decoders.GRAM_MAX_TABLE
         for _ in range(20):
             pg = rng.standard_normal((8, 4))
             py = rng.standard_normal(8)
@@ -323,6 +322,19 @@ class TestMlAndZf:
         assert np.array_equal(got.decided, alpha.levels[[1, 0, 0, 0]])
         assert np.array_equal(got.decided, zf_oracle(problem).decided)
         assert (got.candidate_evaluations, got.per_group_counts) == (0, ())
+
+    def test_zf_null_column_at_16qam_decides_the_lower_middle_level(self):
+        # 0 is the middle midpoint of 16-QAM, so the null symbol takes levels[1]
+        rng = np.random.default_rng(21)
+        alpha = pam_for_qam(16)
+        g = rng.standard_normal((8, 4))
+        g[:, 2] = g[:, 0]
+        truth = alpha.levels[[0, 3, 0, 2]]
+        problem = DecodeProblem(2.0 * g @ truth, g, None, alpha, 4.0)
+        got = zf_decode(problem)
+        # column 0 carries both copies, 2 * levels[0], which clamps to levels[0]
+        assert np.array_equal(got.decided, alpha.levels[[0, 3, 1, 2]])
+        assert np.array_equal(got.decided, zf_oracle(problem).decided)
 
     def test_zero_snr_zf_decides_the_lower_middle_levels(self):
         # at snr = 0 every column of sqrt(snr) G is null

@@ -1,16 +1,22 @@
-"""Property tests: the group search's metric forms make the same decisions.
+"""Property tests: every group search evaluates one exact metric.
 
-group_joint_decode runs an exhaustive search in Gram form, a matvec of a
-cached feature table, unless that table would pass GRAM_MAX_TABLE; the
-conditioned search and larger exhaustive ones run in residual form.  Over
-random projected groups these tests run the exhaustive search in both
-forms, with the form forced, and the conditioned search on the same input,
-and check that all three return the same indices and that each form
-counts the same evaluations.  The inputs cover full-rank, triangular,
-rank-1 and short (rows < n) group channels, exact ties at y = 0 and
-degenerate pivot columns, on groups of 2 to 4096 candidates.
+group_joint_decode scores a candidate x of a group by the Gram metric
+features(x) @ w, with w = _gram_weights rounded so that every partial sum
+is exact.  The exhaustive search evaluates it for every candidate, in one
+matvec of a cached feature table or, when that table would pass
+GRAM_MAX_TABLE doubles, split into a head and a tail table.  The
+conditioned search evaluates it for each candidate of the non-pivot
+symbols with the pivot level that minimizes it.  These tests check that
+every layout and mode gives a candidate the same metric bit for bit, that
+the conditioned search's pivot level is the least one (the lower level at
+an exact midpoint), and that all of them return the same indices, ties
+included, with the same evaluation counts.  The inputs cover full-rank,
+triangular, rank-1 and short (rows < n) group channels, exact ties at
+y = 0 and degenerate pivot columns, on groups of 2 to 4096 candidates.
 """
 
+import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -21,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from stbclab import decoders
 from stbclab.channel import PamAlphabet, pam_for_qam
 from stbclab.decoders import group_joint_decode
+from tests.oracles import group_metrics
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -66,33 +73,64 @@ def group_inputs(draw, qam_sets=QAM_GROUPS):
     return py, pg, alphabet, snr
 
 
-def search(py, pg, alphabet, snr, mode, gram):
-    """group_joint_decode with the exhaustive search's form forced."""
-    with mock.patch.object(decoders, "_gram_form", return_value=gram):
-        return group_joint_decode(py, pg, alphabet, snr, mode)
+@contextmanager
+def layout(split):
+    """Every table above a ceiling of 0 doubles, so every search with symbols splits."""
+    if not split:
+        yield
+        return
+    with mock.patch.object(decoders, "GRAM_MAX_TABLE", 0):
+        yield
 
 
-def assert_forms_and_modes_agree(py, pg, alphabet, snr):
-    """Exhaustive search in both forms and conditioned search, keyed by name."""
-    results = {"gram": search(py, pg, alphabet, snr, "exhaustive", True),
-               "residual": search(py, pg, alphabet, snr, "exhaustive", False),
-               "conditioned": group_joint_decode(py, pg, alphabet, snr, "conditioned")}
+def assert_layouts_and_modes_agree(py, pg, alphabet, snr):
+    """Both modes in both layouts, keyed by (mode, split): the same decision."""
+    results = {}
+    for split in (False, True):
+        with layout(split):
+            for mode in decoders.SEARCH_MODES:
+                results[mode, split] = group_joint_decode(py, pg, alphabet, snr, mode)
     (levels, idx, _), *others = results.values()
     for other_levels, other_idx, _ in others:
         assert np.array_equal(other_idx, idx)
         assert np.array_equal(other_levels, levels)
-    assert results["gram"][2] == results["residual"][2]
+    for mode in decoders.SEARCH_MODES:
+        assert results[mode, False][2] == results[mode, True][2]
     return results
+
+
+def both_layouts(w, alphabet, n):
+    """(exhaustive metrics, conditioned (pivot indices, metrics)) in each layout."""
+    out = []
+    for split in (False, True):
+        with layout(split):
+            out.append((decoders._metrics(w, alphabet, n),
+                        decoders._conditioned_metrics(w, alphabet, n)))
+    return out
+
+
+def assert_pivot_is_least(w, alphabet, n):
+    """Each conditioned metric is the least over the pivot of the exhaustive ones.
+
+    The pivot index must be the first of the least: the lower level at an
+    exact midpoint.  Both layouts must give the same numbers, bit for bit.
+    """
+    (one, (piv, cond)), (split, (piv_s, cond_s)) = both_layouts(w, alphabet, n)
+    assert np.array_equal(one, split)
+    assert np.array_equal(piv, piv_s) and np.array_equal(cond, cond_s)
+    by_pivot = one.reshape(alphabet.size, -1)
+    assert np.array_equal(cond, by_pivot.min(axis=0))
+    assert np.array_equal(piv, by_pivot.argmin(axis=0))
 
 
 @PROPERTY
 @given(group_inputs())
 def test_forms_and_modes_agree(args):
-    results = assert_forms_and_modes_agree(*args)
+    results = assert_layouts_and_modes_agree(*args)
     _, pg, alphabet, _ = args
     total = alphabet.size ** pg.shape[1]
-    assert results["gram"][2] == total
-    assert results["conditioned"][2] == total // alphabet.size
+    assert results["exhaustive", False][2] == total
+    assert results["conditioned", False][2] == total // alphabet.size
 
 
 @PROPERTY
@@ -101,8 +139,79 @@ def test_exact_ties_go_to_the_lexicographic_first(args):
     # At y = 0 every x ties with -x; the first of the two has a negative
     # first symbol whenever x's first symbol is not 0.
     py, pg, alphabet, snr = args
-    results = assert_forms_and_modes_agree(np.zeros_like(py), pg, alphabet, snr)
-    assert results["gram"][0][0] < 0
+    results = assert_layouts_and_modes_agree(np.zeros_like(py), pg, alphabet, snr)
+    assert results["exhaustive", False][0][0] < 0
+
+
+@PROPERTY
+@given(group_inputs())
+def test_conditioned_metrics_are_the_exhaustive_minima(args):
+    py, pg, alphabet, snr = args
+    assert_pivot_is_least(decoders._gram_weights(py, pg, alphabet, snr),
+                          alphabet, pg.shape[1])
+
+
+ALPHABETS = {"4-QAM": pam_for_qam(4), "16-QAM": pam_for_qam(16),
+             "64-QAM": pam_for_qam(64), "256-QAM": pam_for_qam(256),
+             "3-PAM": pam(3), "5-PAM": pam(5)}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(ALPHABETS)), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from((0, 1, 2, 3)))
+def test_pivot_rule_on_exact_midpoints(name, n, seed, w00):
+    # Integer weights are exact on any grid.  With an even pivot-linear
+    # weight and even cross weights, c is even, so -c / (2 w00) often
+    # lands on a midpoint of the levels in units, where the two nearest
+    # levels tie exactly.  w00 = 0 leaves the pivot term c u alone.
+    alphabet = ALPHABETS[name]
+    rng = np.random.default_rng(seed)
+    w = rng.integers(-6, 7, n * (n + 3) // 2).astype(float)
+    w[0] = 2 * rng.integers(-alphabet.size, alphabet.size + 1)
+    w[n] = float(w00)
+    w[n + 1:2 * n] = 2 * rng.integers(-2, 3, n - 1)
+    assert_pivot_is_least(w, alphabet, n)
+
+
+def test_pivot_midpoints_of_every_qam_alphabet():
+    # One symbol, w = (-2 w00 m, w00): the pivot's least-squares level is
+    # the midpoint m in units, where both neighbours tie; the lower wins.
+    for qam in (4, 16, 64, 256):
+        alphabet = pam_for_qam(qam)
+        _, mid = decoders._units(alphabet)
+        for k, m in enumerate(mid):
+            for w00 in (1.0, 3.0, 2.0 ** -40):
+                piv, metrics = decoders._conditioned_metrics(
+                    np.array([-2 * w00 * m, w00]), alphabet, 1)
+                assert piv[0] == k
+            assert_pivot_is_least(np.array([-2 * m, 1.0]), alphabet, 1)
+
+
+def test_one_symbol_16qam_at_zero_observation_decides_the_lower_middle_level():
+    # 0 is the middle midpoint of 16-QAM; both levels beside it tie.
+    alphabet = pam_for_qam(16)
+    for mode in decoders.SEARCH_MODES:
+        levels, idx, _ = group_joint_decode(np.zeros(2), [[1.0], [0.5]], alphabet, 1.0,
+                                            mode)
+        assert idx[0] == 1 and levels[0] == alphabet.levels[1]
+
+
+def test_zero_pivot_weight_decides_without_a_warning():
+    # A kept pivot column 2**-30 of the other's norm: its weight w00 rounds
+    # to 0 on the grid, and the pivot term is c u.  At py = 0, c = 0 and
+    # every level ties, so the lowest wins; py along the pivot makes c < 0
+    # and the highest level wins.
+    alphabet = pam_for_qam(4)
+    pg = np.diag([2.0 ** -30, 1.0])
+    for py, first in ((np.zeros(2), 0), (np.array([2.0 ** 20, 0.0]), 1)):
+        w = decoders._gram_weights(py, pg, alphabet, 1.0)
+        assert w[2] == 0.0 and w[0] <= 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = assert_layouts_and_modes_agree(py, pg, alphabet, 1.0)
+        assert results["conditioned", False][1][0] == first
+        assert results["conditioned", False][2] == 2
+        assert_pivot_is_least(w, alphabet, 2)
 
 
 @PROPERTY
@@ -112,30 +221,25 @@ def test_metrics_do_not_depend_on_the_rows_searched(seed, size_and_symbols):
     # Alphabets of 2, 3 or 5 levels give tables of 16 to 625 rows, the odd
     # sizes 27, 81, 125, 243 and 625 among them, and conditioned searches of
     # 8 to 125.  A BLAS product may round a row differently by the row
-    # count, or by the row's place in the array.
-    # Row r and row N-1-r of a table are x and -x, so at y = 0 the Gram
-    # metrics must read the same backwards, the residuals must read the
-    # same negated, and all searches must keep the same one of x and -x.
-    # Any 1 to 16 rows must get the residuals they get among all rows.
+    # count, by the row's place in the array, or by the layout.
+    # Row r and row N-1-r of a table are x and -x, so at y = 0 the metrics
+    # must read the same backwards in both layouts, and all searches must
+    # keep the same one of x and -x.  Any 1 to 16 rows of the table must
+    # get the metrics they get among all rows.
     size, n = size_and_symbols
     alphabet = pam(size)
     rng = np.random.default_rng(seed)
     pg, py = rng.standard_normal((n + 2, n)), np.zeros(n + 2)
-    gram = (decoders._gram_table(alphabet, n)[0]
-            @ decoders._gram_weights(py, pg, alphabet, 1.0))
-    cand = decoders._candidate_columns(alphabet, n)
-    resid = decoders._residuals(py, pg, cand, 1.0)
-    assert np.array_equal(gram, gram[::-1]) and np.array_equal(resid, -resid[:, ::-1])
-    pg_any = rng.standard_normal((rng.integers(1, 17), n))
-    py_any = rng.standard_normal(len(pg_any))
-    every = decoders._residuals(py_any, pg_any, cand, 2.0)
+    w = decoders._gram_weights(py, pg, alphabet, 1.0)
+    (one, _), (split, _) = both_layouts(w, alphabet, n)
+    assert np.array_equal(one, one[::-1]) and np.array_equal(split, one)
+    features = decoders._gram_table(alphabet, n)
     for count in range(1, 17):
-        rows = rng.choice(cand.shape[1], size=count)
-        assert np.array_equal(
-            decoders._residuals(py_any, pg_any, cand[:, rows], 2.0), every[:, rows])
-    results = assert_forms_and_modes_agree(py, pg, alphabet, 1.0)
+        rows = rng.choice(len(features), size=count)
+        assert np.array_equal(features[rows] @ w, one[rows])
+    results = assert_layouts_and_modes_agree(py, pg, alphabet, 1.0)
     if size % 2 == 0:  # no zero level, so x = -x is impossible
-        assert results["gram"][0][0] < 0
+        assert results["exhaustive", False][0][0] < 0
 
 
 @PROPERTY
@@ -143,7 +247,7 @@ def test_metrics_do_not_depend_on_the_rows_searched(seed, size_and_symbols):
 def test_degenerate_pivot_falls_back_in_both_forms(args, zero):
     # A zero pivot column, or one below DEGENERATE_PIVOT in norm (the whole
     # group scaled by 2**-47, which keeps every ratio), sends the
-    # conditioned search to the exhaustive one in either form.
+    # conditioned search to the exhaustive one in either layout.
     py, pg, alphabet, snr = args
     if zero:
         pg = pg.copy()
@@ -151,7 +255,7 @@ def test_degenerate_pivot_falls_back_in_both_forms(args, zero):
     else:
         py, pg = py * 2.0 ** -47, pg * 2.0 ** -47
         assert np.linalg.norm(pg[:, 0]) < decoders.DEGENERATE_PIVOT
-    results = assert_forms_and_modes_agree(py, pg, alphabet, snr)
+    results = assert_layouts_and_modes_agree(py, pg, alphabet, snr)
     total = alphabet.size ** pg.shape[1]
     assert all(used == total for _, _, used in results.values())
 
@@ -162,7 +266,7 @@ def test_gram_metrics_are_exact(args, data):
     # Each metric equals the exact rational sum of its row times the weights,
     # so it is the same number in any subset of rows and in any BLAS order.
     py, pg, alphabet, snr = args
-    features = decoders._gram_table(alphabet, pg.shape[1])[0]
+    features = decoders._gram_table(alphabet, pg.shape[1])
     w = decoders._gram_weights(py, pg, alphabet, snr)
     metrics = features @ w
     rows = np.array(data.draw(st.lists(st.integers(0, len(features) - 1),
@@ -173,62 +277,94 @@ def test_gram_metrics_are_exact(args, data):
         assert Fraction(metrics[r]) == exact
 
 
+@PROPERTY
+@given(group_inputs())
+def test_searches_decide_an_oracle_argmin(args):
+    # The brute-force residual metric of the decided candidate is the least
+    # up to the rounding of the weights, far below the metrics' scale.
+    py, pg, alphabet, snr = args
+    _, metrics = group_metrics(py, pg, alphabet, snr)
+    scale = py @ py + snr * np.sum(pg ** 2) * np.max(np.abs(alphabet.levels)) ** 2
+    for mode in decoders.SEARCH_MODES:
+        _, idx, _ = group_joint_decode(py, pg, alphabet, snr, mode)
+        row = np.ravel_multi_index(tuple(idx), (alphabet.size,) * pg.shape[1])
+        assert metrics[row] - metrics.min() <= 1e-10 * scale
+
+
 def searches_run(*args):
-    """(Gram, residual, conditioned) call counts of one group_joint_decode."""
-    patches = [mock.patch.object(decoders, name, wraps=getattr(decoders, name))
-               for name in ("_gram_search", "_residual_search", "_conditioned_search")]
-    spies = [p.start() for p in patches]
-    try:
+    """(tables built or read, conditioned searches) of one group_joint_decode."""
+    with mock.patch.object(decoders, "_gram_table", wraps=decoders._gram_table) as tables, \
+            mock.patch.object(decoders, "_conditioned_metrics",
+                              wraps=decoders._conditioned_metrics) as conditioned:
         group_joint_decode(*args)
-    finally:
-        for p in patches:
-            p.stop()
-    return tuple(spy.call_count for spy in spies)
+    return sorted(call.args[1] for call in tables.call_args_list), conditioned.call_count
 
 
 @PROPERTY
 @given(group_inputs(), st.booleans())
 def test_mode_and_table_size_choose_the_form(args, zero_pivot):
-    # Exhaustive searches here all fit the table ceiling: Gram form.  The
-    # conditioned search runs in residual form, and on a zero pivot column
-    # falls back to the exhaustive search, in Gram form.
+    # The mode chooses the search: the exhaustive one reads the n-symbol
+    # table, the conditioned one the (n-1)-symbol table (for the rest's
+    # metrics and the pivot's c), and on a zero pivot column it falls back
+    # to the exhaustive search.  The table size chooses only the layout.
     py, pg, alphabet, snr = args
+    n = pg.shape[1]
     if zero_pivot:
         pg = pg.copy()
         pg[:, 0] = 0.0
-    assert searches_run(py, pg, alphabet, snr, "exhaustive") == (1, 0, 0)
+    assert searches_run(py, pg, alphabet, snr, "exhaustive") == ([n], 0)
     assert searches_run(py, pg, alphabet, snr, "conditioned") == (
-        (1, 0, 0) if zero_pivot else (0, 0, 1))
+        ([n], 0) if zero_pivot else ([n - 1], 1))
 
 
-def test_table_ceiling_sends_exhaustive_search_to_residual_form():
-    # 1024 candidates of 5 symbols: a 20-column table of 20480 doubles
+def test_table_ceiling_sends_exhaustive_search_to_split_layout():
+    # 1024 candidates of 5 symbols: a 20-column table of 20480 doubles.
+    # One double below it, the search reads the 2- and 3-symbol tables.
     alphabet = pam_for_qam(16)
     rng = np.random.default_rng(7)
     pg, py = rng.standard_normal((7, 5)), rng.standard_normal(7)
-    decoders._gram_form.cache_clear()
-    try:
-        with mock.patch.object(decoders, "GRAM_MAX_TABLE", 1024 * 20 - 1):
-            assert searches_run(py, pg, alphabet, 4.0, "exhaustive") == (0, 1, 0)
-            residual = group_joint_decode(py, pg, alphabet, 4.0)
-    finally:
-        decoders._gram_form.cache_clear()
-    assert searches_run(py, pg, alphabet, 4.0, "exhaustive") == (1, 0, 0)
-    gram = group_joint_decode(py, pg, alphabet, 4.0)
-    assert np.array_equal(gram[1], residual[1]) and gram[2] == residual[2] == 1024
+    w = decoders._gram_weights(py, pg, alphabet, 4.0)
+    with mock.patch.object(decoders, "GRAM_MAX_TABLE", 1024 * 20 - 1):
+        assert searches_run(py, pg, alphabet, 4.0, "exhaustive") == ([2, 3], 0)
+        split = group_joint_decode(py, pg, alphabet, 4.0)
+        split_metrics = decoders._metrics(w, alphabet, 5)
+    assert searches_run(py, pg, alphabet, 4.0, "exhaustive") == ([5], 0)
+    one = group_joint_decode(py, pg, alphabet, 4.0)
+    assert np.array_equal(one[1], split[1]) and one[2] == split[2] == 1024
+    assert np.array_equal(decoders._metrics(w, alphabet, 5), split_metrics)
 
 
-def test_table_ceiling_keeps_large_ml_in_residual_form():
-    # 4**10 candidates of 10 symbols: a 65-column table of 68 M doubles
+def test_large_ml_search_builds_no_large_table():
+    # 4**10 candidates of 10 symbols, within the ML cap: one table would
+    # hold 68 M doubles, so the search reads the two 1024-row half tables.
     alphabet = pam_for_qam(16)
     assert alphabet.size ** 10 <= decoders.DEFAULT_ML_CAP
-    assert not decoders._gram_form(alphabet, 10)
-    assert decoders._gram_form(alphabet, 5)
+    rng = np.random.default_rng(8)
+    pg = rng.standard_normal((12, 10))
+    truth = rng.integers(alphabet.size, size=10)
+    py = 10.0 * pg @ alphabet.levels[truth]
+    assert searches_run(py, pg, alphabet, 100.0, "exhaustive") == ([5, 5], 0)
+    levels, idx, used = group_joint_decode(py, pg, alphabet, 100.0)
+    assert np.array_equal(idx, truth) and used == 4 ** 10
+
+
+def test_split_layout_decides_the_oracle_argmin():
+    # 16-QAM, 8 symbols: 65536 candidates, a table past the ceiling.
+    alphabet = pam_for_qam(16)
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        pg = rng.standard_normal((10, 8))
+        py = 2.0 * pg @ alphabet.levels[rng.integers(4, size=8)] + rng.standard_normal(10)
+        assert searches_run(py, pg, alphabet, 4.0, "exhaustive") == ([4, 4], 0)
+        _, metrics = group_metrics(py, pg, alphabet, 4.0)
+        _, idx, used = group_joint_decode(py, pg, alphabet, 4.0)
+        assert np.ravel_multi_index(tuple(idx), (4,) * 8) == metrics.argmin()
+        assert used == 65536
 
 
 def test_gram_form_rejects_unequally_spaced_levels():
     # The integer feature table assumes zero-mean, equally spaced levels.
     uneven = PamAlphabet(np.array([-1.0, -0.2, 0.2, 1.0]), bit_width=2)
-    assert decoders._gram_form(uneven, 5)
-    with pytest.raises(ValueError, match="equally spaced"):
-        group_joint_decode(np.zeros(6), np.eye(6)[:, :5], uneven, 1.0)
+    for mode in decoders.SEARCH_MODES:
+        with pytest.raises(ValueError, match="equally spaced"):
+            group_joint_decode(np.zeros(6), np.eye(6)[:, :5], uneven, 1.0, mode)
