@@ -148,9 +148,10 @@ def _ordered_qr(g, y, order):
     batch = np.arange(len(idx))[:, None]
     perm = idx
     while True:
-        r = np.linalg.qr(cols[perm].swapaxes(1, 2), mode="r")
-        m = r.shape[1]
-        null = np.abs(r.diagonal(0, 1, 2)) <= limit[:, :m]
+        # the raw factor's diagonal is R's; R itself is needed only at the end
+        h, _ = np.linalg.qr(cols[perm].swapaxes(1, 2), mode="raw")
+        m = min(h.shape[1:])
+        null = np.abs(h.diagonal(0, 1, 2)) <= limit[:, :m]
         if not null.any():
             break
         # Move each order's first null column behind y.  Only the first is
@@ -162,6 +163,7 @@ def _ordered_qr(g, y, order):
         src[:, -1:] = first
         perm, limit = perm[batch, src], limit[batch, src]
         limit[:, -1] = -1.0
+    r = np.triu(h.swapaxes(1, 2)[:, :m])
     if perm is not idx or m < k:
         # put each kept row at its column's position; null rows stay zero
         full = np.zeros(idx.shape + (k + 1,))

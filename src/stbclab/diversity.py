@@ -33,6 +33,7 @@ Two kinds of checkers live here:
 
 import numpy as np
 from dataclasses import dataclass
+from math import prod
 
 from .constructions import (
     Family, build_alamouti_block_code, build_diagonal_code,
@@ -120,17 +121,44 @@ def _interference_probes(count, trials, rng):
     return np.concatenate([det, rng.standard_normal((trials, count))], axis=0)
 
 
-def _rank_screen(x):
+def _rank_screen(x, out=None):
     """Mask over a stack of T x N matrices X, True where
     det(X^H X) <= SCREEN_TAU * tr(X^H X)^N: a superset of the matrices that
     numerical_rank calls deficient (see the module docstring).
+
+    out, when given, is a pair of buffers shaped like x and like the stack
+    of N x N Gram matrices, which receive conj(X) and X^H X.
     """
-    gram = x.conj().swapaxes(-1, -2) @ x
+    xc, gram = (None, None) if out is None else out
+    xc = np.conjugate(x, out=xc)
+    gram = np.matmul(xc.swapaxes(-1, -2), x, out=gram)
     trace = np.einsum("...jj->...", gram).real
     return np.linalg.det(gram).real <= SCREEN_TAU * trace ** x.shape[-1]
 
 
-def _search_group(design, group, interference_idx, diffs, probes):
+def _buffer(work, name, shape):
+    """A complex view of `shape` over work[name], reallocated only to grow."""
+    size = prod(shape)
+    if name not in work or work[name].size < size:
+        work[name] = np.empty(size, dtype=complex)
+    return work[name][:size].reshape(shape)
+
+
+def _screen_block(a_block, u_mats, work):
+    """(x, mask): x[i, j] = a_block[i] + u_mats[j] and its _rank_screen mask.
+
+    x, its conjugate and its Gram stack are written into the buffers of
+    `work`, a dict that lives for one falsifier call, so every block of the
+    call reuses the same pages.
+    """
+    x = _buffer(work, "x", (len(a_block),) + u_mats.shape)
+    np.add(a_block[:, None], u_mats[None], out=x)
+    n = x.shape[-1]
+    out = (_buffer(work, "conj", x.shape), _buffer(work, "gram", x.shape[:-2] + (n, n)))
+    return x, _rank_screen(x, out)
+
+
+def _search_group(design, group, interference_idx, diffs, probes, work):
     """Return the first (a, u) making the combined matrix rank-deficient, or None.
 
     The (difference, probe) pairs are screened in blocks of whole differences;
@@ -148,8 +176,8 @@ def _search_group(design, group, interference_idx, diffs, probes):
         probes = np.zeros((1, 0))
     step = max(1, SCREEN_BLOCK // len(u_mats))
     for start in range(0, len(a_mats), step):
-        x = a_mats[start:start + step, None] + u_mats[None]
-        for i, j in np.argwhere(_rank_screen(x)):
+        x, mask = _screen_block(a_mats[start:start + step], u_mats, work)
+        for i, j in np.argwhere(mask):
             rank = numerical_rank(x[i, j])
             if rank < n:
                 s = np.linalg.svd(x[i, j], compute_uv=False)
@@ -160,13 +188,14 @@ def _search_group(design, group, interference_idx, diffs, probes):
 def _falsify(design, scheme, pam_levels, trials_per_group, rng_seed, interference_of):
     if trials_per_group < 0:
         raise ValueError("trials_per_group must be non-negative")
+    work = {}
     for k in range(scheme.num_groups):
         rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(k,)))
         group = scheme.groups[k]
         diffs, _ = _difference_vectors(len(group), pam_levels, rng)
         idx = interference_of(k)
         probes = _interference_probes(len(idx), trials_per_group, rng)
-        hit = _search_group(design, group, idx, diffs, probes)
+        hit = _search_group(design, group, idx, diffs, probes, work)
         if hit is not None:
             a, u, rank, sigma = hit
             return RankWitness(k, a, u, tuple(idx), rank, sigma)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from stbclab.diversity import (
     numerical_rank, pam_difference_values,
 )
 from stbclab.lindesign import RANK_EPS, Design, GroupingScheme, combine_subset
-from stbclab.rotations import RotationMatrix, build_rotation
+from stbclab.rotations import RotationMatrix, build_rotation, certify_rotation
 from tests.test_lindesign import alamouti_design
 
 
@@ -199,6 +201,105 @@ class TestScreenBlocks:
                                     build_alamouti_block_code(4, 2)):
             assert falsify_picsic(design, grouping, pam_levels=4,
                                   trials_per_group=300, rng_seed=1) is None
+
+
+def _fresh_block(a_block, u_mats, work):
+    """The screen of a block in fresh arrays, as written before the workspace."""
+    x = a_block[:, None] + u_mats[None]
+    gram = x.conj().swapaxes(-1, -2) @ x
+    trace = np.einsum("...jj->...", gram).real
+    return x, np.linalg.det(gram).real <= diversity.SCREEN_TAU * trace ** x.shape[-1]
+
+
+def _verify_inputs():
+    """(falsifier, code, PAM levels) of the benchmark's verify pass."""
+    codes = ((build_diagonal_code(3, 2, 4), 4), (build_alamouti_block_code(4, 2), 4),
+             (_identity_diagonal(2, 2, 1), 2))
+    return [(falsify, code, pam) for code, pam in codes
+            for falsify in (falsify_pic, falsify_picsic)]
+
+
+class TestScreenWorkspace:
+    def test_workspace_mask_matches_a_fresh_screen(self):
+        # three "groups": 23 differences in blocks of 5 (a short last block),
+        # then a block of 4 x 9 probes that outgrows the buffers, then a
+        # smaller one that fits in them
+        rng = np.random.default_rng(11)
+        t, n = 5, 3
+        work = {}
+        for diffs, probes, step in ((23, 4, 5), (4, 9, 4), (3, 2, 3)):
+            a_mats = _complex_normal(rng, (diffs, t, n))
+            a_mats[::2, :, 0] = 0  # rank-deficient unless the probe fills column 0
+            u_mats = _complex_normal(rng, (probes, t, n))
+            u_mats[0] = 0
+            u_mats[1, :, 1:] = 0
+            grown = work.get("x")
+            for start in range(0, diffs, step):
+                block = a_mats[start:start + step]
+                x, mask = diversity._screen_block(block, u_mats, work)
+                fresh_x, fresh_mask = _fresh_block(block, u_mats, None)
+                assert np.array_equal(x, fresh_x)
+                assert np.array_equal(mask, fresh_mask)
+                assert np.array_equal(mask, diversity._rank_screen(fresh_x))
+                assert np.shares_memory(x, work["x"])
+            assert mask.any() and not mask.all()
+            fits = grown is not None and grown.size >= probes * step * t * n
+            assert (work["x"] is grown) == fits
+
+    @pytest.mark.parametrize("inputs", ["broken", "verify"])
+    def test_witnesses_and_rank_calls_match_a_fresh_screen(self, monkeypatch, inputs):
+        if inputs == "broken":
+            runs = [(falsify, build() if scheme is None else
+                     build()[:1] + (scheme,), pam, trials, seed)
+                    for falsify, build, pam, trials, seed, scheme in BROKEN_INPUTS]
+        else:
+            runs = [(falsify, code, pam, 200, 2026) for falsify, code, pam in _verify_inputs()]
+        rank = diversity.numerical_rank
+
+        def outcomes():
+            calls = []
+
+            def recording_rank(mat, *args):
+                calls.append(np.array(mat))
+                return rank(mat, *args)
+
+            monkeypatch.setattr(diversity, "numerical_rank", recording_rank)
+            witnesses = []
+            for falsify, (design, grouping, *_), pam, trials, seed in runs:
+                w = falsify(design, grouping, pam, trials, rng_seed=seed)
+                witnesses.append(None if w is None else
+                                 _witness_key(w) + (w.smallest_singular_value,))
+            return witnesses, calls
+
+        witnesses, calls = outcomes()
+        monkeypatch.setattr(diversity, "_screen_block", _fresh_block)
+        fresh_witnesses, fresh_calls = outcomes()
+        assert witnesses == fresh_witnesses
+        assert len(calls) == len(fresh_calls)
+        assert all(np.array_equal(a, b) for a, b in zip(calls, fresh_calls))
+        if inputs == "broken":
+            assert all(w is not None for w in witnesses)
+
+
+class TestMemory:
+    def _peak_mb(self, call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_rotation_certificate_peak(self):
+        q = build_rotation(8).entries
+        assert self._peak_mb(lambda: certify_rotation(q, 3)) < 4.0
+
+    def test_falsifier_peak(self):
+        # one screen block of 48 differences x 229 probes of 6 x 4 matrices
+        # holds x, its conjugate and the Gram stack: about 11.3 MB
+        design, grouping, _ = build_alamouti_block_code(4, 2)
+        assert self._peak_mb(lambda: falsify_picsic(
+            design, grouping, pam_levels=4, trials_per_group=200, rng_seed=0)) < 16.0
 
 
 class TestFalsifyInputs:
