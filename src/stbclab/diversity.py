@@ -136,25 +136,24 @@ def _rank_screen(x, out=None):
     return np.linalg.det(gram).real <= SCREEN_TAU * trace ** x.shape[-1]
 
 
-def _buffer(work, name, shape):
-    """A complex view of `shape` over work[name], reallocated only to grow."""
-    size = prod(shape)
-    if name not in work or work[name].size < size:
-        work[name] = np.empty(size, dtype=complex)
-    return work[name][:size].reshape(shape)
-
-
 def _screen_block(a_block, u_mats, work):
     """(x, mask): x[i, j] = a_block[i] + u_mats[j] and its _rank_screen mask.
 
-    x, its conjugate and its Gram stack are written into the buffers of
-    `work`, a dict that lives for one falsifier call, so every block of the
-    call reuses the same pages.
+    x, its conjugate and its Gram stack are written into one buffer,
+    work["buffer"], which lives for one falsifier call and is reallocated
+    only to grow, so every block of the call reuses the same pages.
     """
-    x = _buffer(work, "x", (len(a_block),) + u_mats.shape)
+    shape = (len(a_block),) + u_mats.shape
+    n = shape[-1]
+    gram_shape = shape[:-2] + (n, n)
+    size, gram_size = prod(shape), prod(gram_shape)
+    if work.get("buffer", np.empty(0)).size < 2 * size + gram_size:
+        work["buffer"] = np.empty(2 * size + gram_size, dtype=complex)
+    buf = work["buffer"]
+    x = buf[:size].reshape(shape)
     np.add(a_block[:, None], u_mats[None], out=x)
-    n = x.shape[-1]
-    out = (_buffer(work, "conj", x.shape), _buffer(work, "gram", x.shape[:-2] + (n, n)))
+    out = (buf[size:2 * size].reshape(shape),
+           buf[2 * size:2 * size + gram_size].reshape(gram_shape))
     return x, _rank_screen(x, out)
 
 

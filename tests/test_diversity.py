@@ -233,7 +233,7 @@ class TestScreenWorkspace:
             u_mats = _complex_normal(rng, (probes, t, n))
             u_mats[0] = 0
             u_mats[1, :, 1:] = 0
-            grown = work.get("x")
+            grown = work.get("buffer")
             for start in range(0, diffs, step):
                 block = a_mats[start:start + step]
                 x, mask = diversity._screen_block(block, u_mats, work)
@@ -241,10 +241,11 @@ class TestScreenWorkspace:
                 assert np.array_equal(x, fresh_x)
                 assert np.array_equal(mask, fresh_mask)
                 assert np.array_equal(mask, diversity._rank_screen(fresh_x))
-                assert np.shares_memory(x, work["x"])
+                assert np.shares_memory(x, work["buffer"])
             assert mask.any() and not mask.all()
-            fits = grown is not None and grown.size >= probes * step * t * n
-            assert (work["x"] is grown) == fits
+            fits = (grown is not None
+                    and grown.size >= probes * step * (2 * t * n + n * n))
+            assert (work["buffer"] is grown) == fits
 
     @pytest.mark.parametrize("inputs", ["broken", "verify"])
     def test_witnesses_and_rank_calls_match_a_fresh_screen(self, monkeypatch, inputs):
