@@ -397,6 +397,11 @@ class TestCertificates:
             assert falsify_picsic(design, grouping, pam_levels=2,
                                   trials_per_group=200, rng_seed=2) is None
 
+    def test_eight_pam_certificate(self):
+        # B = 7 at dim 8: the certificate behind `verify --pam-levels 8`
+        _, _, spec = build_diagonal_code(8, 8, 1)
+        assert certify_diagonal(spec, build_rotation(8), pam_levels=8)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             certify_diagonal(CodeSpec(Family.DIAGONAL, 4, 2, 1), build_rotation(3))
