@@ -8,7 +8,7 @@ Monte Carlo link simulator.
 
 from .lindesign import (
     Design, GroupingScheme, assemble_codeword, combine_subset, equivalent_channel,
-    extract_design, grouping_permutation, unvec_complex, vec_complex,
+    extract_design, grouping_permutation, numerical_rank, unvec_complex, vec_complex,
 )
 from .rotations import RotationMatrix, build_rotation, certify_rotation
 from .constructions import (
@@ -16,8 +16,7 @@ from .constructions import (
     normalize_power, tabulate_tradeoff,
 )
 from .diversity import (
-    RankWitness, certify_alamouti_block, certify_diagonal, falsify_pic,
-    falsify_picsic, numerical_rank,
+    RankWitness, certify_alamouti_block, certify_diagonal, falsify_pic, falsify_picsic,
 )
 from .channel import LinkInstance, PamAlphabet, demap, modulate, pam_for_qam, \
     sample_link, transmit

@@ -81,11 +81,9 @@ def _cmd_verify(args):
             "groups": scheme.num_groups,
         },
     }
-    text = json.dumps(report, indent=1)
-    print(text)
+    print(json.dumps(report, indent=1))
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+        lindesign.save_json(report, args.out)
     return 2 if witness else 0
 
 
@@ -102,8 +100,7 @@ def _cmd_tradeoff(args):
 
 
 def _cmd_simulate(args):
-    with open(args.config) as f:
-        doc = json.load(f)
+    doc = lindesign.load_json(args.config)
     csv_out = args.csv or doc.pop("csv_out", None)
     json_out = args.json_out or doc.pop("json_out", None)
     overrides = {

@@ -25,7 +25,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .lindesign import GroupingScheme, extract_design
-from .rotations import RotationMatrix, build_rotation
+from .rotations import build_rotation, rotation_entries
 
 
 class Family(str, Enum):
@@ -117,7 +117,7 @@ class CodeSpec:
 def _rotation_entries(rotation, dim):
     if rotation is None:
         rotation = build_rotation(dim)
-    q = rotation.entries if isinstance(rotation, RotationMatrix) else np.asarray(rotation, float)
+    q = rotation_entries(rotation)
     if q.shape != (dim, dim):
         raise ValueError(f"rotation must be {dim}x{dim}, got {q.shape}")
     return q
@@ -227,16 +227,16 @@ def build_code(family, antennas, layers, group_size=None, variant="fine",
                                      variant=variant)
 
 
-def normalize_power(design, per_symbol_energy=0.5):
+def normalize_power(design):
     """Set power_scale so that E ||X||_F^2 / T = 1 for independent zero-mean symbols.
 
-    Each real symbol is assumed to carry per_symbol_energy (one half by
-    default, so complex QAM composites average unit energy).
+    Each real symbol is assumed to carry energy one half, so complex QAM
+    composites average unit energy.
     """
     sq = float(np.sum(np.abs(design.weight_matrices) ** 2))
     if sq == 0:
         raise ValueError("cannot normalize an all-zero design")
-    return design.with_power_scale(np.sqrt(design.delay / (per_symbol_energy * sq)))
+    return design.with_power_scale(np.sqrt(2 * design.delay / sq))
 
 
 class TradeoffRow(NamedTuple):

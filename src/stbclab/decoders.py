@@ -51,8 +51,9 @@ Group search modes:
   * "conditioned" evaluates each candidate of all but the first symbol with
     the pivot level that minimizes its metric, one Schnorr-Euchner step
     (Viterbo and Boutros, IEEE Trans. IT 1999): the same argmin from a
-    factor sqrt(M) fewer evaluations.  A degenerate pivot column sends it
-    to the exhaustive search.
+    factor sqrt(M) fewer evaluations.  A pivot column that is exactly zero,
+    as _ordered_qr makes every null column's, sends it to the exhaustive
+    search.  No threshold is absolute, so decoding is scale-invariant.
 
 Both evaluate one metric, ||py - sqrt(snr) pg x||^2 less ||py||^2, as
 features(x) @ w (_gram_weights).  The features are the levels of x in units
@@ -62,7 +63,7 @@ So a candidate's metric is one number whatever the search, layout, order
 of summation or BLAS build, and x and -x tie exactly at y = 0.  The
 exhaustive metrics are one matvec of a feature table cached per alphabet
 and symbol count, or, when that table would pass GRAM_MAX_TABLE doubles
-(ML near DEFAULT_ML_CAP), sums over a head and a tail table (_metrics).
+(ML near ML_CAP), sums over a head and a tail table (_metrics).
 The conditioned search (_conditioned_metrics) takes the pivot level by
 np.searchsorted of -c / (2 w00) among the midpoints of the levels in
 units: at a true midpoint that quotient of two grid multiples is exact,
@@ -83,11 +84,10 @@ from dataclasses import dataclass
 
 from .lindesign import RANK_EPS, GroupingScheme
 
-DEGENERATE_PIVOT = 1e-12
-DEFAULT_ML_CAP = 1 << 20
+ML_CAP = 1 << 20
 SEARCH_MODES = ("exhaustive", "conditioned")
 # Largest feature table, in doubles (16 MB).  A search over more candidates,
-# such as ML near DEFAULT_ML_CAP, sums a head and a tail table instead.
+# such as ML near ML_CAP, sums a head and a tail table instead.
 GRAM_MAX_TABLE = 1 << 21
 
 
@@ -281,7 +281,7 @@ def group_joint_decode(py, pg, alphabet, snr, mode="exhaustive"):
     modes evaluate the metric of _gram_weights and return the same argmin,
     and of equal least metrics the lexicographically first candidate; the
     conditioned mode falls back to the exhaustive search when the pivot
-    column is degenerate.
+    column is exactly zero.
     """
     py = np.asarray(py, dtype=float)
     pg = np.asarray(pg, dtype=float)
@@ -289,8 +289,7 @@ def group_joint_decode(py, pg, alphabet, snr, mode="exhaustive"):
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown group search mode {mode!r}")
     w = _gram_weights(py, pg, alphabet, snr)
-    if (mode == "conditioned" and n >= 1
-            and float(pg[:, 0] @ pg[:, 0]) >= DEGENERATE_PIVOT ** 2):
+    if mode == "conditioned" and n >= 1 and pg[:, 0].any():
         piv, metrics = _conditioned_metrics(w, alphabet, n)
         # candidate r of the non-pivot symbols is row piv[r] * len(metrics) + r
         row = int(metrics.argmin())
@@ -374,17 +373,17 @@ def picsic_decode(problem, mode="exhaustive"):
     return DecodeResult(x_hat, int(sum(counts)), tuple(counts))
 
 
-def check_ml_cap(alphabet, k, cap=DEFAULT_ML_CAP):
-    """Raise ValueError when ML's alphabet.size ** k candidates exceed the cap."""
+def check_ml_cap(alphabet, k):
+    """Raise ValueError when ML's alphabet.size ** k candidates exceed ML_CAP."""
     space = alphabet.size ** k
-    if space > cap:
-        raise ValueError(f"ML search space {space} exceeds the cap {cap}")
+    if space > ML_CAP:
+        raise ValueError(f"ML search space {space} exceeds the cap {ML_CAP}")
 
 
-def ml_decode(problem, cap=DEFAULT_ML_CAP):
+def ml_decode(problem):
     """Maximum likelihood: PIC with every symbol in one group, searched exhaustively."""
     k = problem.g.shape[1]
-    check_ml_cap(problem.alphabet, k, cap)
+    check_ml_cap(problem.alphabet, k)
     one_group = GroupingScheme((tuple(range(k)),), k)
     return pic_decode(dataclasses.replace(problem, scheme=one_group), "exhaustive")
 

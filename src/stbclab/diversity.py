@@ -38,8 +38,8 @@ from math import prod
 from .constructions import (
     Family, build_alamouti_block_code, build_diagonal_code,
 )
-from .lindesign import RANK_EPS
-from .rotations import RotationMatrix, certify_rotation
+from .lindesign import numerical_rank
+from .rotations import RotationMatrix, certify_rotation, rotation_entries
 
 DIFFERENCE_ENUM_CAP = 10_000
 SCREEN_TAU = 1e-12  # det(G) / tr(G)^N at or below which numerical_rank checks X
@@ -72,16 +72,6 @@ class RankWitness:
         }
 
 
-def numerical_rank(mat, eps_rel=RANK_EPS):
-    """Count of singular values above eps_rel times the largest; 0 for zero input."""
-    if not 0 < eps_rel < 1:
-        raise ValueError("eps_rel must lie in (0, 1)")
-    s = np.linalg.svd(np.asarray(mat), compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > eps_rel * s[0]))
-
-
 def pam_difference_values(pam_levels):
     """Integer-scaled difference values of a PAM alphabet, largest first.
 
@@ -101,7 +91,7 @@ def _difference_vectors(group_size, pam_levels, rng):
     if total <= DIFFERENCE_ENUM_CAP:
         grids = np.meshgrid(*([vals] * group_size), indexing="ij")
         a = np.stack([g.ravel() for g in grids], axis=1)
-        return a[np.any(a != 0, axis=1)], True
+        return a[np.any(a != 0, axis=1)]
     out = np.zeros((DIFFERENCE_ENUM_CAP, group_size), dtype=np.int64)
     filled = 0
     while filled < DIFFERENCE_ENUM_CAP:
@@ -109,7 +99,7 @@ def _difference_vectors(group_size, pam_levels, rng):
         draw = draw[np.any(draw != 0, axis=1)]
         out[filled: filled + len(draw)] = draw
         filled += len(draw)
-    return out, False
+    return out
 
 
 def _interference_probes(count, trials, rng):
@@ -191,7 +181,7 @@ def _falsify(design, scheme, pam_levels, trials_per_group, rng_seed, interferenc
     for k in range(scheme.num_groups):
         rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(k,)))
         group = scheme.groups[k]
-        diffs, _ = _difference_vectors(len(group), pam_levels, rng)
+        diffs = _difference_vectors(len(group), pam_levels, rng)
         idx = interference_of(k)
         probes = _interference_probes(len(idx), trials_per_group, rng)
         hit = _search_group(design, group, idx, diffs, probes, work)
@@ -221,15 +211,27 @@ def falsify_picsic(design, scheme, pam_levels=4, trials_per_group=1000, rng_seed
                     scheme.later)
 
 
-def _rotation_certificate(rotation, bound):
-    if isinstance(rotation, RotationMatrix):
-        if rotation.certified_bound >= bound:
-            return rotation.is_certified, rotation.entries
-        ok, _ = certify_rotation(rotation.entries, bound)
-        return ok, rotation.entries
-    q = np.asarray(rotation, dtype=float)
-    ok, _ = certify_rotation(q, bound)
-    return ok, q
+def _certify(spec, rotation, pam_levels, build, layout):
+    """The body both structural certificates share.
+
+    True iff the rotation's certificate covers the PAM difference range and
+    build(q), the unnormalized design with rotation q, has the weight
+    matrices that layout(q) yields, in symbol order.  A RotationMatrix
+    certified at that range or beyond carries its answer; any other
+    rotation is certified afresh.
+    """
+    q, bound = rotation_entries(rotation), pam_levels - 1
+    if isinstance(rotation, RotationMatrix) and rotation.certified_bound >= bound:
+        cert_ok = rotation.is_certified
+    else:
+        cert_ok, _ = certify_rotation(q, bound)
+    if q.shape != (spec.group_size, spec.group_size):
+        raise ValueError("rotation dimension does not match the group size")
+    if not cert_ok:
+        return False
+    design, _, _ = build(q)
+    return all(np.allclose(w, expected, rtol=0, atol=1e-12)
+               for w, expected in zip(design.weight_matrices, layout(q)))
 
 
 def certify_diagonal(spec, rotation, pam_levels=4):
@@ -242,26 +244,20 @@ def certify_diagonal(spec, rotation, pam_levels=4):
     """
     if spec.family is not Family.DIAGONAL:
         raise ValueError("spec is not a diagonal-family code")
-    cert_ok, q = _rotation_certificate(rotation, pam_levels - 1)
-    if q.shape != (spec.group_size, spec.group_size):
-        raise ValueError("rotation dimension does not match the group size")
-    if not cert_ok:
-        return False
-    design, _, _ = build_diagonal_code(
-        spec.antennas, spec.group_size, spec.layers, rotation=q, normalize=False
-    )
     nt, lam = spec.antennas, spec.group_size
-    for k in range(spec.num_groups):
-        layer, is_real = k // 2, k % 2 == 0
-        for c in range(lam):
-            expected = np.zeros((spec.delay, nt), dtype=complex)
-            cols = np.arange(nt)
-            vals = q[cols % lam, c]
-            expected[layer + cols, cols] = vals if is_real else 1j * vals
-            if not np.allclose(design.weight_matrices[k * lam + c], expected,
-                               rtol=0, atol=1e-12):
-                return False
-    return True
+
+    def layout(q):
+        for k in range(spec.num_groups):
+            layer, is_real = k // 2, k % 2 == 0
+            for c in range(lam):
+                expected = np.zeros((spec.delay, nt), dtype=complex)
+                cols = np.arange(nt)
+                vals = q[cols % lam, c]
+                expected[layer + cols, cols] = vals if is_real else 1j * vals
+                yield expected
+
+    return _certify(spec, rotation, pam_levels, lambda q: build_diagonal_code(
+        nt, lam, spec.layers, rotation=q, normalize=False), layout)
 
 
 def certify_alamouti_block(spec, rotation, pam_levels=4):
@@ -280,14 +276,6 @@ def certify_alamouti_block(spec, rotation, pam_levels=4):
             "certificate covers the fine grouping; the coarse variant follows "
             "a fortiori from it"
         )
-    cert_ok, q = _rotation_certificate(rotation, pam_levels - 1)
-    if q.shape != (spec.group_size, spec.group_size):
-        raise ValueError("rotation dimension does not match the group size")
-    if not cert_ok:
-        return False
-    design, _, _ = build_alamouti_block_code(
-        spec.antennas, spec.layers, rotation=q, normalize=False
-    )
     lam = spec.group_size
     # offsets of one rotated value inside its 2x2 block, per group slot
     slot = {
@@ -296,15 +284,17 @@ def certify_alamouti_block(spec, rotation, pam_levels=4):
         2: (((0, 1), 1.0), ((1, 0), -1.0)),
         3: (((0, 1), 1j), ((1, 0), 1j)),
     }
-    for k in range(spec.num_groups):
-        layer, quad = k // 4, k % 4
-        for c in range(lam):
-            expected = np.zeros((spec.delay, spec.antennas), dtype=complex)
-            for l in range(lam):
-                r0, c0 = 2 * (layer + l), 2 * l
-                for (dr, dc), factor in slot[quad]:
-                    expected[r0 + dr, c0 + dc] = factor * q[l, c]
-            if not np.allclose(design.weight_matrices[k * lam + c], expected,
-                               rtol=0, atol=1e-12):
-                return False
-    return True
+
+    def layout(q):
+        for k in range(spec.num_groups):
+            layer, quad = k // 4, k % 4
+            for c in range(lam):
+                expected = np.zeros((spec.delay, spec.antennas), dtype=complex)
+                for l in range(lam):
+                    r0, c0 = 2 * (layer + l), 2 * l
+                    for (dr, dc), factor in slot[quad]:
+                        expected[r0 + dr, c0 + dc] = factor * q[l, c]
+                yield expected
+
+    return _certify(spec, rotation, pam_levels, lambda q: build_alamouti_block_code(
+        spec.antennas, spec.layers, rotation=q, normalize=False), layout)

@@ -24,6 +24,14 @@ from dataclasses import dataclass
 RANK_EPS = 1e-9
 
 
+def numerical_rank(mat):
+    """Count of singular values above RANK_EPS times the largest; 0 for zero input."""
+    s = np.linalg.svd(np.asarray(mat), compute_uv=False)
+    if s.size == 0 or s[0] == 0:
+        return 0
+    return int(np.sum(s > RANK_EPS * s[0]))
+
+
 def vec_complex(a):
     """Stack a complex matrix into a real vector [vec(Re a); vec(Im a)].
 
@@ -67,9 +75,7 @@ class Design:
         k, t, n = w.shape
         if k > 2 * t * n:
             raise ValueError(f"K={k} exceeds 2*T*N={2 * t * n}")
-        stacked = np.stack([vec_complex(m) for m in w], axis=1)
-        s = np.linalg.svd(stacked, compute_uv=False)
-        if s[0] == 0 or np.sum(s > RANK_EPS * s[0]) < k:
+        if numerical_rank(np.stack([vec_complex(m) for m in w], axis=1)) < k:
             raise ValueError("weight matrices are linearly dependent")
 
     @property
@@ -184,15 +190,16 @@ def grouping_permutation(scheme):
     return np.array([i for g in scheme.groups for i in g], dtype=int)
 
 
-def extract_design(encoder, num_symbols, delay, antennas, rng=None, spot_checks=8):
+def extract_design(encoder, num_symbols, delay, antennas):
     """Recover explicit weight matrices from a real-linear encoder callable.
 
     The encoder maps a length-K real vector to a T x N complex matrix.  Each
     A_i is obtained by probing the i-th standard basis vector; superposition
-    is spot-checked on random vector pairs and the linear independence of the
-    recovered matrices is verified by the Design constructor.
+    is spot-checked on eight seeded random vector pairs and the linear
+    independence of the recovered matrices is verified by the Design
+    constructor.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = np.random.default_rng(0)
     weights = np.zeros((num_symbols, delay, antennas), dtype=complex)
     for i in range(num_symbols):
         e = np.zeros(num_symbols)
@@ -201,7 +208,7 @@ def extract_design(encoder, num_symbols, delay, antennas, rng=None, spot_checks=
         if m.shape != (delay, antennas):
             raise ValueError(f"encoder output shape {m.shape} != ({delay}, {antennas})")
         weights[i] = m
-    for _ in range(spot_checks):
+    for _ in range(8):
         x, y = rng.standard_normal((2, num_symbols))
         a, b = rng.standard_normal(2)
         lhs = np.asarray(encoder(a * x + b * y), dtype=complex)

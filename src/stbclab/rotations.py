@@ -34,7 +34,7 @@ SUPPORTED_DIMENSIONS = (1, 2, 3, 4, 5, 6, 8)
 # Certified coordinates must clear this to count as nonzero.
 DELTA_THRESHOLD = 1e-9
 ORTHOGONALITY_TOL = 1e-10
-DEFAULT_BOUND = 3  # covers 4-PAM (16-QAM) difference vectors
+CERTIFIED_BOUND = 3  # build_rotation's bound B: covers 4-PAM (16-QAM) differences
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +47,6 @@ class RotationMatrix:
     """
 
     entries: np.ndarray
-    construction_tag: str
     certified_bound: int
     delta_min: float
 
@@ -76,18 +75,12 @@ class RotationMatrix:
 
 
 def _field_conjugates(dim):
-    """Real conjugates of the field generator, plus a construction tag."""
+    """Real conjugates of the field generator."""
     if dim >= 1 and dim & (dim - 1) == 0:
-        return (
-            np.array([2.0 * cos(pi * k / (2 * dim)) for k in range(1, 2 * dim, 2)]),
-            f"cyclotomic-real-{4 * dim}",
-        )
+        return np.array([2.0 * cos(pi * k / (2 * dim)) for k in range(1, 2 * dim, 2)])
     p = 2 * dim + 1
     if all(p % q for q in range(2, p)) and p > 2:
-        return (
-            np.array([2.0 * cos(2.0 * pi * j / p) for j in range(1, dim + 1)]),
-            f"cyclotomic-real-{p}",
-        )
+        return np.array([2.0 * cos(2.0 * pi * j / p) for j in range(1, dim + 1)])
     raise ValueError(
         f"unsupported rotation dimension {dim}; supported: {SUPPORTED_DIMENSIONS}"
     )
@@ -131,16 +124,17 @@ def _unit_norm_vectors(gram):
 
 
 @lru_cache(maxsize=None)
-def build_rotation(dim, bound=DEFAULT_BOUND):
+def build_rotation(dim):
     """Construct and certify the full-diversity rotation of a given dimension.
 
-    Raises ValueError for unsupported dimensions and RuntimeError if the
+    The certificate covers [-CERTIFIED_BOUND, CERTIFIED_BOUND]^dim.  Raises
+    ValueError for unsupported dimensions and RuntimeError if the
     construction fails its own exact or numerical verification (which would
     indicate a bug, not bad luck).
     """
     if dim == 1:
-        return RotationMatrix(np.eye(1), "scalar", bound, 1.0)
-    theta, tag = _field_conjugates(dim)
+        return RotationMatrix(np.eye(1), CERTIFIED_BOUND, 1.0)
+    theta = _field_conjugates(dim)
     twist = 2.0 - theta
     scale = 1.0 / (2 * dim if dim & (dim - 1) == 0 else 2 * dim + 1)
     powers = np.vander(theta, dim, increasing=True)  # powers[j, l] = theta_j ** l
@@ -159,10 +153,17 @@ def build_rotation(dim, bound=DEFAULT_BOUND):
     q = np.sqrt(scale * twist)[:, None] * (powers @ change.T.astype(float))
     if np.abs(q @ q.T - np.eye(dim)).max() > ORTHOGONALITY_TOL:
         raise RuntimeError("rotation fails orthogonality tolerance")
-    ok, delta = certify_rotation(q, bound)
+    ok, delta = certify_rotation(q, CERTIFIED_BOUND)
     if not ok:
         raise RuntimeError(f"rotation certificate failed: delta_min={delta}")
-    return RotationMatrix(q, tag, bound, delta)
+    return RotationMatrix(q, CERTIFIED_BOUND, delta)
+
+
+def rotation_entries(rotation):
+    """The entries of a RotationMatrix, or a raw array's, as floats."""
+    if isinstance(rotation, RotationMatrix):
+        return rotation.entries
+    return np.asarray(rotation, dtype=float)
 
 
 def _box(count, bound):

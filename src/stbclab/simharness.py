@@ -15,26 +15,27 @@ CSV column contract (byte-stable across runs and worker counts):
     snr_db,frames,bit_errors,ber,ser,fer,mean_evals,max_evals
 """
 
-import json
 import multiprocessing
 import time
 
 import numpy as np
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 from .channel import demap, modulate, pam_for_qam, sample_link, transmit
 # The two family builders stay importable from this module only because
 # perfbench's tracer still names them here; nothing here calls them, so
 # those spans no longer record.
 from .constructions import (  # noqa: F401
-    build_alamouti_block_code, build_code, build_diagonal_code, tabulate_tradeoff,
+    Family, build_alamouti_block_code, build_code, build_diagonal_code, tabulate_tradeoff,
 )
 from .decoders import DECODERS, SEARCH_MODES, DecodeProblem, check_ml_cap, decode
-from .lindesign import assemble_codeword, equivalent_channel, vec_complex
+from .lindesign import (
+    assemble_codeword, equivalent_channel, load_json, save_json, vec_complex,
+)
 
 CSV_HEADER = "snr_db,frames,bit_errors,ber,ser,fer,mean_evals,max_evals"
 FRAME_BATCH = 256
-FAMILIES = ("sec3", "sec4")
+FAMILIES = tuple(f.value for f in Family)
 # SNR points with fewer bit errors than this stay out of the diversity fit.
 FIT_MIN_BIT_ERRORS = 50
 
@@ -247,14 +248,13 @@ def estimate_diversity_order(ber_points, window):
     return -float(slope)
 
 
-def _fit_diversity(points, min_bit_errors=FIT_MIN_BIT_ERRORS, window=3):
-    """Default fit: the highest `window` SNR points with enough bit errors."""
-    qualified = [p for p in points if p.bit_errors >= min_bit_errors]
-    chosen = qualified[-window:]
+def _fit_diversity(points):
+    """The fit: the highest three SNR points with FIT_MIN_BIT_ERRORS bit errors or more."""
+    chosen = [p for p in points if p.bit_errors >= FIT_MIN_BIT_ERRORS][-3:]
     if len(chosen) < 2:
         return None, ()
     pts = [(10.0 ** (p.snr_db / 10.0), p.ber) for p in chosen]
-    return estimate_diversity_order(pts, window), tuple(p.snr_db for p in chosen)
+    return estimate_diversity_order(pts, len(pts)), tuple(p.snr_db for p in chosen)
 
 
 def _fmt(x):
@@ -284,25 +284,16 @@ def write_results(result, path, fmt="csv"):
             "wall_time_s": result.wall_time_s,
             "overloaded": result.overloaded,
         }
-        with open(path, "w") as f:
-            json.dump(doc, f, indent=1)
-            f.write("\n")
+        save_json(doc, path)
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-_POINT_FIELDS = ("snr_db", "frames", "bit_errors", "symbol_errors", "frame_errors",
-                 "total_evaluations", "max_evaluations", "bits_per_frame",
-                 "symbols_per_frame")
-
-
 def read_results(path):
     """Load a JSON results file back into a SimResult."""
-    with open(path) as f:
-        doc = json.load(f)
-    points = tuple(
-        SnrPointResult(**{k: p[k] for k in _POINT_FIELDS}) for p in doc["points"]
-    )
+    doc = load_json(path)
+    names = [f.name for f in fields(SnrPointResult)]
+    points = tuple(SnrPointResult(**{k: p[k] for k in names}) for p in doc["points"])
     return SimResult(
         SimConfig.from_json(doc["config"]), points, doc["diversity_order"],
         tuple(doc["fit_window_db"]), doc["wall_time_s"], doc["overloaded"],
@@ -352,14 +343,15 @@ def _decade_ticks(lo, hi):
                                      int(np.ceil(np.log10(hi))) + 1)]
 
 
-def write_svg_scatter(path, series, xlabel="", ylabel="", title="",
-                      width=640, height=480, ylog=False, lines=False):
-    """Self-contained SVG scatter plot, one marker set (and color) per series.
+def write_svg_scatter(path, series, xlabel="", ylabel="", title="", ylog=False,
+                      lines=False):
+    """Self-contained 640 x 480 SVG scatter plot, one marker set (and color) per series.
 
     Axes are linear; ylog=True switches the y axis to log10 with decade
     ticks (non-positive y values are dropped).  lines=True also connects
     each series' points in the given order.
     """
+    width, height = 640, 480
     margin, inner_w, inner_h = 60, width - 120, height - 110
     if ylog:
         series = {k: [(x, y) for x, y in ps if y > 0] for k, ps in series.items()}

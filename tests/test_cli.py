@@ -62,7 +62,9 @@ class TestVerify:
                        "--mode", "pic", "--trials", "20", "--pam-levels", "2",
                        "--out", str(tmp_path / "report.json")])
         assert rc == 2
-        report = json.loads((tmp_path / "report.json").read_text())
+        text = (tmp_path / "report.json").read_text()
+        assert text == capsys.readouterr().out  # the printed JSON and a newline
+        report = json.loads(text)
         assert report["certified"] is None
         assert report["witness"]["group"] == 1
         assert report["witness"]["difference"] == [2, 0]

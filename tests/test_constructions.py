@@ -208,9 +208,9 @@ class TestBuildCode:
 class TestNormalizePower:
     def test_unit_scale_case(self):
         w = np.zeros((1, 2, 2), dtype=complex)
-        w[0, 0, 0] = 1.0
-        w[0, 1, 1] = 1.0  # Frobenius norm^2 = 2 = T with energy 1
-        d = normalize_power(Design(w), per_symbol_energy=1.0)
+        w[0, 0, 0] = np.sqrt(2.0)
+        w[0, 1, 1] = np.sqrt(2.0)  # Frobenius norm^2 = 4: energy 1/2 gives 2 = T
+        d = normalize_power(Design(w))
         assert np.isclose(d.power_scale, 1.0)
 
     def test_all_zero_rejected(self):

@@ -111,6 +111,34 @@ class TestGroupJointDecode:
         assert used == 4  # exhaustive fallback
         assert np.array_equal(idx, [0, 0])  # all-tie resolves to first candidate
 
+    def test_null_pivots_of_an_overloaded_pic_link_fall_back(self):
+        # sec4(4,3) at N_r = 1: K = 24 symbols, 16 observations.  Under PIC
+        # some groups' columns come after 16 kept ones and are null, so
+        # _ordered_qr zeroes their block's pivot column and the conditioned
+        # search runs exhaustively there, deciding as the exhaustive mode.
+        rng = np.random.default_rng(31)
+        alpha = pam_for_qam(4)
+        nulls = 0
+        for _ in range(10):
+            problem, _ = random_problem(build_alamouti_block_code, (4, 3), 4, rng,
+                                        receive_antennas=1)
+            k = problem.g.shape[1]
+            r, _ = decoders._ordered_qr(problem.g, problem.y,
+                                        decoders._cancellation_orders(problem.scheme)[1])
+            cond = pic_decode(problem, "conditioned")
+            exh = pic_decode(problem, "exhaustive")
+            for i, group in enumerate(problem.scheme.groups):
+                n = len(group)
+                pivot = r[i, k - n:, k - n]
+                if pivot.any():
+                    assert cond.per_group_counts[i] == alpha.size ** (n - 1)
+                    continue
+                nulls += 1
+                assert cond.per_group_counts[i] == alpha.size ** n
+                assert np.array_equal(cond.decided[list(group)],
+                                      exh.decided[list(group)])
+        assert nulls > 0
+
     def test_all_zero_tie_breaks_to_first(self):
         alpha = pam_for_qam(4)
         pg = np.zeros((4, 2))
@@ -273,10 +301,11 @@ class TestMlAndZf:
         assert np.array_equal(res.decided, ml_oracle(problem).decided)
 
     def test_ml_cap(self):
+        # sec4(4,2) at 16-QAM: 4 ** 16 = 2 ** 32 candidates, past ML_CAP = 2 ** 20
         rng = np.random.default_rng(9)
-        problem, _ = random_problem(build_alamouti_block_code, (2, 1), 4, rng)
+        problem, _ = random_problem(build_alamouti_block_code, (4, 2), 16, rng)
         with pytest.raises(ValueError, match="cap"):
-            ml_decode(problem, cap=8)
+            ml_decode(problem)
 
     def test_ml_noiseless_recovery(self):
         rng = np.random.default_rng(10)

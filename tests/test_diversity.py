@@ -25,12 +25,15 @@ class TestNumericalRank:
         assert numerical_rank(np.zeros((4, 2))) == 0
 
     def test_threshold_semantics(self):
-        assert numerical_rank(np.diag([1.0, 1e-15]), 1e-9) == 1
-        assert numerical_rank(np.diag([1.0, 1e-15]), 1e-16) == 2
+        # a singular value counts when it exceeds RANK_EPS times the largest
+        assert numerical_rank(np.diag([1.0, 1e-15])) == 1
+        assert numerical_rank(np.diag([1.0, RANK_EPS])) == 1
+        assert numerical_rank(np.diag([1.0, 2 * RANK_EPS])) == 2
 
-    def test_bad_eps(self):
-        with pytest.raises(ValueError):
-            numerical_rank(np.eye(2), 2.0)
+    def test_threshold_is_relative(self):
+        for scale in (2.0 ** -600, 1.0, 2.0 ** 600):
+            assert numerical_rank(scale * np.diag([1.0, 2 * RANK_EPS])) == 2
+            assert numerical_rank(scale * np.diag([1.0, RANK_EPS / 2])) == 1
 
 
 class TestDifferenceValues:
@@ -356,7 +359,7 @@ class TestCertificates:
     def test_identity_rotation_fails(self):
         spec = CodeSpec(Family.DIAGONAL, 3, 2, 4)
         assert not certify_diagonal(spec, np.eye(2))
-        assert not certify_diagonal(spec, RotationMatrix(np.eye(2), "manual", 3, 0.0))
+        assert not certify_diagonal(spec, RotationMatrix(np.eye(2), 3, 0.0))
 
     def test_alamouti_block_certified(self):
         assert certify_alamouti_block(CodeSpec(Family.ALAMOUTI_BLOCK, 4, 2, 2),

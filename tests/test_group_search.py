@@ -12,7 +12,7 @@ the conditioned search's pivot level is the least one (the lower level at
 an exact midpoint), and that all of them return the same indices, ties
 included, with the same evaluation counts.  The inputs cover full-rank,
 triangular, rank-1 and short (rows < n) group channels, exact ties at
-y = 0 and degenerate pivot columns, on groups of 2 to 4096 candidates.
+y = 0, zero pivot columns and scaled copies, on groups of 2 to 4096 candidates.
 """
 
 import warnings
@@ -243,21 +243,31 @@ def test_metrics_do_not_depend_on_the_rows_searched(seed, size_and_symbols):
 
 
 @PROPERTY
-@given(group_inputs(), st.booleans())
-def test_degenerate_pivot_falls_back_in_both_forms(args, zero):
-    # A zero pivot column, or one below DEGENERATE_PIVOT in norm (the whole
-    # group scaled by 2**-47, which keeps every ratio), sends the
-    # conditioned search to the exhaustive one in either layout.
+@given(group_inputs())
+def test_degenerate_pivot_falls_back_in_both_forms(args):
+    # An exactly zero pivot column, which _ordered_qr gives every null
+    # column, sends the conditioned search to the exhaustive one in either
+    # layout.
     py, pg, alphabet, snr = args
-    if zero:
-        pg = pg.copy()
-        pg[:, 0] = 0.0
-    else:
-        py, pg = py * 2.0 ** -47, pg * 2.0 ** -47
-        assert np.linalg.norm(pg[:, 0]) < decoders.DEGENERATE_PIVOT
+    pg = pg.copy()
+    pg[:, 0] = 0.0
     results = assert_layouts_and_modes_agree(py, pg, alphabet, snr)
     total = alphabet.size ** pg.shape[1]
     assert all(used == total for _, _, used in results.values())
+
+
+@PROPERTY
+@given(group_inputs())
+def test_searches_are_scale_invariant(args):
+    # Scaling py and pg by 2**-47 is exact and scales every weight by
+    # 2**-94, so each mode decides alike with the same count: no absolute
+    # threshold sends a small pivot column to the exhaustive search.
+    py, pg, alphabet, snr = args
+    for mode in decoders.SEARCH_MODES:
+        _, idx, used = group_joint_decode(py, pg, alphabet, snr, mode)
+        _, tiny_idx, tiny_used = group_joint_decode(py * 2.0 ** -47, pg * 2.0 ** -47,
+                                                    alphabet, snr, mode)
+        assert np.array_equal(tiny_idx, idx) and tiny_used == used
 
 
 @PROPERTY
@@ -338,7 +348,7 @@ def test_large_ml_search_builds_no_large_table():
     # 4**10 candidates of 10 symbols, within the ML cap: one table would
     # hold 68 M doubles, so the search reads the two 1024-row half tables.
     alphabet = pam_for_qam(16)
-    assert alphabet.size ** 10 <= decoders.DEFAULT_ML_CAP
+    assert alphabet.size ** 10 <= decoders.ML_CAP
     rng = np.random.default_rng(8)
     pg = rng.standard_normal((12, 10))
     truth = rng.integers(alphabet.size, size=10)

@@ -261,9 +261,9 @@ class TestRotationMatrix:
         assert doc["delta_min"] == r.delta_min
 
     def test_uncertified_wrapper(self):
-        r = RotationMatrix(np.eye(2), "manual", 3, 0.0)
+        r = RotationMatrix(np.eye(2), 3, 0.0)
         assert not r.is_certified
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            RotationMatrix(np.zeros((2, 3)), "manual", 3, 0.0)
+            RotationMatrix(np.zeros((2, 3)), 3, 0.0)

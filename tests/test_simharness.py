@@ -248,6 +248,8 @@ class TestResultsIo:
         res = run_simulation(cfg)
         path = tmp_path / "out.json"
         write_results(res, path, "json")
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
         back = read_results(path)
         assert back == res
         assert back.wall_time_s == res.wall_time_s
