@@ -7,8 +7,8 @@ Monte Carlo link simulator.
 """
 
 from .lindesign import (
-    Design, GroupingScheme, assemble_codeword, combine_subset, equivalent_channel,
-    extract_design, grouping_permutation, numerical_rank, unvec_complex, vec_complex,
+    Design, GroupingScheme, assemble_codeword, equivalent_channel, numerical_rank,
+    vec_complex,
 )
 from .rotations import RotationMatrix, build_rotation, certify_rotation
 from .constructions import (

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from dataclasses import dataclass
 
-from .lindesign import GroupingScheme, extract_design
+from .lindesign import Design, GroupingScheme
 from .rotations import build_rotation, rotation_entries
 
 
@@ -149,7 +149,7 @@ def build_diagonal_code(antennas, group_size, layers, rotation=None, normalize=T
             mat[m + np.arange(nt), np.arange(nt)] = v
         return mat
 
-    design = extract_design(encode, spec.num_real_symbols, delay, nt)
+    design = Design(np.stack([encode(e) for e in np.eye(spec.num_real_symbols)]))
     if normalize:
         design = normalize_power(design)
     grouping = GroupingScheme.contiguous(lam, spec.num_groups)
@@ -189,7 +189,7 @@ def build_alamouti_block_code(antennas, layers, rotation=None, variant="fine",
                 mat[r0: r0 + 2, c0: c0 + 2] = blk
         return mat
 
-    design = extract_design(encode, spec.num_real_symbols, delay, antennas)
+    design = Design(np.stack([encode(e) for e in np.eye(spec.num_real_symbols)]))
     if normalize:
         design = normalize_power(design)
     if variant == "fine":

@@ -177,6 +177,9 @@ def _search_group(design, group, interference_idx, diffs, probes, work):
 def _falsify(design, scheme, pam_levels, trials_per_group, rng_seed, interference_of):
     if trials_per_group < 0:
         raise ValueError("trials_per_group must be non-negative")
+    if scheme.num_symbols != design.num_real_symbols:
+        raise ValueError(f"grouping covers {scheme.num_symbols} symbols, "
+                         f"the design has {design.num_real_symbols}")
     work = {}
     for k in range(scheme.num_groups):
         rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(k,)))
@@ -199,7 +202,8 @@ def falsify_pic(design, scheme, pam_levels=4, trials_per_group=1000, rng_seed=0)
     and a shared batch of trials_per_group Gaussian interference vectors over
     the complement.  Witness selection is deterministic: lowest group index,
     then enumeration order.  Absence of a witness is not a proof.  A negative
-    trials_per_group raises ValueError.
+    trials_per_group, or a grouping of other than the design's K symbols,
+    raises ValueError.
     """
     return _falsify(design, scheme, pam_levels, trials_per_group, rng_seed,
                     scheme.complement)

@@ -42,16 +42,6 @@ def vec_complex(a):
     return np.concatenate([a.real.ravel(order="F"), a.imag.ravel(order="F")])
 
 
-def unvec_complex(v, rows, cols):
-    """Inverse of :func:`vec_complex` for a known matrix shape."""
-    v = np.asarray(v, dtype=float)
-    if v.size != 2 * rows * cols:
-        raise ValueError(f"expected length {2 * rows * cols}, got {v.size}")
-    re = v[: rows * cols].reshape((rows, cols), order="F")
-    im = v[rows * cols:].reshape((rows, cols), order="F")
-    return re + 1j * im
-
-
 @dataclass(frozen=True, eq=False)
 class Design:
     """A linear-dispersion STBC design in K real symbols.
@@ -114,10 +104,6 @@ class GroupingScheme:
     def num_groups(self):
         return len(self.groups)
 
-    @property
-    def n_max(self):
-        return max(len(g) for g in self.groups)
-
     def complement(self, k):
         """Indices outside group k, ascending."""
         inside = set(self.groups[k])
@@ -146,24 +132,6 @@ def assemble_codeword(design, x):
     return design.power_scale * np.tensordot(x, design.weight_matrices, axes=(0, 0))
 
 
-def combine_subset(design, indices, u):
-    """Raw dispersion combination sum_i u_i A_{j_i} over a subset of indices.
-
-    Indices are sorted ascending and paired with u in that order.  power_scale
-    is intentionally not applied: rank criteria are scale-invariant.
-    """
-    idx = sorted(int(i) for i in indices)
-    u = np.asarray(u, dtype=float)
-    k, t, n = design.weight_matrices.shape
-    if any(i < 0 or i >= k for i in idx):
-        raise IndexError(f"subset index out of range 0..{k - 1}")
-    if u.shape != (len(idx),):
-        raise ValueError("coefficient vector must match subset size")
-    if not idx:
-        return np.zeros((t, n), dtype=complex)
-    return np.tensordot(u, design.weight_matrices[idx], axes=(0, 0))
-
-
 def equivalent_channel(design, h):
     """Real equivalent channel G with columns vec(power_scale * A_i @ H).
 
@@ -181,70 +149,30 @@ def equivalent_channel(design, h):
     return np.concatenate([re, im], axis=0)
 
 
-def grouping_permutation(scheme):
-    """Source-index permutation that lists group 0 first, then group 1, etc.
-
-    Returns an integer array perm with x[perm] giving the grouped ordering;
-    perm is a bijection of 0..K-1.
-    """
-    return np.array([i for g in scheme.groups for i in g], dtype=int)
-
-
-def extract_design(encoder, num_symbols, delay, antennas):
-    """Recover explicit weight matrices from a real-linear encoder callable.
-
-    The encoder maps a length-K real vector to a T x N complex matrix.  Each
-    A_i is obtained by probing the i-th standard basis vector; superposition
-    is spot-checked on eight seeded random vector pairs and the linear
-    independence of the recovered matrices is verified by the Design
-    constructor.
-    """
-    rng = np.random.default_rng(0)
-    weights = np.zeros((num_symbols, delay, antennas), dtype=complex)
-    for i in range(num_symbols):
-        e = np.zeros(num_symbols)
-        e[i] = 1.0
-        m = np.asarray(encoder(e), dtype=complex)
-        if m.shape != (delay, antennas):
-            raise ValueError(f"encoder output shape {m.shape} != ({delay}, {antennas})")
-        weights[i] = m
-    for _ in range(8):
-        x, y = rng.standard_normal((2, num_symbols))
-        a, b = rng.standard_normal(2)
-        lhs = np.asarray(encoder(a * x + b * y), dtype=complex)
-        rhs = a * np.asarray(encoder(x)) + b * np.asarray(encoder(y))
-        scale = max(np.abs(rhs).max(), 1.0)
-        if np.abs(lhs - rhs).max() > 1e-10 * scale:
-            raise ValueError("encoder is not real-linear")
-    return Design(weights)
-
-
 def design_to_json(design):
     """Serialize a design to the interchange dict {K, T, N, power_scale, matrices}.
 
     Matrix entries are [re, im] pairs; matrices keep the raw (unscaled) values.
     """
     w = design.weight_matrices
-    matrices = [
-        [[[float(v.real), float(v.imag)] for v in row] for row in mat] for mat in w
-    ]
     return {
         "K": design.num_real_symbols,
         "T": design.delay,
         "N": design.antennas,
         "power_scale": float(design.power_scale),
-        "matrices": matrices,
+        "matrices": np.stack([w.real, w.imag], axis=-1).tolist(),
     }
 
 
 def design_from_json(doc):
-    k, t, n = int(doc["K"]), int(doc["T"]), int(doc["N"])
-    w = np.empty((k, t, n), dtype=complex)
-    for i, mat in enumerate(doc["matrices"]):
-        for r, row in enumerate(mat):
-            for c, (re, im) in enumerate(row):
-                w[i, r, c] = complex(re, im)
-    return Design(w, power_scale=float(doc["power_scale"]))
+    """Inverse of design_to_json; matrices not of shape (K, T, N, 2) raise ValueError."""
+    shape = (int(doc["K"]), int(doc["T"]), int(doc["N"]), 2)
+    m = np.asarray(doc["matrices"], dtype=float)  # ragged nesting raises ValueError
+    if m.shape != shape:
+        raise ValueError(f"matrices must have shape {shape}, got {m.shape}")
+    # the [re, im] pairs read as complex bit for bit; re + 1j*im would
+    # turn a -0.0 real part into 0.0
+    return Design(m.view(complex)[..., 0], power_scale=float(doc["power_scale"]))
 
 
 def grouping_to_json(scheme):

@@ -58,20 +58,8 @@ class RotationMatrix:
         object.__setattr__(self, "entries", q)
 
     @property
-    def dimension(self):
-        return self.entries.shape[0]
-
-    @property
     def is_certified(self):
         return self.delta_min > DELTA_THRESHOLD
-
-    def to_json(self):
-        return {
-            "lambda": self.dimension,
-            "entries": [[float(v) for v in row] for row in self.entries],
-            "delta_min": float(self.delta_min),
-            "B": int(self.certified_bound),
-        }
 
 
 def _field_conjugates(dim):

@@ -73,8 +73,9 @@ def group_views(problem, name, decided):
 
     y_k is the received vector, for PIC-SIC with the earlier groups'
     entries of `decided` cancelled; py and pg are y_k and the group's
-    columns projected off its interferers.  PIC-SIC reads decided[group]
-    after each view is consumed, so a caller may fill it as it goes.
+    columns projected off its interferers, with a null pivot column
+    zeroed.  PIC-SIC reads decided[group] after each view is consumed, so
+    a caller may fill it as it goes.
     """
     scheme, g = problem.scheme, problem.g
     y_k = problem.y.copy()
@@ -82,7 +83,12 @@ def group_views(problem, name, decided):
         group = list(group)
         u = skip_rule_basis(g, interferers(scheme, name, k))
         gk = g[:, group]
-        yield group, y_k, y_k - u @ (u.T @ y_k), gk - u @ (u.T @ gk)
+        pg = gk - u @ (u.T @ gk)
+        # the decoders' rank rule: a pivot column within RANK_EPS of the
+        # interferers' span is null, and a null pivot column is exactly 0
+        if np.sqrt(pg[:, 0] @ pg[:, 0]) <= RANK_EPS * np.sqrt(gk[:, 0] @ gk[:, 0]):
+            pg[:, 0] = 0.0
+        yield group, y_k, y_k - u @ (u.T @ y_k), pg
         if name == "picsic":
             y_k = y_k - np.sqrt(problem.snr) * (gk @ decided[group])
 

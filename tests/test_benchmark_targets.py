@@ -3,12 +3,15 @@
 perfbench/workloads.py names each traced function by module and attribute
 path, and perfbench/spantrace.py wraps it by replacing that attribute.  A
 renamed or removed function is otherwise noticed only by a traced
-benchmark run, which reports it missing.  These tests import the benchmark
-read-only and check every target against the package on the path.
+benchmark run, which reports it missing.  A count hook that no longer fits
+its function's arguments raises inside the traced pass alone.  These tests
+import the benchmark read-only and check every target against the package
+on the path, and run each workload's pass with and without the tracer.
 """
 
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,18 +25,21 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 @pytest.fixture(scope="module")
 def bench():
-    """perfbench's (workloads, spantrace) modules, imported from its directory."""
+    """perfbench's report, run, spantrace and workloads modules, from its directory."""
     sys.path.insert(0, str(BENCH))
     try:
+        import report
+        import run
         import spantrace
         import workloads
     finally:
         sys.path.remove(str(BENCH))
-    return workloads, spantrace
+    return SimpleNamespace(report=report, run=run, spantrace=spantrace,
+                           workloads=workloads)
 
 
 def test_every_trace_target_resolves(bench):
-    workloads, spantrace = bench
+    workloads, spantrace = bench.workloads, bench.spantrace
     with spantrace.Tracer().installed(workloads.TARGETS) as missing:
         pass
     assert missing == []
@@ -43,7 +49,7 @@ def test_group_search_spans_count_every_search(bench):
     # The search target wraps the module global that pic_decode and
     # picsic_decode call, and its count hook reads the search's arguments
     # and result: pg from args[1], the evaluation count from result[2].
-    workloads, spantrace = bench
+    workloads, spantrace = bench.workloads, bench.spantrace
     search = [t for t in workloads.TARGETS if t.attr == "group_joint_decode"]
     assert len(search) == 1
     design, scheme, _ = build_alamouti_block_code(4, 2)
@@ -57,3 +63,27 @@ def test_group_search_spans_count_every_search(bench):
     counts = [s.count for s in tracer.spans if s.name == search[0].name]
     assert [evals for evals, _ in counts] == list(result.per_group_counts)
     assert all(isinstance(macs, int) and macs > 0 for _, macs in counts)
+
+
+@pytest.mark.parametrize("name", ["sim-sec4-picsic", "sim-sec3-pic-qam64",
+                                  "sim-sec4-overloaded", "verify-falsify"])
+def test_traced_pass_reproduces_the_untraced_pass(bench, name):
+    # A count hook that raises fails the traced pass; one that records no
+    # count leaves its span's count at None, which the report cannot sum.
+    workloads, spantrace, report, run = (bench.workloads, bench.spantrace,
+                                         bench.report, bench.run)
+    workload = workloads.WORKLOADS[name]
+    untraced = workload.run_pass(workloads.REFERENCE_SEED)
+    tracer = spantrace.Tracer()
+    with tracer.installed(workloads.TARGETS) as missing:
+        traced = tracer.call(run.PASS_SPAN, workload.run_pass,
+                             workloads.REFERENCE_SEED, lambda: None)
+    assert missing == []
+    assert untraced.errors == {} and traced.errors == {}
+    assert traced.record == untraced.record
+    recorded = {s.name for s in tracer.spans}
+    assert set(report.PASS_SPANS[workload.kind]) <= recorded
+    traced, untraced = ([run.Timed(p, p.seconds, p.op_seconds)]
+                        for p in (traced, untraced))
+    report.layer_metrics(workload.kind, tracer.spans, run.PASS_SPAN, traced,
+                         untraced, [])

@@ -75,6 +75,30 @@ class TestVerify:
         assert rc == 1
         assert "error: trials_per_group" in capsys.readouterr().err
 
+    def _verify_files(self, tmp_path, design_doc, grouping_doc):
+        dpath, gpath = tmp_path / "d.json", tmp_path / "g.json"
+        lindesign.save_json(design_doc, dpath)
+        lindesign.save_json(grouping_doc, gpath)
+        return cli.main(["verify", "--design", str(dpath), "--grouping", str(gpath),
+                         "--mode", "pic", "--trials", "10", "--pam-levels", "2"])
+
+    def test_malformed_design_file_is_exit_1(self, tmp_path, capsys):
+        design, grouping, _ = build_diagonal_code(2, 2, 1)
+        short_row, extra_matrix = (lindesign.design_to_json(design) for _ in range(2))
+        short_row["matrices"][0][0] = short_row["matrices"][0][0][:1]
+        extra_matrix["matrices"].append(extra_matrix["matrices"][0])
+        for doc in (short_row, extra_matrix):
+            assert self._verify_files(
+                tmp_path, doc, lindesign.grouping_to_json(grouping)) == 1
+            assert "error:" in capsys.readouterr().err
+
+    def test_grouping_of_other_than_k_symbols_is_exit_1(self, tmp_path, capsys):
+        design, _, _ = build_diagonal_code(2, 2, 1)  # K = 4
+        for groups in ([[1], [2]], [[1, 2], [3, 4], [5, 6]]):
+            assert self._verify_files(tmp_path, lindesign.design_to_json(design),
+                                      {"groups": groups}) == 1
+            assert "error: grouping covers" in capsys.readouterr().err
+
     def test_design_without_grouping_is_exit_1(self, tmp_path):
         rc = cli.main(["verify", "--design", str(tmp_path / "missing.json"),
                        "--mode", "pic"])

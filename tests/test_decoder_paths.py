@@ -20,10 +20,12 @@ estimate sits within rounding of a quantization midpoint
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from stbclab import decoders
 from stbclab.channel import pam_for_qam
+from stbclab.constructions import build_code
 from stbclab.decoders import DecodeProblem
 from stbclab.lindesign import RANK_EPS, Design, GroupingScheme, equivalent_channel
 from tests.oracles import metric_gaps, ml_oracle, oracle_decode, zf_estimate, zf_oracle
@@ -98,9 +100,7 @@ def assert_oracle_argmin(problem, name, got):
     """Each group's decision is within RANK_EPS of the least oracle metric.
 
     The metric's scale is ||y_k||^2 + snr ||G_k||_F^2 max|level|^2, with
-    y_k cancelled by the decoder's own earlier decisions.  Counts may differ:
-    a pivot column the QR zeroes while the oracle keeps its residual sends
-    only the decoder's conditioned search to the exhaustive one.
+    y_k cancelled by the decoder's own earlier decisions.
     """
     for gap, scale in metric_gaps(problem, name, got.decided):
         assert gap <= RANK_EPS * scale
@@ -320,3 +320,21 @@ def test_zero_pivot_column_matches_oracle(problem, name):
     exhaustive = DECODERS[name](problem, "exhaustive")
     assert got.per_group_counts[0] == exhaustive.per_group_counts[0]
     assert np.array_equal(got.decided, exhaustive.decided)
+
+
+@pytest.mark.parametrize("family, group_size", [("sec4", None), ("sec3", 4)])
+def test_overloaded_code_pic_counts_match_oracle(family, group_size):
+    # sec4(4,3) and sec3(4,lambda=4,3) at N_r = 1 have K = 24 symbols and
+    # 16 or 12 real observations, so many pivot columns are null.  The
+    # oracle zeroes a null pivot as the QR does, so both conditioned
+    # searches fall back to the exhaustive one on the same groups.
+    design, scheme, _ = build_code(family, 4, 3, group_size)
+    rng = np.random.default_rng(40)
+    for _ in range(40):
+        h = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
+        problem = make_problem(rng, equivalent_channel(design, h / np.sqrt(2)),
+                               scheme, 4, 14.0)
+        got = decoders.pic_decode(problem, "conditioned")
+        assert got.per_group_counts == oracle_decode(
+            problem, "pic", "conditioned").per_group_counts
+        assert_oracle_argmin(problem, "pic", got)

@@ -12,9 +12,16 @@ from stbclab.diversity import (
     certify_alamouti_block, certify_diagonal, falsify_pic, falsify_picsic,
     numerical_rank, pam_difference_values,
 )
-from stbclab.lindesign import RANK_EPS, Design, GroupingScheme, combine_subset
+from stbclab.lindesign import RANK_EPS, Design, GroupingScheme
 from stbclab.rotations import RotationMatrix, build_rotation, certify_rotation
 from tests.test_lindesign import alamouti_design
+
+
+def witness_matrix(design, scheme, w):
+    """X(a) + X(u), the unscaled codeword difference a witness claims is singular."""
+    idx = list(scheme.groups[w.group_index]) + list(w.interference_indices)
+    coeffs = np.concatenate([w.difference, w.interference])
+    return np.tensordot(coeffs, design.weight_matrices[idx], axes=(0, 0))
 
 
 class TestNumericalRank:
@@ -77,8 +84,7 @@ class TestFalsifyBrokenCodes:
                                                   normalize=False)
         w = falsify_pic(design, grouping, pam_levels=4, trials_per_group=50,
                         rng_seed=3)
-        mat = combine_subset(design, grouping.groups[w.group_index], w.difference)
-        mat = mat + combine_subset(design, w.interference_indices, w.interference)
+        mat = witness_matrix(design, grouping, w)
         assert numerical_rank(mat) == w.achieved_rank < design.antennas
 
     def test_picsic_witness_is_pic_witness(self):
@@ -87,8 +93,7 @@ class TestFalsifyBrokenCodes:
         w = falsify_picsic(design, grouping, pam_levels=2, trials_per_group=10,
                            rng_seed=0)
         assert set(w.interference_indices) <= set(grouping.complement(w.group_index))
-        mat = combine_subset(design, grouping.groups[w.group_index], w.difference)
-        mat = mat + combine_subset(design, w.interference_indices, w.interference)
+        mat = witness_matrix(design, grouping, w)
         assert numerical_rank(mat) < design.antennas
 
     def test_sampled_difference_path_on_large_group(self):
@@ -100,8 +105,7 @@ class TestFalsifyBrokenCodes:
         w = falsify_pic(design, scheme, pam_levels=4, trials_per_group=10,
                         rng_seed=1)
         assert w is not None
-        mat = combine_subset(design, scheme.groups[w.group_index], w.difference)
-        mat = mat + combine_subset(design, w.interference_indices, w.interference)
+        mat = witness_matrix(design, scheme, w)
         assert numerical_rank(mat) < design.antennas
 
     def test_witness_json_one_based(self):
@@ -312,6 +316,16 @@ class TestFalsifyInputs:
         design, grouping, _ = build_diagonal_code(2, 2, 1)
         with pytest.raises(ValueError, match="trials_per_group"):
             falsify(design, grouping, pam_levels=2, trials_per_group=-1)
+
+    @pytest.mark.parametrize("falsify", [falsify_pic, falsify_picsic])
+    @pytest.mark.parametrize("groups", [((0,), (1,)), ((0, 1), (2, 3), (4, 5))])
+    def test_grouping_of_other_than_k_symbols_rejected(self, falsify, groups):
+        # certified sec3(2,2,1) has K = 4: two groups of one symbol would
+        # check half of it, and a six-symbol grouping indexes past it
+        design, _, _ = build_diagonal_code(2, 2, 1)
+        scheme = GroupingScheme(groups, sum(len(g) for g in groups))
+        with pytest.raises(ValueError, match="grouping covers"):
+            falsify(design, scheme, pam_levels=2, trials_per_group=10)
 
 
 class TestFalsifyCertifiedCodes:

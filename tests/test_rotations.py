@@ -253,13 +253,6 @@ class TestCertifyRotation:
 
 
 class TestRotationMatrix:
-    def test_json_export(self):
-        r = build_rotation(2)
-        doc = r.to_json()
-        assert doc["lambda"] == 2 and doc["B"] == r.certified_bound
-        assert np.allclose(doc["entries"], r.entries)
-        assert doc["delta_min"] == r.delta_min
-
     def test_uncertified_wrapper(self):
         r = RotationMatrix(np.eye(2), 3, 0.0)
         assert not r.is_certified
