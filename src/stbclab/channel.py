@@ -27,6 +27,10 @@ class PamAlphabet:
         lv.setflags(write=False)
         object.__setattr__(self, "levels", lv)
         object.__setattr__(self, "_midpoints", (lv[:-1] + lv[1:]) / 2)
+        # the Gray bits of each level index, most significant first
+        idx = np.arange(lv.size)
+        shifts = np.arange(self.bit_width - 1, -1, -1)
+        object.__setattr__(self, "_gray_bits", ((idx ^ (idx >> 1))[:, None] >> shifts) & 1)
 
     @property
     def size(self):
@@ -38,16 +42,13 @@ class PamAlphabet:
 
     def nearest_index(self, x):
         """Index of the nearest level; a computed midpoint of two levels goes to the lower."""
-        return np.searchsorted(self._midpoints, np.asarray(x, dtype=float))
+        return self._midpoints.searchsorted(np.asarray(x, dtype=float))
 
     def quantize(self, x):
         return self.levels[self.nearest_index(x)]
 
     def index_to_bits(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        gray = idx ^ (idx >> 1)
-        shifts = np.arange(self.bit_width - 1, -1, -1)
-        return ((gray[:, None] >> shifts) & 1).ravel()
+        return self._gray_bits[np.asarray(idx, dtype=np.int64)].ravel()
 
     def bits_to_index(self, bits):
         bits = np.asarray(bits, dtype=np.int64).reshape(-1, self.bit_width)
@@ -109,11 +110,11 @@ class LinkInstance:
 def sample_link(antennas, receive_antennas, delay, snr_db, rng):
     """Draw one quasi-static Rayleigh link; entries are CN(0, 1)."""
     scale = np.sqrt(0.5)
-    h = scale * (rng.standard_normal((antennas, receive_antennas))
-                 + 1j * rng.standard_normal((antennas, receive_antennas)))
-    w = scale * (rng.standard_normal((delay, receive_antennas))
-                 + 1j * rng.standard_normal((delay, receive_antennas)))
-    return LinkInstance(h, w, float(10.0 ** (snr_db / 10.0)))
+    # each draw holds the real parts, then the imaginary parts
+    h = rng.standard_normal((2, antennas, receive_antennas))
+    w = rng.standard_normal((2, delay, receive_antennas))
+    return LinkInstance(scale * (h[0] + 1j * h[1]), scale * (w[0] + 1j * w[1]),
+                        float(10.0 ** (snr_db / 10.0)))
 
 
 def transmit(x, link):

@@ -25,7 +25,10 @@ s:e, then for every candidate x
 with P the projector off the interfering columns, z = Q^T y and c free of
 x (the sorted-QR view of SIC, Wubben et al., Electron. Lett. 2001).  So the
 group search sees the same argmin through n rows.  PIC-SIC cancels a
-decoded group by z[:s] -= sqrt(snr) R[:s, s:e] levels.
+decoded group by z[:s] -= sqrt(snr) R[:s, s:e] levels.  Both decoders keep
+their decisions in the PIC-SIC column order, where group k's are x[s:e]
+(_group_spans, cached per scheme), and put them back at the symbols'
+indices once per problem.  On a full-rank G the factor is one QR call.
 
 One rank rule decides which columns the QR keeps, for every decoder and on
 every input (_ordered_qr): a column is null when its residual off the kept
@@ -64,10 +67,18 @@ of summation or BLAS build, and x and -x tie exactly at y = 0.  The
 exhaustive metrics are one matvec of a feature table cached per alphabet
 and symbol count, or, when that table would pass GRAM_MAX_TABLE doubles
 (ML near ML_CAP), sums over a head and a tail table (_metrics).
+A search plan cached per alphabet and symbol count (_search_plan) holds
+the feature constants and, for the conditioned search, the indices that
+gather w into two columns.  One product of the integer table of the other
+n - 1 symbols with those columns gives every non-pivot candidate's own
+metric and, less the pivot's linear weight, its pivot coefficient c;
+both are exact for the reason the metric is.
 The conditioned search (_conditioned_metrics) takes the pivot level by
 np.searchsorted of -c / (2 w00) among the midpoints of the levels in
 units: at a true midpoint that quotient of two grid multiples is exact,
-and the lower level wins.
+and the lower level wins.  A table of level indices per alphabet and
+symbol count, laid out as the feature tables are (_level_indices), maps
+the winning row to the group's decisions.
 
 Ties between equal metrics resolve to the candidate earliest in
 lexicographic enumeration order (the first symbol varies slowest), in both
@@ -134,26 +145,31 @@ def _ordered_qr(g, y, order):
     row is zero, and its residual below the threshold is dropped.
 
     Q is never formed: r comes from the triangular factor of [g[:, order],
-    y].  Each null column that factor finds is moved behind y and the factor
-    taken again, so the kept directions are those of the kept columns alone.
-    On a full-rank g nothing moves, and r and z are bitwise the first K rows
-    of that one factor.
+    y].  On a full-rank g that one factor is the answer: r and z are bitwise
+    its first K rows.  Otherwise each null column the factor finds is moved
+    behind y and the factor taken again, so the kept directions are those of
+    the kept columns alone.
     """
     k = g.shape[1]
     orders = order.reshape(-1, k)
-    idx = np.concatenate([orders, np.full((len(orders), 1), k)], axis=1)
-    cols = np.vstack([g.T, y])
+    lead = order.shape[:-1]
+    # [g[:, order], y] of each order, one column per row
+    cols = np.empty((len(orders), k + 1, len(y)))
+    cols[:, :k] = g.T[orders]
+    cols[:, k] = y
     # a column is null when |r_jj| <= limit; y and the columns behind it never are
-    limit = np.append(RANK_EPS * np.sqrt(np.einsum("ij,ij->j", g, g)), -1.0)[idx]
-    batch = np.arange(len(idx))[:, None]
-    perm = idx
-    while True:
-        # the raw factor's diagonal is R's; R itself is needed only at the end
-        h, _ = np.linalg.qr(cols[perm].swapaxes(1, 2), mode="raw")
-        m = min(h.shape[1:])
-        null = np.abs(h.diagonal(0, 1, 2)) <= limit[:, :m]
-        if not null.any():
-            break
+    limit = np.full(cols.shape[:2], -1.0)
+    limit[:, :k] = RANK_EPS * np.sqrt(np.einsum("ij,ij->j", g, g))[orders]
+    # the raw factor's diagonal is R's; R itself is needed only at the end
+    h = np.linalg.qr(cols.swapaxes(1, 2), mode="raw")[0]
+    m = min(h.shape[1:])
+    null = np.abs(h.diagonal(0, 1, 2)) <= limit[:, :m]
+    if m >= k and not np.count_nonzero(null):
+        r = np.where(_upper(m, k + 1), h.swapaxes(1, 2)[:, :m], 0.0)
+        return r[:, :k, :k].reshape(lead + (k, k)), r[:, :k, k].reshape(lead + (k,))
+    batch = np.arange(len(orders))[:, None]
+    perm = np.arange(k + 1)[None].repeat(len(orders), axis=0)
+    while null.any():
         # Move each order's first null column behind y.  Only the first is
         # sure: the factor took its residual as a direction, which skews the
         # pivots after it.
@@ -161,17 +177,23 @@ def _ordered_qr(g, y, order):
         src = np.arange(k + 1)
         src = src + (src >= first)
         src[:, -1:] = first
-        perm, limit = perm[batch, src], limit[batch, src]
+        perm, limit, cols = perm[batch, src], limit[batch, src], cols[batch, src]
         limit[:, -1] = -1.0
-    r = np.triu(h.swapaxes(1, 2)[:, :m])
-    if perm is not idx or m < k:
-        # put each kept row at its column's position; null rows stay zero
-        full = np.zeros(idx.shape + (k + 1,))
-        full[:, :m] = np.where(limit[:, :m, None] >= 0, r, 0.0)
-        back = np.argsort(perm, axis=1)[batch, idx]
-        r = full[batch[:, :, None], back[:, :, None], back[:, None, :]]
-    lead = order.shape[:-1]
+        h = np.linalg.qr(cols.swapaxes(1, 2), mode="raw")[0]
+        null = np.abs(h.diagonal(0, 1, 2)) <= limit[:, :m]
+    # put each kept row at its column's position; null rows stay zero
+    full = np.zeros(perm.shape + (k + 1,))
+    full[:, :m] = np.where(_upper(m, k + 1) & (limit[:, :m, None] >= 0),
+                           h.swapaxes(1, 2)[:, :m], 0.0)
+    back = np.argsort(perm, axis=1)
+    r = full[batch[:, :, None], back[:, :, None], back[:, None, :]]
     return r[:, :k, :k].reshape(lead + (k, k)), r[:, :k, k].reshape(lead + (k,))
+
+
+@lru_cache(maxsize=None)
+def _upper(rows, cols):
+    """The upper triangle of a rows x cols matrix, diagonal included, as a mask (cached)."""
+    return _frozen(np.triu(np.ones((rows, cols), dtype=bool)))[0]
 
 
 def _frozen(*arrays):
@@ -195,6 +217,20 @@ def _cancellation_orders(scheme):
 
 
 @lru_cache(maxsize=None)
+def _group_spans(scheme):
+    """((s, e) of each group in decode order, position) (cached per scheme).
+
+    Group k occupies columns s:e of the PIC-SIC order, and so do its
+    decisions in a vector x kept in that order; x[position] puts every
+    symbol back at its own index.
+    """
+    sic, _ = _cancellation_orders(scheme)
+    ends = np.cumsum([0] + [len(group) for group in reversed(scheme.groups)])
+    spans = tuple((int(s), int(e)) for s, e in zip(ends, ends[1:]))[::-1]
+    return spans, _frozen(np.argsort(sic))[0]
+
+
+@lru_cache(maxsize=None)
 def _units(alphabet):
     """The levels in units of half their spacing, u = x / h, and u's midpoints (cached)."""
     h = alphabet.spacing / 2
@@ -205,32 +241,38 @@ def _units(alphabet):
 
 
 @lru_cache(maxsize=None)
-def _gram_constants(alphabet, n):
-    """(fmax, scales, pairs, pivot) of n symbols' features (cached).
+def _search_plan(alphabet, n):
+    """(fmax, scales, pairs, rest): what every search of n symbols shares (cached).
 
     The features are u_i, then u_i u_j for i <= j.  fmax bounds each
     feature column (the largest |u|, or its square), scales turn
     (sqrt(snr) pg^T py, snr pg^T pg) into the column weights, and pairs are
-    the flat indices of (i, j) in an n x n matrix.  pivot picks two weight
-    columns over the features of symbols 1..n-1: their own weights, and
-    the pivot's products with their u_i over index 0 as padding.
+    the flat indices of (i, j) in an n x n matrix.  rest picks, for the
+    features of symbols 1..n-1, two columns of weights: their own, and in
+    the first n-1 rows the pivot's products with their u_i (the rows after
+    those are padding, to be zeroed).
     """
     top = np.abs(_units(alphabet)[0]).max()
     h = alphabet.spacing / 2
     i, j = np.triu_indices(n)
-    rest = np.r_[1:n, 2 * n:n + len(i)]
-    cross = np.zeros_like(rest)
+    own = np.r_[1:n, 2 * n:n + len(i)]
+    cross = np.zeros_like(own)
     cross[:n - 1] = np.arange(n + 1, 2 * n)
     return _frozen(np.concatenate([np.full(n, top), np.full(len(i), top * top)]),
                    np.concatenate([np.full(n, -2 * h), np.where(i == j, 1.0, 2.0) * h * h]),
-                   i * n + j, np.stack([rest, cross], axis=1))
+                   i * n + j, np.stack([own, cross], axis=1))
+
+
+@lru_cache(maxsize=None)
+def _digit_table(alphabet, n):
+    """The level indices of every candidate of n symbols, in lexicographic order (cached)."""
+    return _frozen(np.indices((alphabet.size,) * n).reshape(n, alphabet.size ** n).T)[0]
 
 
 @lru_cache(maxsize=None)
 def _gram_table(alphabet, n):
     """The features of every candidate of n symbols, a row each in lexicographic order (cached)."""
-    idx = np.indices((alphabet.size,) * n).reshape(n, alphabet.size ** n).T
-    u = _units(alphabet)[0][idx]
+    u = _units(alphabet)[0][_digit_table(alphabet, n)]
     i, j = np.triu_indices(n)
     return _frozen(np.hstack([u, u[:, i] * u[:, j]]))[0]
 
@@ -245,23 +287,28 @@ def _gram_weights(py, pg, alphabet, snr):
     not be: OpenBLAS sums some rows of a table in a different order from
     others.
     """
-    fmax, scales, pairs, _ = _gram_constants(alphabet, pg.shape[1])
-    gram = pg.T @ pg
-    w = scales * np.concatenate([math.sqrt(snr) * (py @ pg), snr * gram.take(pairs)])
+    fmax, scales, pairs, _ = _search_plan(alphabet, pg.shape[1])
+    # pg.T.dot(pg) is the Gram product pg.T @ pg gives, at less call overhead
+    w = scales * np.concatenate([math.sqrt(snr) * (py @ pg), snr * pg.T.dot(pg).take(pairs)])
     grid = math.ldexp(1.0, max(math.frexp(fmax @ np.abs(w))[1] - 52, -1074))
     return np.rint(w / grid) * grid
+
+
+def _one_table(alphabet, n):
+    """Whether the n-symbol feature table holds at most GRAM_MAX_TABLE doubles."""
+    return alphabet.size ** n * n * (n + 3) // 2 <= GRAM_MAX_TABLE
 
 
 def _metrics(w, alphabet, n):
     """features @ w for every candidate of n symbols, in lexicographic order.
 
-    One matvec of the n-symbol table when it holds at most GRAM_MAX_TABLE
-    doubles; otherwise (F_h @ w_h)[:, None] + F_t @ w_t + (U_h @ W_x) @ U_t^T
-    from the tables of the first n // 2 symbols (head) and of the rest
-    (tail), with U their u columns and W_x the head-tail product weights.
+    One matvec of the n-symbol table when _one_table; otherwise
+    (F_h @ w_h)[:, None] + F_t @ w_t + (U_h @ W_x) @ U_t^T from the tables
+    of the first n // 2 symbols (head) and of the rest (tail), with U their
+    u columns and W_x the head-tail product weights.
     """
-    if alphabet.size ** n * n * (n + 3) // 2 <= GRAM_MAX_TABLE:
-        return _gram_table(alphabet, n) @ w
+    if _one_table(alphabet, n):
+        return _gram_table(alphabet, n).dot(w)
     if w.ndim > 1:
         return np.stack([_metrics(v, alphabet, n) for v in w.T], axis=1)
     a = n // 2
@@ -272,6 +319,16 @@ def _metrics(w, alphabet, n):
     fh, ft = _gram_table(alphabet, a), _gram_table(alphabet, n - a)
     mixed = (fh[:, :a] @ w_x) @ ft[:, :n - a].T
     return ((fh @ w[head])[:, None] + ft @ w[tail] + mixed).ravel()
+
+
+def _level_indices(row, alphabet, n):
+    """The level indices of candidate `row` of n symbols, in the layout of _metrics."""
+    if _one_table(alphabet, n):
+        return _digit_table(alphabet, n)[row]
+    a = n // 2
+    head, tail = divmod(row, alphabet.size ** (n - a))
+    return np.concatenate([_digit_table(alphabet, a)[head],
+                           _digit_table(alphabet, n - a)[tail]])
 
 
 def group_joint_decode(py, pg, alphabet, snr, mode="exhaustive"):
@@ -289,7 +346,7 @@ def group_joint_decode(py, pg, alphabet, snr, mode="exhaustive"):
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown group search mode {mode!r}")
     w = _gram_weights(py, pg, alphabet, snr)
-    if mode == "conditioned" and n >= 1 and pg[:, 0].any():
+    if mode == "conditioned" and n >= 1 and np.count_nonzero(pg[:, 0]):
         piv, metrics = _conditioned_metrics(w, alphabet, n)
         # candidate r of the non-pivot symbols is row piv[r] * len(metrics) + r
         row = int(metrics.argmin())
@@ -302,9 +359,7 @@ def group_joint_decode(py, pg, alphabet, snr, mode="exhaustive"):
     else:
         metrics = _metrics(w, alphabet, n)
         row = int(metrics.argmin())
-    # the row's digits in base L, the first symbol's the most significant
-    size = alphabet.size
-    idx = np.array([row // size ** k % size for k in range(n - 1, -1, -1)])
+    idx = _level_indices(row, alphabet, n)
     return alphabet.levels[idx], idx, len(metrics)
 
 
@@ -317,12 +372,12 @@ def _conditioned_metrics(w, alphabet, n):
     rounds to 0 leaves c u, least at the lowest level unless c < 0.
     """
     u, mid = _units(alphabet)
-    w00, both = w[n], w[_gram_constants(alphabet, n)[3]]
+    w00, both = w[n], w[_search_plan(alphabet, n)[3]]
     both[n - 1:, 1] = 0.0  # the padding of the cross weights
     rest, c = _metrics(both, alphabet, n - 1).T
     c += w[0]
     if w00 > 0:
-        piv = np.searchsorted(mid, c / (-2 * w00))
+        piv = mid.searchsorted(c / (-2 * w00))
     else:
         piv = np.where(c < 0, alphabet.size - 1, 0)
     level = u[piv]
@@ -332,21 +387,23 @@ def _conditioned_metrics(w, alphabet, n):
 def pic_decode(problem, mode="exhaustive"):
     """Decode every group independently after projecting the others out.
 
-    One stacked thresholded QR gives every group's triangular block.
+    One stacked thresholded QR gives every group's triangular block, in
+    the group's last columns.
     """
     scheme = problem.scheme
     _, orders = _cancellation_orders(scheme)
+    spans, position = _group_spans(scheme)
     r, z = _ordered_qr(problem.g, problem.y, orders)
-    k = problem.g.shape[1]
-    x_hat = np.zeros(k)
+    k = len(position)
+    x = np.empty(k)
     counts = []
-    for i, group in enumerate(scheme.groups):
-        s = k - len(group)
+    for i, (s, e) in enumerate(spans):
+        b = k - (e - s)
         levels, _, used = group_joint_decode(
-            z[i, s:], r[i, s:, s:], problem.alphabet, problem.snr, mode)
-        x_hat[list(group)] = levels
+            z[i, b:], r[i, b:, b:], problem.alphabet, problem.snr, mode)
+        x[s:e] = levels
         counts.append(used)
-    return DecodeResult(x_hat, int(sum(counts)), tuple(counts))
+    return DecodeResult(x[position], int(sum(counts)), tuple(counts))
 
 
 def picsic_decode(problem, mode="exhaustive"):
@@ -357,20 +414,19 @@ def picsic_decode(problem, mode="exhaustive"):
     """
     scheme = problem.scheme
     order, _ = _cancellation_orders(scheme)
+    spans, position = _group_spans(scheme)
     r, z = _ordered_qr(problem.g, problem.y, order)
-    root_snr = np.sqrt(problem.snr)
-    x_hat = np.zeros(problem.g.shape[1])
+    root_snr = math.sqrt(problem.snr)
+    x = np.empty(len(order))
     counts = []
-    e = problem.g.shape[1]
-    for group in scheme.groups:
-        s = e - len(group)
+    for s, e in spans:
         levels, _, used = group_joint_decode(
             z[s:e], r[s:e, s:e], problem.alphabet, problem.snr, mode)
-        x_hat[list(group)] = levels
+        x[s:e] = levels
         counts.append(used)
-        z[:s] -= root_snr * (r[:s, s:e] @ levels)
-        e = s
-    return DecodeResult(x_hat, int(sum(counts)), tuple(counts))
+        if s:
+            z[:s] -= root_snr * (r[:s, s:e] @ levels)
+    return DecodeResult(x[position], int(sum(counts)), tuple(counts))
 
 
 def check_ml_cap(alphabet, k):

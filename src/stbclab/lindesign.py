@@ -57,6 +57,8 @@ class Design:
         w = np.asarray(self.weight_matrices, dtype=complex)
         if w.ndim != 3:
             raise ValueError("weight_matrices must be a (K, T, N) array")
+        if not np.isfinite(w).all():
+            raise ValueError("weight matrices must be finite")
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weight_matrices", w)
@@ -129,7 +131,8 @@ def assemble_codeword(design, x):
     k = design.num_real_symbols
     if x.shape != (k,):
         raise ValueError(f"symbol vector must have length {k}, got {x.shape}")
-    return design.power_scale * np.tensordot(x, design.weight_matrices, axes=(0, 0))
+    w = design.weight_matrices
+    return design.power_scale * np.dot(x[None], w.reshape(k, -1)).reshape(w.shape[1:])
 
 
 def equivalent_channel(design, h):

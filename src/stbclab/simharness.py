@@ -161,8 +161,8 @@ class _SimContext:
         problem = DecodeProblem(y, g, self.scheme, self.alphabet, link.snr)
         result = decode(problem, cfg.decoder, cfg.search_mode)
         bits_hat = demap(result.decided, self.alphabet)
-        bit_err = int(np.sum(bits_hat != bits))
-        sym_err = int(np.sum(result.decided != x))
+        bit_err = int(np.count_nonzero(bits_hat != bits))
+        sym_err = int(np.count_nonzero(result.decided != x))
         return (bit_err, sym_err, 1 if bit_err else 0, result.candidate_evaluations)
 
     def run_range(self, snr_index, lo, hi):

@@ -6,9 +6,12 @@ renamed or removed function is otherwise noticed only by a traced
 benchmark run, which reports it missing.  A count hook that no longer fits
 its function's arguments raises inside the traced pass alone.  These tests
 import the benchmark read-only and check every target against the package
-on the path, and run each workload's pass with and without the tracer.
+on the path, run each workload's pass with and without the tracer, and
+check the untraced pass at the reference seed against the outcomes the
+benchmark's gate holds it to (perfbench/reference.json).
 """
 
+import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,6 +24,7 @@ from stbclab.constructions import build_alamouti_block_code
 from stbclab.decoders import DecodeProblem, picsic_decode
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = ["sim-sec4-picsic", "sim-sec3-pic-qam64", "sim-sec4-overloaded", "verify-falsify"]
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +69,7 @@ def test_group_search_spans_count_every_search(bench):
     assert all(isinstance(macs, int) and macs > 0 for _, macs in counts)
 
 
-@pytest.mark.parametrize("name", ["sim-sec4-picsic", "sim-sec3-pic-qam64",
-                                  "sim-sec4-overloaded", "verify-falsify"])
+@pytest.mark.parametrize("name", WORKLOADS)
 def test_traced_pass_reproduces_the_untraced_pass(bench, name):
     # A count hook that raises fails the traced pass; one that records no
     # count leaves its span's count at None, which the report cannot sum.
@@ -87,3 +90,13 @@ def test_traced_pass_reproduces_the_untraced_pass(bench, name):
                         for p in (traced, untraced))
     report.layer_metrics(workload.kind, tracer.spans, run.PASS_SPAN, traced,
                          untraced, [])
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_reference_seed_pass_passes_the_gate(bench, name):
+    # The benchmark's gate: every operation of the pass at the reference
+    # seed reproduces its stored outcome, counts and decisions included.
+    workload = bench.workloads.WORKLOADS[name]
+    reference = json.loads((BENCH / "reference.json").read_text())[name]
+    result = workload.run_pass(bench.workloads.REFERENCE_SEED)
+    assert bench.run.failed_ops(result, workload.op_names, reference) == {}

@@ -92,6 +92,16 @@ class TestVerify:
                 tmp_path, doc, lindesign.grouping_to_json(grouping)) == 1
             assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_design_file_is_exit_1(self, tmp_path, capsys):
+        # json writes and reads Infinity and NaN; the design must name them
+        design, grouping, _ = build_diagonal_code(2, 2, 1)
+        for value in (float("inf"), float("nan")):
+            doc = lindesign.design_to_json(design)
+            doc["matrices"][0][0][0][0] = value
+            assert self._verify_files(tmp_path, doc,
+                                      lindesign.grouping_to_json(grouping)) == 1
+            assert "error: weight matrices must be finite" in capsys.readouterr().err
+
     def test_grouping_of_other_than_k_symbols_is_exit_1(self, tmp_path, capsys):
         design, _, _ = build_diagonal_code(2, 2, 1)  # K = 4
         for groups in ([[1], [2]], [[1, 2], [3, 4], [5, 6]]):

@@ -42,6 +42,14 @@ class TestDesign:
         with pytest.raises(ValueError, match="dependent"):
             Design(w)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    def test_non_finite_weights_rejected(self, value):
+        # a non-finite entry is named as such, not as a dependency or an SVD failure
+        w = np.stack([np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)])
+        w[1, 0, 1] = value
+        with pytest.raises(ValueError, match="weight matrices must be finite"):
+            Design(w)
+
     def test_too_many_symbols_rejected(self):
         w = np.zeros((9, 2, 1), dtype=complex)
         with pytest.raises(ValueError):
