@@ -334,8 +334,9 @@ def _level_indices(row, alphabet, n):
 def group_joint_decode(py, pg, alphabet, snr, mode="exhaustive"):
     """Jointly decode one group of pg.shape[1] symbols from its projected observation.
 
-    Returns (level values, level indices, metric evaluation count).  Both
-    modes evaluate the metric of _gram_weights and return the same argmin,
+    Returns (level values, level indices, metric evaluation count); the
+    indices may be a read-only view of a cached table.  Both modes
+    evaluate the metric of _gram_weights and return the same argmin,
     and of equal least metrics the lexicographically first candidate; the
     conditioned mode falls back to the exhaustive search when the pivot
     column is exactly zero.
