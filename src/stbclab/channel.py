@@ -27,10 +27,13 @@ class PamAlphabet:
         lv.setflags(write=False)
         object.__setattr__(self, "levels", lv)
         object.__setattr__(self, "_midpoints", (lv[:-1] + lv[1:]) / 2)
-        # the Gray bits of each level index, most significant first
+        # the Gray bits of each level index, most significant first, and the inverse map
         idx = np.arange(lv.size)
+        gray = idx ^ (idx >> 1)
         shifts = np.arange(self.bit_width - 1, -1, -1)
-        object.__setattr__(self, "_gray_bits", ((idx ^ (idx >> 1))[:, None] >> shifts) & 1)
+        object.__setattr__(self, "_gray_bits", (gray[:, None] >> shifts) & 1)
+        object.__setattr__(self, "_gray_index", np.argsort(gray))
+        object.__setattr__(self, "_bit_values", 1 << shifts)
 
     @property
     def size(self):
@@ -52,15 +55,7 @@ class PamAlphabet:
 
     def bits_to_index(self, bits):
         bits = np.asarray(bits, dtype=np.int64).reshape(-1, self.bit_width)
-        gray = np.zeros(len(bits), dtype=np.int64)
-        for b in range(self.bit_width):
-            gray = (gray << 1) | bits[:, b]
-        idx = gray.copy()
-        shift = 1
-        while shift < self.bit_width:
-            idx ^= idx >> shift
-            shift *= 2
-        return idx
+        return self._gray_index[bits @ self._bit_values]
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,8 @@ Subcommands:
   simulate  run a Monte Carlo sweep from a JSON config, flags override keys
 
 Exit codes: 0 success, 1 infeasible parameters or bad input, 2 a rank
-witness was found by verify.
+witness was found by verify.  For verify, 0 means that no witness was found
+within the budget, not that full diversity is proven (see verify --help).
 """
 
 import argparse
@@ -156,7 +157,10 @@ def make_parser():
                    help="grouping JSON path (default: derived from --out)")
     b.set_defaults(fn=_cmd_build)
 
-    v = sub.add_parser("verify", help="falsify the full-diversity rank criterion")
+    v = sub.add_parser("verify", help="falsify the full-diversity rank criterion", description=(
+        "Exit 2: a rank witness was found, a proof of failure.  Exit 0: no witness was found "
+        "within this budget, which does not prove full diversity.  A1 = I, A2 = diag(1, -1) "
+        "with groups {1} and {2} exits 0, \"witness\": null, yet 2 A1 - 2 A2 has rank 1."))
     v.add_argument("--design", help="design JSON (else name a code via --family)")
     v.add_argument("--grouping", help="grouping JSON")
     _add_code_args(v, required=False)

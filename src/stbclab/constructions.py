@@ -252,11 +252,10 @@ TRADEOFF_FAMILIES = (
 )
 
 
-def tabulate_tradeoff(antennas, delay, families=None):
-    """(rate, worst-case exponent) points for all families at (N, T).
+def tabulate_tradeoff(antennas, delay):
+    """(rate, worst-case exponent) points for every family feasible at (N, T).
 
-    families defaults to every family feasible at (N, T); requesting an
-    infeasible one explicitly raises ValueError.  Diagonal rows are emitted
+    The Alamouti-block families need even N and T.  Diagonal rows are emitted
     for every group size 1..N.  The constructed families' rows are their
     CodeSpec's accounting; diagonal_coarse, which is not constructed here,
     is the published 2N-symbol grouping of the diagonal code.
@@ -265,22 +264,19 @@ def tabulate_tradeoff(antennas, delay, families=None):
     if nt < 1 or t < nt:
         raise ValueError(f"infeasible parameters: need T >= N >= 1, got N={nt}, T={t}")
     even_ok = nt % 2 == 0 and t % 2 == 0
-    if families is None:
-        families = [f for f in TRADEOFF_FAMILIES
-                    if even_ok or not f.startswith("alamouti_block")]
     rows = []
-    for fam in families:
+    for fam in TRADEOFF_FAMILIES:
         if fam == "diagonal_coarse":
             rows.append(TradeoffRow(fam, 2 * nt, nt * Fraction(t - nt + 1, t), Fraction(nt)))
             continue
         if fam in ("toeplitz", "diagonal"):
             specs = [CodeSpec.from_delay(Family.DIAGONAL, nt, t, lam)
                      for lam in (range(1, nt + 1) if fam == "diagonal" else (1,))]
-        elif fam in ("alamouti_block", "alamouti_block_coarse"):
+        elif even_ok:
             specs = [CodeSpec.from_delay(Family.ALAMOUTI_BLOCK, nt, t, grouping_variant=(
                 "coarse" if fam.endswith("coarse") else "fine"))]
         else:
-            raise ValueError(f"unknown family {fam!r}")
+            continue
         rows += [TradeoffRow(fam, s.num_real_symbols // s.num_groups, s.rate,
                              s.worst_case_exponent) for s in specs]
     return rows

@@ -27,8 +27,9 @@ x (the sorted-QR view of SIC, Wubben et al., Electron. Lett. 2001).  So the
 group search sees the same argmin through n rows.  PIC-SIC cancels a
 decoded group by z[:s] -= sqrt(snr) R[:s, s:e] levels.  Both decoders keep
 their decisions in the PIC-SIC column order, where group k's are x[s:e]
-(_group_spans, cached per scheme), and put them back at the symbols'
-indices once per problem.  On a full-rank G the factor is one QR call.
+(_cancellation_orders, cached per scheme with the orders), and put them
+back at the symbols' indices once per problem.  On a full-rank G the
+factor is one QR call.
 
 One rank rule decides which columns the QR keeps, for every decoder and on
 every input (_ordered_qr): a column is null when its residual off the kept
@@ -68,17 +69,18 @@ exhaustive metrics are one matvec of a feature table cached per alphabet
 and symbol count, or, when that table would pass GRAM_MAX_TABLE doubles
 (ML near ML_CAP), sums over a head and a tail table (_metrics).
 A search plan cached per alphabet and symbol count (_search_plan) holds
-the feature constants and, for the conditioned search, the indices that
-gather w into two columns.  One product of the integer table of the other
-n - 1 symbols with those columns gives every non-pivot candidate's own
-metric and, less the pivot's linear weight, its pivot coefficient c;
-both are exact for the reason the metric is.
+the feature constants, the indices that split w between the head and the
+tail table and, for the conditioned search, those that gather w into two
+columns.  One product of the integer table of the other n - 1 symbols
+with those columns gives every non-pivot candidate's own metric and, less
+the pivot's linear weight, its pivot coefficient c; both are exact for
+the reason the metric is.
 The conditioned search (_conditioned_metrics) takes the pivot level by
 np.searchsorted of -c / (2 w00) among the midpoints of the levels in
 units: at a true midpoint that quotient of two grid multiples is exact,
-and the lower level wins.  A table of level indices per alphabet and
-symbol count, laid out as the feature tables are (_level_indices), maps
-the winning row to the group's decisions.
+and the lower level wins.  Both layouts number the candidates
+lexicographically, so the winning row's level indices are its digits in
+base sqrt(M), the alphabet size; no table holds them.
 
 Ties between equal metrics resolve to the candidate earliest in
 lexicographic enumeration order (the first symbol varies slowest), in both
@@ -205,29 +207,20 @@ def _frozen(*arrays):
 
 @lru_cache(maxsize=None)
 def _cancellation_orders(scheme):
-    """Column orders of the triangular views (cached per scheme).
+    """(sic, pic, spans, position): the column orders of the triangular views (cached).
 
-    PIC-SIC: all groups in reverse decode order, shape (K,).  PIC: for each
-    group the other groups' columns, then the group's, shape (groups, K).
+    sic orders all groups in reverse decode order, shape (K,), and pic, for
+    each group, the other groups' columns, then the group's, shape
+    (groups, K).  Group k occupies columns spans[k] = (s, e) of sic, and so
+    do its decisions in a vector x kept in that order; x[position] puts
+    every symbol back at its own index.
     """
     sic = np.array([j for group in reversed(scheme.groups) for j in group])
     pic = np.array([list(scheme.complement(k)) + list(group)
                     for k, group in enumerate(scheme.groups)])
-    return _frozen(sic, pic)
-
-
-@lru_cache(maxsize=None)
-def _group_spans(scheme):
-    """((s, e) of each group in decode order, position) (cached per scheme).
-
-    Group k occupies columns s:e of the PIC-SIC order, and so do its
-    decisions in a vector x kept in that order; x[position] puts every
-    symbol back at its own index.
-    """
-    sic, _ = _cancellation_orders(scheme)
     ends = np.cumsum([0] + [len(group) for group in reversed(scheme.groups)])
     spans = tuple((int(s), int(e)) for s, e in zip(ends, ends[1:]))[::-1]
-    return spans, _frozen(np.argsort(sic))[0]
+    return _frozen(sic, pic) + (spans,) + _frozen(np.argsort(sic))
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +235,7 @@ def _units(alphabet):
 
 @lru_cache(maxsize=None)
 def _search_plan(alphabet, n):
-    """(fmax, scales, pairs, rest): what every search of n symbols shares (cached).
+    """(fmax, scales, pairs, rest, head, tail, across): what n-symbol searches share (cached).
 
     The features are u_i, then u_i u_j for i <= j.  fmax bounds each
     feature column (the largest |u|, or its square), scales turn
@@ -250,7 +243,9 @@ def _search_plan(alphabet, n):
     the flat indices of (i, j) in an n x n matrix.  rest picks, for the
     features of symbols 1..n-1, two columns of weights: their own, and in
     the first n-1 rows the pivot's products with their u_i (the rows after
-    those are padding, to be zeroed).
+    those are padding, to be zeroed).  head, tail and across pick the
+    weights of the split layout (_metrics): the features of the first n // 2
+    symbols, those of the rest, and the products across the two.
     """
     top = np.abs(_units(alphabet)[0]).max()
     h = alphabet.spacing / 2
@@ -258,21 +253,19 @@ def _search_plan(alphabet, n):
     own = np.r_[1:n, 2 * n:n + len(i)]
     cross = np.zeros_like(own)
     cross[:n - 1] = np.arange(n + 1, 2 * n)
+    a = n // 2
     return _frozen(np.concatenate([np.full(n, top), np.full(len(i), top * top)]),
                    np.concatenate([np.full(n, -2 * h), np.where(i == j, 1.0, 2.0) * h * h]),
-                   i * n + j, np.stack([own, cross], axis=1))
-
-
-@lru_cache(maxsize=None)
-def _digit_table(alphabet, n):
-    """The level indices of every candidate of n symbols, in lexicographic order (cached)."""
-    return _frozen(np.indices((alphabet.size,) * n).reshape(n, alphabet.size ** n).T)[0]
+                   i * n + j, np.stack([own, cross], axis=1),
+                   np.r_[:a, n + np.flatnonzero(j < a)],
+                   np.r_[a:n, n + np.flatnonzero(i >= a)],
+                   n + np.flatnonzero((i < a) & (j >= a)))
 
 
 @lru_cache(maxsize=None)
 def _gram_table(alphabet, n):
     """The features of every candidate of n symbols, a row each in lexicographic order (cached)."""
-    u = _units(alphabet)[0][_digit_table(alphabet, n)]
+    u = _units(alphabet)[0][np.indices((alphabet.size,) * n).reshape(n, alphabet.size ** n).T]
     i, j = np.triu_indices(n)
     return _frozen(np.hstack([u, u[:, i] * u[:, j]]))[0]
 
@@ -287,59 +280,40 @@ def _gram_weights(py, pg, alphabet, snr):
     not be: OpenBLAS sums some rows of a table in a different order from
     others.
     """
-    fmax, scales, pairs, _ = _search_plan(alphabet, pg.shape[1])
+    fmax, scales, pairs = _search_plan(alphabet, pg.shape[1])[:3]
     # pg.T.dot(pg) is the Gram product pg.T @ pg gives, at less call overhead
     w = scales * np.concatenate([math.sqrt(snr) * (py @ pg), snr * pg.T.dot(pg).take(pairs)])
     grid = math.ldexp(1.0, max(math.frexp(fmax @ np.abs(w))[1] - 52, -1074))
     return np.rint(w / grid) * grid
 
 
-def _one_table(alphabet, n):
-    """Whether the n-symbol feature table holds at most GRAM_MAX_TABLE doubles."""
-    return alphabet.size ** n * n * (n + 3) // 2 <= GRAM_MAX_TABLE
-
-
 def _metrics(w, alphabet, n):
     """features @ w for every candidate of n symbols, in lexicographic order.
 
-    One matvec of the n-symbol table when _one_table; otherwise
-    (F_h @ w_h)[:, None] + F_t @ w_t + (U_h @ W_x) @ U_t^T from the tables
-    of the first n // 2 symbols (head) and of the rest (tail), with U their
-    u columns and W_x the head-tail product weights.
+    One matvec of the n-symbol table when it holds at most GRAM_MAX_TABLE
+    doubles; otherwise (F_h @ w_h)[:, None] + F_t @ w_t + (U_h @ W_x) @ U_t^T
+    from the tables of the first n // 2 symbols (head) and of the rest
+    (tail), with U their u columns and W_x the head-tail product weights.
     """
-    if _one_table(alphabet, n):
+    if alphabet.size ** n * n * (n + 3) // 2 <= GRAM_MAX_TABLE:
         return _gram_table(alphabet, n).dot(w)
     if w.ndim > 1:
         return np.stack([_metrics(v, alphabet, n) for v in w.T], axis=1)
     a = n // 2
-    i, j = np.triu_indices(n)
-    head = np.r_[:a, n + np.flatnonzero(j < a)]
-    tail = np.r_[a:n, n + np.flatnonzero(i >= a)]
-    w_x = w[n + np.flatnonzero((i < a) & (j >= a))].reshape(a, n - a)
+    head, tail, across = _search_plan(alphabet, n)[4:]
     fh, ft = _gram_table(alphabet, a), _gram_table(alphabet, n - a)
-    mixed = (fh[:, :a] @ w_x) @ ft[:, :n - a].T
+    mixed = (fh[:, :a] @ w[across].reshape(a, n - a)) @ ft[:, :n - a].T
     return ((fh @ w[head])[:, None] + ft @ w[tail] + mixed).ravel()
-
-
-def _level_indices(row, alphabet, n):
-    """The level indices of candidate `row` of n symbols, in the layout of _metrics."""
-    if _one_table(alphabet, n):
-        return _digit_table(alphabet, n)[row]
-    a = n // 2
-    head, tail = divmod(row, alphabet.size ** (n - a))
-    return np.concatenate([_digit_table(alphabet, a)[head],
-                           _digit_table(alphabet, n - a)[tail]])
 
 
 def group_joint_decode(py, pg, alphabet, snr, mode="exhaustive"):
     """Jointly decode one group of pg.shape[1] symbols from its projected observation.
 
-    Returns (level values, level indices, metric evaluation count); the
-    indices may be a read-only view of a cached table.  Both modes
-    evaluate the metric of _gram_weights and return the same argmin,
-    and of equal least metrics the lexicographically first candidate; the
-    conditioned mode falls back to the exhaustive search when the pivot
-    column is exactly zero.
+    Returns (level values, level indices, metric evaluation count), the
+    indices a fresh array.  Both modes evaluate the metric of _gram_weights
+    and return the same argmin, and of equal least metrics the
+    lexicographically first candidate; the conditioned mode falls back to
+    the exhaustive search when the pivot column is exactly zero.
     """
     py = np.asarray(py, dtype=float)
     pg = np.asarray(pg, dtype=float)
@@ -360,7 +334,8 @@ def group_joint_decode(py, pg, alphabet, snr, mode="exhaustive"):
     else:
         metrics = _metrics(w, alphabet, n)
         row = int(metrics.argmin())
-    idx = _level_indices(row, alphabet, n)
+    # both layouts number the candidates lexicographically: idx holds the digits of row
+    idx = np.array([row // alphabet.size ** (n - 1 - i) % alphabet.size for i in range(n)])
     return alphabet.levels[idx], idx, len(metrics)
 
 
@@ -392,8 +367,7 @@ def pic_decode(problem, mode="exhaustive"):
     the group's last columns.
     """
     scheme = problem.scheme
-    _, orders = _cancellation_orders(scheme)
-    spans, position = _group_spans(scheme)
+    _, orders, spans, position = _cancellation_orders(scheme)
     r, z = _ordered_qr(problem.g, problem.y, orders)
     k = len(position)
     x = np.empty(k)
@@ -414,8 +388,7 @@ def picsic_decode(problem, mode="exhaustive"):
     every group's triangular block.
     """
     scheme = problem.scheme
-    order, _ = _cancellation_orders(scheme)
-    spans, position = _group_spans(scheme)
+    order, _, spans, position = _cancellation_orders(scheme)
     r, z = _ordered_qr(problem.g, problem.y, order)
     root_snr = math.sqrt(problem.snr)
     x = np.empty(len(order))

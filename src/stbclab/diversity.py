@@ -157,12 +157,9 @@ def _search_group(design, group, interference_idx, diffs, probes, work):
     k, t, n = w.shape
     a_mats = (diffs.astype(float) @ w[list(group)].reshape(len(group), -1)
               ).reshape(len(diffs), t, n)
-    if interference_idx:
-        u_mats = (probes @ w[list(interference_idx)].reshape(len(interference_idx), -1)
-                  ).reshape(len(probes), t, n)
-    else:
-        u_mats = np.zeros((1, t, n), dtype=complex)
-        probes = np.zeros((1, 0))
+    # no interference (PIC-SIC's last group) has the one zero probe
+    u_mats = (probes @ w[list(interference_idx)].reshape(len(interference_idx), t * n)
+              ).reshape(len(probes), t, n)
     step = max(1, SCREEN_BLOCK // len(u_mats))
     for start in range(0, len(a_mats), step):
         x, mask = _screen_block(a_mats[start:start + step], u_mats, work)

@@ -146,10 +146,9 @@ def equivalent_channel(design, h):
     if h.ndim != 2 or h.shape[0] != design.antennas:
         raise ValueError(f"channel matrix must have {design.antennas} rows")
     prods = design.power_scale * (design.weight_matrices @ h)  # (K, T, N_r)
-    k = design.num_real_symbols
-    re = prods.real.transpose(2, 1, 0).reshape(-1, k)
-    im = prods.imag.transpose(2, 1, 0).reshape(-1, k)
-    return np.concatenate([re, im], axis=0)
+    g = np.empty((2,) + prods.shape[::-1])  # C order at every N_r
+    g[0], g[1] = prods.real.T, prods.imag.T
+    return g.reshape(-1, design.num_real_symbols)
 
 
 def design_to_json(design):

@@ -67,7 +67,7 @@ class TestPamAlphabet:
 
 
 class TestModulateDemap:
-    @pytest.mark.parametrize("m", [4, 16])
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
     def test_round_trip_all_patterns(self, m):
         a = pam_for_qam(m)
         for bits in itertools.product([0, 1], repeat=3 * a.bit_width):

@@ -2,6 +2,7 @@ import argparse
 import json
 
 import numpy as np
+import pytest
 
 from stbclab import cli, decoders, lindesign, simharness
 from stbclab.constructions import build_diagonal_code
@@ -42,6 +43,13 @@ class TestBuild:
 
 
 class TestVerify:
+    def test_help_says_exit_0_is_not_a_proof(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "no witness was found within this budget" in text
+        assert "does not prove full diversity" in text
+
     def test_named_code_passes(self, capsys):
         rc = cli.main(["verify", "--family", "sec4", "--antennas", "4",
                        "--layers", "2", "--mode", "picsic", "--trials", "50",

@@ -264,7 +264,3 @@ class TestTradeoff:
     def test_infeasible(self):
         with pytest.raises(ValueError):
             tabulate_tradeoff(4, 3)
-        with pytest.raises(ValueError):
-            tabulate_tradeoff(3, 5, families=["alamouti_block"])
-        with pytest.raises(ValueError):
-            tabulate_tradeoff(2, 4, families=["nonsense"])

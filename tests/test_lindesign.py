@@ -106,6 +106,19 @@ class TestEquivalentChannel:
             rhs = g @ x
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
+    @pytest.mark.parametrize("receive", [1, 2, 3])
+    def test_c_ordered_at_every_receive_count(self, receive):
+        # G's memory order decides how g @ x rounds, so it must not depend on N_r
+        d, _, _ = build_alamouti_block_code(4, 2)
+        rng = np.random.default_rng(receive)
+        h = rng.standard_normal((4, receive)) + 1j * rng.standard_normal((4, receive))
+        x = rng.standard_normal(d.num_real_symbols)
+        g = equivalent_channel(d, h)
+        assert g.shape == (2 * receive * d.delay, d.num_real_symbols)
+        assert g.flags.c_contiguous
+        expected = vec_complex(assemble_codeword(d, x) @ h)
+        assert np.allclose(g @ x, expected, rtol=1e-12, atol=1e-12)
+
     def test_alamouti_orthogonal_columns(self):
         g = equivalent_channel(alamouti_design(), np.array([[1.0], [0.0]], dtype=complex))
         gtg = g.T @ g
