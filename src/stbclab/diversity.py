@@ -10,13 +10,17 @@ Two kinds of checkers live here:
 
 * Randomized falsifiers (falsify_pic / falsify_picsic).  They enumerate the
   difference vectors exhaustively (up to a cap) and pair them with random
-  plus deterministic sparse interference probes.  Each (difference, probe)
-  matrix X is screened in batches by its Gram determinant: X is flagged when
-  det(X^H X) <= SCREEN_TAU * tr(X^H X)^N.  Since det <= lambda_min *
-  lambda_max^(N-1) and lambda_max <= tr, every X that numerical_rank calls
-  deficient (s_min <= RANK_EPS * s_max) has det <= RANK_EPS^2 * tr^N, so
-  with SCREEN_TAU far above RANK_EPS^2 and the determinant's rounding the
-  screen flags a superset of the deficient matrices.  Flagged matrices are
+  plus deterministic sparse interference probes.  A block of (difference,
+  probe) matrices X is screened at once, held batch-last and real as
+  [Re X; Im X]: X is flagged unless det(X^H X) / tr(X^H X)^N, taken as the
+  product of the LDL^H pivots of X^H X over its trace, is finite and above
+  SCREEN_TAU.  Every X that numerical_rank calls deficient (s_min <=
+  RANK_EPS * s_max) has an exact ratio of at most lambda_min / tr <=
+  RANK_EPS^2.  LDL^H of a positive semidefinite Gram is backward stable:
+  the computed pivots are exact for a Gram a few hundred roundoffs of tr
+  away, far inside SCREEN_TAU * tr, or one comes out non-positive or
+  non-finite, which flags X too.  So at any scale of the design the screen
+  flags a superset of the deficient matrices.  Flagged matrices are
   confirmed by numerical_rank in (difference, probe) order, and the first
   confirmed one is the witness.  A returned witness is a proof of failure;
   returning None is NOT a proof of full diversity, only a failed
@@ -33,7 +37,6 @@ Two kinds of checkers live here:
 
 import numpy as np
 from dataclasses import dataclass
-from math import prod
 
 from .constructions import (
     Family, build_alamouti_block_code, build_diagonal_code,
@@ -43,7 +46,7 @@ from .rotations import RotationMatrix, certify_rotation, rotation_entries
 
 DIFFERENCE_ENUM_CAP = 10_000
 SCREEN_TAU = 1e-12  # det(G) / tr(G)^N at or below which numerical_rank checks X
-SCREEN_BLOCK = 1 << 14  # matrices screened per block; a block holds whole differences
+SCREEN_BLOCK = 1 << 13  # matrices screened per block; a block holds whole differences
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,43 +114,28 @@ def _interference_probes(count, trials, rng):
     return np.concatenate([det, rng.standard_normal((trials, count))], axis=0)
 
 
-def _rank_screen(x, out=None):
-    """Mask over a stack of T x N matrices X, True where
-    det(X^H X) <= SCREEN_TAU * tr(X^H X)^N: a superset of the matrices that
-    numerical_rank calls deficient (see the module docstring).
-
-    out, when given, is a pair of buffers shaped like x and like the stack
-    of N x N Gram matrices, which receive conj(X) and X^H X.
-    """
-    xc, gram = (None, None) if out is None else out
-    xc = np.conjugate(x, out=xc)
-    gram = np.matmul(xc.swapaxes(-1, -2), x, out=gram)
-    trace = np.einsum("...jj->...", gram).real
-    return np.linalg.det(gram).real <= SCREEN_TAU * trace ** x.shape[-1]
-
-
-def _screen_block(a_block, u_mats, work):
-    """(x, mask): x[i, j] = a_block[i] + u_mats[j] and its _rank_screen mask.
-
-    x, its conjugate and its Gram stack are written into one buffer,
-    work["buffer"], which lives for one falsifier call and is reallocated
-    only to grow, so every block of the call reuses the same pages.
-    """
-    shape = (len(a_block),) + u_mats.shape
-    n = shape[-1]
-    gram_shape = shape[:-2] + (n, n)
-    size, gram_size = prod(shape), prod(gram_shape)
-    if work.get("buffer", np.empty(0)).size < 2 * size + gram_size:
-        work["buffer"] = np.empty(2 * size + gram_size, dtype=complex)
-    buf = work["buffer"]
-    x = buf[:size].reshape(shape)
-    np.add(a_block[:, None], u_mats[None], out=x)
-    out = (buf[size:2 * size].reshape(shape),
-           buf[2 * size:2 * size + gram_size].reshape(gram_shape))
-    return x, _rank_screen(x, out)
+def _rank_screen(y):
+    """Mask over the pairs of y = [Re X; Im X], shaped (2T, N, *pairs): True
+    unless the product of the unpivoted LDL^H pivots of X^H X, each over its
+    trace, is finite and above SCREEN_TAU (see the module docstring)."""
+    t, n = len(y) // 2, y.shape[1]
+    re = np.einsum("ti...,tj...->ij...", y, y)
+    im = np.einsum("ti...,tj...->ij...", y[:t], y[t:])
+    im = im - im.swapaxes(0, 1)
+    trace = np.einsum("ii...->...", re)
+    ratio = np.ones(trace.shape)
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            pivot, cr, ci = re[k, k], re[k + 1:, k], im[k + 1:, k]
+            ratio *= np.maximum(pivot, 0) / trace
+            lr, li = cr / pivot, ci / pivot
+            # Schur complement: G_ij -= G_ik conj(G_jk) / pivot
+            re[k + 1:, k + 1:] -= lr[:, None] * cr + li[:, None] * ci
+            im[k + 1:, k + 1:] -= li[:, None] * cr - lr[:, None] * ci
+    return ~(np.isfinite(ratio) & (ratio > SCREEN_TAU))
 
 
-def _search_group(design, group, interference_idx, diffs, probes, work):
+def _search_group(design, group, interference_idx, diffs, probes):
     """Return the first (a, u) making the combined matrix rank-deficient, or None.
 
     The (difference, probe) pairs are screened in blocks of whole differences;
@@ -160,13 +148,19 @@ def _search_group(design, group, interference_idx, diffs, probes, work):
     # no interference (PIC-SIC's last group) has the one zero probe
     u_mats = (probes @ w[list(interference_idx)].reshape(len(interference_idx), t * n)
               ).reshape(len(probes), t, n)
+    # [Re; Im] of each matrix, batch-last: (2T, N, count)
+    a_rows, u_rows = (np.concatenate([m.real, m.imag])
+                      for m in (np.moveaxis(a_mats, 0, -1), np.moveaxis(u_mats, 0, -1)))
     step = max(1, SCREEN_BLOCK // len(u_mats))
     for start in range(0, len(a_mats), step):
-        x, mask = _screen_block(a_mats[start:start + step], u_mats, work)
-        for i, j in np.argwhere(mask):
-            rank = numerical_rank(x[i, j])
+        a_block = a_rows[:, :, start:start + step, None]
+        y = np.empty(a_block.shape[:3] + (len(u_mats),))
+        np.add(a_block, u_rows[:, :, None], out=y)
+        for i, j in np.argwhere(_rank_screen(y)):
+            x = a_mats[start + i] + u_mats[j]
+            rank = numerical_rank(x)
             if rank < n:
-                s = np.linalg.svd(x[i, j], compute_uv=False)
+                s = np.linalg.svd(x, compute_uv=False)
                 return diffs[start + i], probes[j], rank, float(s[-1])
     return None
 
@@ -177,14 +171,13 @@ def _falsify(design, scheme, pam_levels, trials_per_group, rng_seed, interferenc
     if scheme.num_symbols != design.num_real_symbols:
         raise ValueError(f"grouping covers {scheme.num_symbols} symbols, "
                          f"the design has {design.num_real_symbols}")
-    work = {}
     for k in range(scheme.num_groups):
         rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(k,)))
         group = scheme.groups[k]
         diffs = _difference_vectors(len(group), pam_levels, rng)
         idx = interference_of(k)
         probes = _interference_probes(len(idx), trials_per_group, rng)
-        hit = _search_group(design, group, idx, diffs, probes, work)
+        hit = _search_group(design, group, idx, diffs, probes)
         if hit is not None:
             a, u, rank, sigma = hit
             return RankWitness(k, a, u, tuple(idx), rank, sigma)

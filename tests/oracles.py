@@ -15,6 +15,10 @@ the group-search oracle that of every candidate of one group.  ZF
 solves least squares on the columns the same rank rule keeps, with every
 skipped column's estimate 0; on a full-rank channel that is the
 pseudo-inverse solution.
+
+The falsifier screen's reference takes each candidate's Gram determinant
+by LAPACK, one matrix at a time, and flags it at or below SCREEN_TAU times
+the trace to the N-th power.
 """
 
 import itertools
@@ -22,6 +26,7 @@ import itertools
 import numpy as np
 
 from stbclab.decoders import DecodeResult, group_joint_decode
+from stbclab.diversity import SCREEN_TAU
 from stbclab.lindesign import RANK_EPS
 
 
@@ -161,3 +166,14 @@ def metric_gaps(problem, name, decided):
         scale = (y_k @ y_k + problem.snr * np.sum(problem.g[:, group] ** 2) * top ** 2)
         out.append((float(mine @ mine - metrics.min()), float(scale)))
     return out
+
+
+def det_rank_screen(y):
+    """The determinant screen of y = [Re X; Im X], shaped (2T, N, *pairs) as
+    diversity._rank_screen takes it: True where det(X^H X) <= SCREEN_TAU *
+    tr(X^H X)^N, with det from LAPACK on each X^H X."""
+    t = len(y) // 2
+    x = np.moveaxis(y[:t] + 1j * y[t:], (0, 1), (-2, -1))
+    gram = x.conj().swapaxes(-1, -2) @ x
+    trace = np.einsum("...jj->...", gram).real
+    return np.linalg.det(gram).real <= SCREEN_TAU * trace ** x.shape[-1]

@@ -14,6 +14,7 @@ from stbclab.diversity import (
 )
 from stbclab.lindesign import RANK_EPS, Design, GroupingScheme
 from stbclab.rotations import RotationMatrix, build_rotation, certify_rotation
+from tests.oracles import det_rank_screen
 from tests.test_lindesign import alamouti_design
 
 
@@ -123,6 +124,15 @@ def _complex_normal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _pair_rows(a_mats, u_mats):
+    """y[:, :, i, j] = [Re; Im] of a_mats[i] + u_mats[j], built as the falsifier
+    builds its screen blocks."""
+    a_rows, u_rows = (np.concatenate([m.real, m.imag])
+                      for m in (np.moveaxis(a_mats, 0, -1), np.moveaxis(u_mats, 0, -1)))
+    y = np.empty(a_rows.shape + (len(u_mats),))
+    return np.add(a_rows[..., None], u_rows[:, :, None], out=y)
+
+
 class TestRankScreen:
     def test_rank_deficient_product_gives_the_zero_probe_witness(self):
         # symbol 1's weight B @ C has rank N - 1 and no zero entries, so the
@@ -164,7 +174,29 @@ class TestRankScreen:
         deficient = numerical_rank(x) < n
         assert deficient == (kind != "above")
         if deficient:
-            assert diversity._rank_screen(x[None])[0]
+            assert diversity._rank_screen(_pair_rows(x[None], np.zeros((1, t, n))))[0, 0]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 8), extra_rows=st.integers(0, 3), diffs=st.integers(1, 7),
+           probes=st.integers(1, 9), scale_exp=st.sampled_from([-40, 0, 40]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_a_planted_deficient_pair_is_flagged_in_its_block(self, n, extra_rows, diffs,
+                                                             probes, scale_exp, seed):
+        # a block of random differences and probes, one pair of which sums to
+        # B @ C of rank < N; every pair numerical_rank calls deficient is flagged
+        t = n + extra_rows
+        rng = np.random.default_rng(seed)
+        scale = 2.0 ** scale_exp
+        a_mats = scale * _complex_normal(rng, (diffs, t, n))
+        u_mats = scale * _complex_normal(rng, (probes, t, n))
+        i, j, r = rng.integers(diffs), rng.integers(probes), rng.integers(0, n)
+        planted = _complex_normal(rng, (t, r)) @ _complex_normal(rng, (r, n))
+        a_mats[i] = scale * planted - u_mats[j]
+        mask = diversity._rank_screen(_pair_rows(a_mats, u_mats))
+        deficient = np.array([[numerical_rank(a + u) < n for u in u_mats]
+                              for a in a_mats])
+        assert deficient[i, j]
+        assert mask[deficient].all()
 
 
 def _identity_diagonal(antennas, group_size, layers):
@@ -210,14 +242,6 @@ class TestScreenBlocks:
                                   trials_per_group=300, rng_seed=1) is None
 
 
-def _fresh_block(a_block, u_mats, work):
-    """The screen of a block in fresh arrays, as written before the workspace."""
-    x = a_block[:, None] + u_mats[None]
-    gram = x.conj().swapaxes(-1, -2) @ x
-    trace = np.einsum("...jj->...", gram).real
-    return x, np.linalg.det(gram).real <= diversity.SCREEN_TAU * trace ** x.shape[-1]
-
-
 def _verify_inputs():
     """(falsifier, code, PAM levels) of the benchmark's verify pass."""
     codes = ((build_diagonal_code(3, 2, 4), 4), (build_alamouti_block_code(4, 2), 4),
@@ -226,33 +250,41 @@ def _verify_inputs():
             for falsify in (falsify_pic, falsify_picsic)]
 
 
+def _recording(monkeypatch, screen):
+    """Route the falsifiers through screen, recording its masks and the
+    matrices numerical_rank confirms."""
+    masks, calls = [], []
+
+    def recording_screen(y):
+        masks.append(screen(y))
+        return masks[-1]
+
+    def recording_rank(mat):
+        calls.append(np.array(mat))
+        return numerical_rank(mat)
+
+    monkeypatch.setattr(diversity, "_rank_screen", recording_screen)
+    monkeypatch.setattr(diversity, "numerical_rank", recording_rank)
+    return masks, calls
+
+
 class TestScreenWorkspace:
     def test_workspace_mask_matches_a_fresh_screen(self):
         # three "groups": 23 differences in blocks of 5 (a short last block),
-        # then a block of 4 x 9 probes that outgrows the buffers, then a
-        # smaller one that fits in them
+        # then a block of 4 x 9 probes, then a block of 3 x 2
         rng = np.random.default_rng(11)
         t, n = 5, 3
-        work = {}
         for diffs, probes, step in ((23, 4, 5), (4, 9, 4), (3, 2, 3)):
             a_mats = _complex_normal(rng, (diffs, t, n))
             a_mats[::2, :, 0] = 0  # rank-deficient unless the probe fills column 0
             u_mats = _complex_normal(rng, (probes, t, n))
             u_mats[0] = 0
             u_mats[1, :, 1:] = 0
-            grown = work.get("buffer")
             for start in range(0, diffs, step):
-                block = a_mats[start:start + step]
-                x, mask = diversity._screen_block(block, u_mats, work)
-                fresh_x, fresh_mask = _fresh_block(block, u_mats, None)
-                assert np.array_equal(x, fresh_x)
-                assert np.array_equal(mask, fresh_mask)
-                assert np.array_equal(mask, diversity._rank_screen(fresh_x))
-                assert np.shares_memory(x, work["buffer"])
+                y = _pair_rows(a_mats[start:start + step], u_mats)
+                mask = diversity._rank_screen(y)
+                assert np.array_equal(mask, det_rank_screen(y))
             assert mask.any() and not mask.all()
-            fits = (grown is not None
-                    and grown.size >= probes * step * (2 * t * n + n * n))
-            assert (work["buffer"] is grown) == fits
 
     @pytest.mark.parametrize("inputs", ["broken", "verify"])
     def test_witnesses_and_rank_calls_match_a_fresh_screen(self, monkeypatch, inputs):
@@ -262,31 +294,50 @@ class TestScreenWorkspace:
                     for falsify, build, pam, trials, seed, scheme in BROKEN_INPUTS]
         else:
             runs = [(falsify, code, pam, 200, 2026) for falsify, code, pam in _verify_inputs()]
-        rank = diversity.numerical_rank
 
-        def outcomes():
-            calls = []
-
-            def recording_rank(mat, *args):
-                calls.append(np.array(mat))
-                return rank(mat, *args)
-
-            monkeypatch.setattr(diversity, "numerical_rank", recording_rank)
+        def outcomes(screen):
+            masks, calls = _recording(monkeypatch, screen)
             witnesses = []
             for falsify, (design, grouping, *_), pam, trials, seed in runs:
                 w = falsify(design, grouping, pam, trials, rng_seed=seed)
                 witnesses.append(None if w is None else
                                  _witness_key(w) + (w.smallest_singular_value,))
-            return witnesses, calls
+            return witnesses, masks, calls
 
-        witnesses, calls = outcomes()
-        monkeypatch.setattr(diversity, "_screen_block", _fresh_block)
-        fresh_witnesses, fresh_calls = outcomes()
-        assert witnesses == fresh_witnesses
-        assert len(calls) == len(fresh_calls)
-        assert all(np.array_equal(a, b) for a, b in zip(calls, fresh_calls))
+        witnesses, masks, calls = outcomes(diversity._rank_screen)
+        oracle_witnesses, oracle_masks, oracle_calls = outcomes(det_rank_screen)
+        assert witnesses == oracle_witnesses
+        assert len(masks) == len(oracle_masks)
+        assert all(np.array_equal(a, b) for a, b in zip(masks, oracle_masks))
+        assert len(calls) == len(oracle_calls)
+        assert all(np.array_equal(a, b) for a, b in zip(calls, oracle_calls))
         if inputs == "broken":
             assert all(w is not None for w in witnesses)
+
+
+class TestScreenScale:
+    @pytest.mark.parametrize("scale_exp", [-300, 300])
+    def test_scaled_certified_code_needs_no_confirmation(self, monkeypatch, scale_exp):
+        # det and tr^N of a Gram at 2^(+-600) under- or overflow; the pivot
+        # ratio does not, so no pair of a certified code is flagged
+        design, grouping, _ = build_diagonal_code(3, 2, 4)
+        scaled = Design(design.weight_matrices * 2.0 ** scale_exp)
+        calls = []
+        monkeypatch.setattr(diversity, "numerical_rank",
+                            lambda mat: calls.append(mat) or numerical_rank(mat))
+        assert falsify_picsic(scaled, grouping, pam_levels=4, trials_per_group=50,
+                              rng_seed=0) is None
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("falsify", [falsify_pic, falsify_picsic])
+    @pytest.mark.parametrize("scale_exp", [-300, 300])
+    def test_identity_rotation_witness_is_scale_free(self, falsify, scale_exp):
+        design, grouping, _ = _identity_diagonal(2, 2, 1)
+        scaled = Design(design.weight_matrices * 2.0 ** scale_exp)
+        w = falsify(design, grouping, pam_levels=4, trials_per_group=50, rng_seed=3)
+        w_scaled = falsify(scaled, grouping, pam_levels=4, trials_per_group=50,
+                           rng_seed=3)
+        assert _witness_key(w_scaled) == _witness_key(w)
 
 
 class TestMemory:
@@ -303,8 +354,9 @@ class TestMemory:
         assert self._peak_mb(lambda: certify_rotation(q, 3)) < 4.0
 
     def test_falsifier_peak(self):
-        # one screen block of 48 differences x 229 probes of 6 x 4 matrices
-        # holds x, its conjugate and the Gram stack: about 11.3 MB
+        # one screen block of 35 differences x 229 probes of 6 x 4 matrices
+        # holds [Re X; Im X] (3.1 MB), the Gram's real and imaginary parts
+        # (1.0 MB each) and the LDL^H update's temporaries: about 7.9 MB
         design, grouping, _ = build_alamouti_block_code(4, 2)
         assert self._peak_mb(lambda: falsify_picsic(
             design, grouping, pam_levels=4, trials_per_group=200, rng_seed=0)) < 16.0
