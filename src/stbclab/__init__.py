@@ -16,7 +16,7 @@ from .constructions import (
     normalize_power, tabulate_tradeoff,
 )
 from .diversity import (
-    RankWitness, certify_alamouti_block, certify_diagonal, falsify_pic, falsify_picsic,
+    RankWitness, certify, certify_alamouti_block, certify_diagonal, falsify_pic, falsify_picsic,
 )
 from .channel import LinkInstance, PamAlphabet, demap, modulate, pam_for_qam, \
     sample_link, transmit

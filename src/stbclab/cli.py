@@ -2,7 +2,7 @@
 
 Subcommands:
   build     construct a code and write its design + grouping JSON files
-  verify    run the rank-criterion falsifier (and certificate, for named codes)
+  verify    run the rank-criterion certificate and falsifier for one mode
   tradeoff  emit the rate vs worst-case-complexity table (CSV + SVG)
   simulate  run a Monte Carlo sweep from a JSON config, flags override keys
 
@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import decoders, diversity, lindesign, simharness
-from .constructions import Family, build_code
+from .constructions import build_code
 
 
 def _add_code_args(p, required=True):
@@ -54,20 +54,14 @@ def _derived_grouping_path(design_path):
 
 
 def _cmd_verify(args):
-    certified = None
     if args.design:
         if not args.grouping:
             raise ValueError("--design requires --grouping")
         design = lindesign.design_from_json(lindesign.load_json(args.design))
         scheme = lindesign.grouping_from_json(lindesign.load_json(args.grouping))
     else:
-        design, scheme, spec = _build_code(args)
-        from .rotations import build_rotation
-        rot = build_rotation(spec.group_size)
-        if spec.family is Family.DIAGONAL:
-            certified = diversity.certify_diagonal(spec, rot, args.pam_levels)
-        elif spec.grouping_variant == "fine":
-            certified = diversity.certify_alamouti_block(spec, rot, args.pam_levels)
+        design, scheme, _ = _build_code(args)
+    certified = diversity.certify(design, scheme, args.mode, args.pam_levels)
     falsify = diversity.falsify_pic if args.mode == "pic" else diversity.falsify_picsic
     witness = falsify(design, scheme, pam_levels=args.pam_levels,
                       trials_per_group=args.trials, rng_seed=args.seed)
@@ -157,7 +151,8 @@ def make_parser():
                    help="grouping JSON path (default: derived from --out)")
     b.set_defaults(fn=_cmd_build)
 
-    v = sub.add_parser("verify", help="falsify the full-diversity rank criterion", description=(
+    v = sub.add_parser("verify", help="certify and falsify the rank criterion", description=(
+        "\"certified\": true is a proof for the named --mode only; false means not proven.  "
         "Exit 2: a rank witness was found, a proof of failure.  Exit 0: no witness was found "
         "within this budget, which does not prove full diversity.  A1 = I, A2 = diag(1, -1) "
         "with groups {1} and {2} exits 0, \"witness\": null, yet 2 A1 - 2 A2 has rank 1."))

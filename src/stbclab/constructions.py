@@ -25,7 +25,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .lindesign import Design, GroupingScheme
-from .rotations import build_rotation, rotation_entries
+from .rotations import RotationMatrix, build_rotation
 
 
 class Family(str, Enum):
@@ -117,9 +117,10 @@ class CodeSpec:
 def _rotation_entries(rotation, dim):
     if rotation is None:
         rotation = build_rotation(dim)
-    q = rotation_entries(rotation)
+    q = np.asarray(rotation.entries if isinstance(rotation, RotationMatrix) else rotation,
+                   dtype=float)
     if q.shape != (dim, dim):
-        raise ValueError(f"rotation must be {dim}x{dim}, got {q.shape}")
+        raise ValueError(f"rotation dimension {q.shape} does not match the group size {dim}")
     return q
 
 

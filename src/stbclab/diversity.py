@@ -26,23 +26,29 @@ Two kinds of checkers live here:
   returning None is NOT a proof of full diversity, only a failed
   falsification at the given budget.
 
-* Structural certificates (certify_diagonal / certify_alamouti_block) for
-  the two constructed families.  These mechanize the structural argument: if
-  the rotation certificate holds, every nonzero group difference fills one
-  diagonal layer (or one real slot of every Alamouti block in a layer) with
-  nonzero values, forcing a full-rank banded submatrix no matter what the
-  interference does.  The code checks the rotation certificate plus the
-  placement/purity structure that the argument rests on.
+* One certificate (certify) for any design and either mode; True is a proof
+  for that mode, False means "not proven".  Per group it peels, greedily, N
+  rows and an order of the N columns on which every matrix of the group and
+  its interference is block lower triangular.  A diagonal block must be 1x1
+  or quaternion [[p, q], [-conj(q), conj(p)]] in every matrix, hence
+  invertible unless 0; the group's and the interference's real images in it
+  must be independent; and the group's image must be nonzero on the PAM
+  difference box: of real rank |group|, or with a coordinate form whose
+  least magnitude on the box (least_magnitudes) exceeds DELTA_THRESHOLD
+  times its norm.  Under PIC it declines all codes of three or more layers:
+  rightly for groups of two or more symbols (notes/decisions.md), a gap for
+  the Toeplitz codes.
 """
+
+from functools import cache
 
 import numpy as np
 from dataclasses import dataclass
 
-from .constructions import (
-    Family, build_alamouti_block_code, build_diagonal_code,
-)
-from .lindesign import numerical_rank
-from .rotations import RotationMatrix, certify_rotation, rotation_entries
+from .constructions import Family, build_alamouti_block_code, build_diagonal_code
+from .lindesign import RANK_EPS, numerical_rank
+from .rotations import DELTA_THRESHOLD, SUPPORTED_DIMENSIONS, least_magnitudes
+from .rotations import certify_rotation  # noqa: F401  (perfbench's tracer names it here)
 
 DIFFERENCE_ENUM_CAP = 10_000
 SCREEN_TAU = 1e-12  # det(G) / tr(G)^N at or below which numerical_rank checks X
@@ -205,90 +211,89 @@ def falsify_picsic(design, scheme, pam_levels=4, trials_per_group=1000, rng_seed
                     scheme.later)
 
 
-def _certify(spec, rotation, pam_levels, build, layout):
-    """The body both structural certificates share.
+def _independent(image, size):
+    """Whether the first `size` unit-scaled rows (symbol images) of the (K', m)
+    image span a subspace meeting the rest's only in 0, and have rank `size`."""
+    norms = np.linalg.norm(image, axis=1, keepdims=True)
+    parts = np.stack([image / np.where(norms > 0, norms, 1)] * 3)  # group, other, both
+    parts[0, size:], parts[1, :size] = 0, 0
+    s = np.linalg.svd(parts, compute_uv=False)
+    group, other, both = (s > RANK_EPS * s[:, :1]).sum(axis=1)
+    return both == group + other, group == size
 
-    True iff the rotation's certificate covers the PAM difference range and
-    build(q), the unnormalized design with rotation q, has the weight
-    matrices that layout(q) yields, in symbol order.  A RotationMatrix
-    certified at that range or beyond carries its answer; any other
-    rotation is certified afresh.
-    """
-    q, bound = rotation_entries(rotation), pam_levels - 1
-    if isinstance(rotation, RotationMatrix) and rotation.certified_bound >= bound:
-        cert_ok = rotation.is_certified
-    else:
-        cert_ok, _ = certify_rotation(q, bound)
-    if q.shape != (spec.group_size, spec.group_size):
-        raise ValueError("rotation dimension does not match the group size")
-    if not cert_ok:
-        return False
-    design, _, _ = build(q)
-    return all(np.allclose(w, expected, rtol=0, atol=1e-12)
-               for w, expected in zip(design.weight_matrices, layout(q)))
+
+def _certify_group(w, size, bound, memo):
+    """The module docstring's block peel of w's first `size` matrices (the group)."""
+
+    def nonzero_on_box(forms):
+        if size > SUPPORTED_DIMENSIONS[-1]:  # the search is sized for rotations
+            return False
+        for f in forms:
+            if f.tobytes() not in memo:
+                memo[f.tobytes()] = (least_magnitudes(f[None], bound)[0]
+                                     > DELTA_THRESHOLD * np.linalg.norm(f))
+        return any(memo[f.tobytes()] for f in forms)
+
+    @cache
+    def is_sure(rows, cols):
+        b = w[:, rows][:, :, cols]
+        if len(rows) == 2 and not (np.array_equal(b[:, 1, 0], -b[:, 0, 1].conj())
+                                   and np.array_equal(b[:, 1, 1], b[:, 0, 0].conj())):
+            return False
+        image = np.concatenate([b[:, 0].real, b[:, 0].imag], axis=1)
+        independent, full = _independent(image, size)
+        return independent and (full or nonzero_on_box(image[:size].T))
+
+    def blocks(unplaced):  # a used row has no unplaced column left
+        for r, row in enumerate(unplaced):
+            cols = tuple(np.flatnonzero(row))
+            same = (unplaced == row).all(axis=1)  # a quaternion's rows match
+            partners = {1: [()], 2: [(r2,) for r2 in np.flatnonzero(same)]}.get(len(cols), [])
+            # either row may come first, so one column order covers a quaternion
+            yield from (cols for p in partners if is_sure((r, *p), cols))
+
+    support, placed = (w != 0).any(axis=0), np.zeros(w.shape[2], dtype=bool)
+    while not placed.all():
+        cols = next(blocks(support & ~placed), None)
+        if cols is None:
+            return False
+        placed[list(cols)] = True
+    return True
+
+
+def certify(design, scheme, mode, pam_levels=4):
+    """Prove the rank criterion of `mode` ("pic" or "picsic") by the block peel
+    of the module docstring: True is a proof for that mode, False means not
+    proven.  A bad mode, pam_levels or grouping raises ValueError."""
+    if mode not in ("pic", "picsic"):
+        raise ValueError(f"mode must be 'pic' or 'picsic', got {mode!r}")
+    if scheme.num_symbols != design.num_real_symbols:
+        raise ValueError(f"grouping covers {scheme.num_symbols} symbols, "
+                         f"the design has {design.num_real_symbols}")
+    bound = int(pam_difference_values(pam_levels)[0]) // 2  # levels - 1, checked
+    interference_of = scheme.complement if mode == "pic" else scheme.later
+    w, memo = design.weight_matrices, {}  # memo: each form's verdict, for every group
+    return all(_certify_group(w[list(g) + list(interference_of(k))], len(g), bound, memo)
+               for k, g in enumerate(scheme.groups))
 
 
 def certify_diagonal(spec, rotation, pam_levels=4):
-    """Structural full-diversity certificate for the diagonal family (PIC-SIC;
-    also PIC for the single-symbol groups of the Toeplitz subclass).
-
-    True iff the rotation's exhaustive certificate covers the PAM difference
-    range and every weight matrix places its rotated group values exactly on
-    the expected diagonal layer with the expected real/imaginary purity.
-    """
+    """certify() in PIC-SIC on the unnormalized diagonal code with this rotation."""
     if spec.family is not Family.DIAGONAL:
         raise ValueError("spec is not a diagonal-family code")
-    nt, lam = spec.antennas, spec.group_size
-
-    def layout(q):
-        for k in range(spec.num_groups):
-            layer, is_real = k // 2, k % 2 == 0
-            for c in range(lam):
-                expected = np.zeros((spec.delay, nt), dtype=complex)
-                cols = np.arange(nt)
-                vals = q[cols % lam, c]
-                expected[layer + cols, cols] = vals if is_real else 1j * vals
-                yield expected
-
-    return _certify(spec, rotation, pam_levels, lambda q: build_diagonal_code(
-        nt, lam, spec.layers, rotation=q, normalize=False), layout)
+    design, scheme, _ = build_diagonal_code(spec.antennas, spec.group_size, spec.layers,
+                                            rotation=rotation, normalize=False)
+    return certify(design, scheme, "picsic", pam_levels)
 
 
 def certify_alamouti_block(spec, rotation, pam_levels=4):
-    """Structural full-diversity certificate for the Alamouti-block family.
-
-    Fine grouping only: the certificate shows each group difference plants a
-    nonzero real into one slot of every Alamouti block of its layer, whose
-    determinant is then a positive sum of squares.  The coarse grouping
-    follows a fortiori (its groups are unions of certified fine groups) and
-    is rejected here to keep the claim precise.
-    """
+    """certify() in PIC-SIC on the unnormalized Alamouti-block code with this
+    rotation, fine grouping only: the coarse one follows a fortiori."""
     if spec.family is not Family.ALAMOUTI_BLOCK:
         raise ValueError("spec is not an alamouti_block-family code")
     if spec.grouping_variant != "fine":
-        raise ValueError(
-            "certificate covers the fine grouping; the coarse variant follows "
-            "a fortiori from it"
-        )
-    lam = spec.group_size
-    # offsets of one rotated value inside its 2x2 block, per group slot
-    slot = {
-        0: (((0, 0), 1.0), ((1, 1), 1.0)),
-        1: (((0, 0), 1j), ((1, 1), -1j)),
-        2: (((0, 1), 1.0), ((1, 0), -1.0)),
-        3: (((0, 1), 1j), ((1, 0), 1j)),
-    }
-
-    def layout(q):
-        for k in range(spec.num_groups):
-            layer, quad = k // 4, k % 4
-            for c in range(lam):
-                expected = np.zeros((spec.delay, spec.antennas), dtype=complex)
-                for l in range(lam):
-                    r0, c0 = 2 * (layer + l), 2 * l
-                    for (dr, dc), factor in slot[quad]:
-                        expected[r0 + dr, c0 + dc] = factor * q[l, c]
-                yield expected
-
-    return _certify(spec, rotation, pam_levels, lambda q: build_alamouti_block_code(
-        spec.antennas, spec.layers, rotation=q, normalize=False), layout)
+        raise ValueError("certificate covers the fine grouping; the coarse variant "
+                         "follows a fortiori from it")
+    design, scheme, _ = build_alamouti_block_code(spec.antennas, spec.layers,
+                                                  rotation=rotation, normalize=False)
+    return certify(design, scheme, "picsic", pam_levels)

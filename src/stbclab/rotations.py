@@ -147,13 +147,6 @@ def build_rotation(dim):
     return RotationMatrix(q, CERTIFIED_BOUND, delta)
 
 
-def rotation_entries(rotation):
-    """The entries of a RotationMatrix, or a raw array's, as floats."""
-    if isinstance(rotation, RotationMatrix):
-        return rotation.entries
-    return np.asarray(rotation, dtype=float)
-
-
 def _box(count, bound):
     """Every integer vector of [-bound, bound]^count, first coordinate slowest.
 
@@ -239,14 +232,17 @@ def certify_rotation(q, bound):
         raise ValueError("bound must be an integer")
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    bound = int(bound)
-    dim = q.shape[0]
+    delta = float(least_magnitudes(q, int(bound)).min())
+    return delta > DELTA_THRESHOLD, delta
+
+
+def least_magnitudes(forms, bound):
+    """min |f . a| over the nonzero integer a of [-bound, bound]^dim, exact and
+    rounded once, for each row f of the real (count, dim) array forms."""
+    dim = forms.shape[1]
     half = (dim + 1) // 2
     head, tail = _box(half, bound), _box(dim - half, bound)
-    head_sums = head.astype(float) @ q[:, :half].T
-    tail_sums = tail.astype(float) @ q[:, half:].T
-    delta = min(
-        _least_magnitude(q[i], head, tail, head_sums[:, i], tail_sums[:, i], bound)
-        for i in range(dim)
-    )
-    return delta > DELTA_THRESHOLD, delta
+    head_sums = head.astype(float) @ forms[:, :half].T
+    tail_sums = tail.astype(float) @ forms[:, half:].T
+    return np.array([_least_magnitude(f, head, tail, head_sums[:, i], tail_sums[:, i], bound)
+                     for i, f in enumerate(forms)])

@@ -49,6 +49,8 @@ class TestVerify:
         text = " ".join(capsys.readouterr().out.split())
         assert "no witness was found within this budget" in text
         assert "does not prove full diversity" in text
+        assert "true is a proof for the named --mode only" in text
+        assert "false means not proven" in text
 
     def test_named_code_passes(self, capsys):
         rc = cli.main(["verify", "--family", "sec4", "--antennas", "4",
@@ -59,6 +61,34 @@ class TestVerify:
         assert report["certified"] is True
         assert report["witness"] is None
         assert report["budget"]["trials_per_group"] == 50
+
+    @pytest.mark.parametrize("code", [
+        ["--family", "sec3", "--antennas", "2", "--lambda", "2", "--layers", "3"],
+        ["--family", "sec4", "--antennas", "4", "--layers", "3"]])
+    def test_pic_certifies_only_what_it_proves(self, code, capsys):
+        # both codes are PIC-SIC full-diversity; under PIC a middle layer
+        # can be cancelled (sec3(2,2,3): see notes/decisions.md)
+        certified = {}
+        for mode in ("pic", "picsic"):
+            assert cli.main(["verify", *code, "--mode", mode, "--trials", "10",
+                             "--pam-levels", "2"]) == 0
+            certified[mode] = json.loads(capsys.readouterr().out)["certified"]
+        assert certified == {"pic": False, "picsic": True}
+
+    def test_design_files_are_certified_as_the_named_code(self, tmp_path, capsys):
+        code = ["--family", "sec4", "--antennas", "4", "--layers", "2"]
+        out = tmp_path / "c4.json"
+        assert cli.main(["build", *code, "--out", str(out)]) == 0
+        capsys.readouterr()
+        for mode in ("pic", "picsic"):
+            reports = []
+            for source in (code, ["--design", str(out),
+                                  "--grouping", str(tmp_path / "c4.grouping.json")]):
+                assert cli.main(["verify", *source, "--mode", mode, "--trials", "10",
+                                 "--pam-levels", "2"]) == 0
+                reports.append(json.loads(capsys.readouterr().out))
+            assert reports[0]["certified"] is True
+            assert reports[1]["certified"] is reports[0]["certified"]
 
     def test_broken_design_found_exit_2(self, tmp_path, capsys):
         design, grouping, _ = build_diagonal_code(2, 2, 1, rotation=np.eye(2),
@@ -73,7 +103,7 @@ class TestVerify:
         text = (tmp_path / "report.json").read_text()
         assert text == capsys.readouterr().out  # the printed JSON and a newline
         report = json.loads(text)
-        assert report["certified"] is None
+        assert report["certified"] is False
         assert report["witness"]["group"] == 1
         assert report["witness"]["difference"] == [2, 0]
 

@@ -9,7 +9,7 @@ from stbclab.constructions import (
     CodeSpec, Family, build_alamouti_block_code, build_diagonal_code,
 )
 from stbclab.diversity import (
-    certify_alamouti_block, certify_diagonal, falsify_pic, falsify_picsic,
+    certify, certify_alamouti_block, certify_diagonal, falsify_pic, falsify_picsic,
     numerical_rank, pam_difference_values,
 )
 from stbclab.lindesign import RANK_EPS, Design, GroupingScheme
@@ -474,3 +474,174 @@ class TestCertificates:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             certify_diagonal(CodeSpec(Family.DIAGONAL, 4, 2, 1), build_rotation(3))
+
+
+# every certified-rotation code of both families: sec3 at N in 1..6, 8 with
+# group size 1, 2 or N and 1-4 layers; sec4 at N in 2, 4, 6, 8 with 1-3 layers
+CERTIFIED_CORPUS = (
+    [("sec3", nt, lam, n) for nt in (1, 2, 3, 4, 5, 6, 8)
+     for lam in sorted({1, 2, nt}) if lam <= nt for n in (1, 2, 3, 4)]
+    + [("sec4", nt, nt // 2, n) for nt in (2, 4, 6, 8) for n in (1, 2, 3)]
+)
+
+
+def _corpus_code(family, nt, lam, n, rotation=None):
+    if family == "sec3":
+        return build_diagonal_code(nt, lam, n, rotation=rotation, normalize=False)
+    return build_alamouti_block_code(nt, n, rotation=rotation, normalize=False)
+
+
+def _blind_spot():
+    """A1 = I, A2 = diag(1, -1) in groups {1} and {2}: 2 A1 - 2 A2 has rank 1."""
+    return (Design(np.array([np.eye(2), np.diag([1.0, -1.0])], dtype=complex)),
+            GroupingScheme(((0,), (1,)), 2))
+
+
+# (name, builder of the design and grouping, mode, outcome) beyond the PIC-SIC corpus
+CERTIFY_CASES = [
+    ("sec4(4,2)", lambda: _corpus_code("sec4", 4, 2, 2), "pic", True),
+    ("sec3(3,2,2)", lambda: _corpus_code("sec3", 3, 2, 2), "pic", True),
+    ("sec3(2,2,3)", lambda: _corpus_code("sec3", 2, 2, 3), "pic", False),
+    ("sec3(3,2,3)", lambda: _corpus_code("sec3", 3, 2, 3), "pic", False),
+    ("sec3(3,2,4)", lambda: _corpus_code("sec3", 3, 2, 4), "pic", False),
+    ("sec3(3,3,3)", lambda: _corpus_code("sec3", 3, 3, 3), "pic", False),
+    ("sec3(4,4,3)", lambda: _corpus_code("sec3", 4, 4, 3), "pic", False),
+    ("sec4(4,3)", lambda: _corpus_code("sec4", 4, 2, 3), "pic", False),
+    ("identity-sec3(3,2,2)", lambda: _identity_diagonal(3, 2, 2), "pic", False),
+    ("identity-sec3(3,2,2)", lambda: _identity_diagonal(3, 2, 2), "picsic", False),
+    ("identity-sec4(4,2)", lambda: _corpus_code("sec4", 4, 2, 2, rotation=np.eye(2)),
+     "pic", False),
+    ("identity-sec4(4,2)", lambda: _corpus_code("sec4", 4, 2, 2, rotation=np.eye(2)),
+     "picsic", False),
+    ("blind-spot", _blind_spot, "pic", False),
+    ("blind-spot", _blind_spot, "picsic", False),
+]
+
+
+class TestCertify:
+    def test_picsic_proves_the_certified_corpus(self):
+        declined = [code for code in CERTIFIED_CORPUS
+                    if not certify(*_corpus_code(*code)[:2], "picsic")]
+        assert declined == []
+
+    @pytest.mark.parametrize("name, build, mode, outcome", CERTIFY_CASES,
+                             ids=[f"{c[0]}-{c[2]}" for c in CERTIFY_CASES])
+    def test_outcome(self, name, build, mode, outcome):
+        design, scheme = build()[:2]
+        assert certify(design, scheme, mode) is outcome
+
+    @pytest.mark.parametrize("scale_exp", [-300, 300])
+    def test_outcomes_are_scale_free(self, scale_exp):
+        cases = [(build, mode) for _, build, mode, _ in CERTIFY_CASES] + [
+            (lambda code=code: _corpus_code(*code), "picsic")
+            for code in (("sec3", 3, 2, 4), ("sec3", 8, 8, 1), ("sec4", 4, 2, 2))]
+        for build, mode in cases:
+            design, scheme = build()[:2]
+            scaled = Design(design.weight_matrices * 2.0 ** scale_exp)
+            assert certify(scaled, scheme, mode) is certify(design, scheme, mode)
+
+    def test_the_closed_form_pic_witness(self):
+        # sec3(2,2,3), groups[2] (layer 1's real parts), a = (2, 0), z = q a:
+        # u = q^T (0, z0) on groups[0] and q^T (z1, 0) on groups[4] cancel
+        # layer 1 down to rank 1; PIC-SIC leaves groups[0] out, PIC does not
+        design, scheme, _ = build_diagonal_code(2, 2, 3, normalize=False)
+        q = build_rotation(2).entries
+        z = q @ [2.0, 0.0]
+        x = np.zeros(design.num_real_symbols)
+        x[list(scheme.groups[2])] = [2.0, 0.0]
+        x[list(scheme.groups[0])] = q.T @ [0.0, z[0]]
+        x[list(scheme.groups[4])] = q.T @ [z[1], 0.0]
+        mat = np.tensordot(x, design.weight_matrices, axes=(0, 0))
+        expected = np.array([[0, 0], [z[0], z[0]], [z[1], z[1]], [0, 0]])
+        assert np.allclose(mat, expected, rtol=0, atol=1e-12)
+        assert numerical_rank(mat) == 1
+        s = np.linalg.svd(mat, compute_uv=False)
+        assert s[0] == pytest.approx(np.sqrt(2) * 2.0) and s[1] < 1e-14
+        assert set(scheme.groups[0]) <= set(scheme.complement(2))
+        assert not set(scheme.groups[0]) & set(scheme.later(2))
+        assert not certify(design, scheme, "pic") and certify(design, scheme, "picsic")
+
+    @pytest.mark.parametrize("code, mode", [
+        (("sec3", 3, 2, 4), "picsic"), (("sec3", 4, 1, 3), "picsic"),
+        (("sec3", 3, 2, 2), "pic"), (("sec3", 4, 1, 2), "pic"),
+        (("sec4", 4, 2, 2), "pic"), (("sec4", 4, 2, 2), "picsic"),
+        (("sec4", 2, 1, 3), "pic")])
+    def test_a_proof_leaves_the_falsifier_nothing(self, code, mode):
+        design, scheme, _ = _corpus_code(*code)
+        assert certify(design, scheme, mode)
+        falsify = falsify_pic if mode == "pic" else falsify_picsic
+        assert falsify(design, scheme, pam_levels=4, trials_per_group=30,
+                       rng_seed=5) is None
+
+    def test_a_form_below_the_threshold_is_not_a_proof(self):
+        # a = (3, -1) leaves 1e-11 of each unit-scale form; numerical_rank
+        # calls X(2a) deficient, so the certificate must not prove it
+        q = np.array([[1.0, 3 + 1e-11], [3 + 1e-11, 1.0]])
+        design, scheme, _ = build_diagonal_code(2, 2, 1, rotation=q, normalize=False)
+        mat = np.tensordot([6.0, -2.0], design.weight_matrices[list(scheme.groups[0])],
+                           axes=(0, 0))
+        assert numerical_rank(mat) == 1
+        assert not certify(design, scheme, "pic") and not certify(design, scheme, "picsic")
+
+    def test_bad_inputs(self):
+        design, scheme, _ = build_diagonal_code(2, 2, 1)
+        with pytest.raises(ValueError, match="mode"):
+            certify(design, scheme, "ml")
+        with pytest.raises(ValueError, match="grouping covers"):
+            certify(design, GroupingScheme(((0,), (1,)), 2), "pic")
+        with pytest.raises(ValueError, match="pam_levels"):
+            certify(design, scheme, "pic", pam_levels=1)
+
+
+@st.composite
+def _triangular_designs(draw):
+    """A design that is block lower triangular under hidden row and column
+    orders, with 1x1 or quaternion diagonal blocks.  In each diagonal block
+    group g's symbols map onto column g of a random orthogonal matrix,
+    scaled by a random form, so the groups' images are independent."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1,
+                          max_size=2 if 1 in blocks else 4))
+    n, k = sum(blocks), sum(sizes)
+    extra = -(-k // (2 * n))  # dense random rows keep the matrices independent
+    t = n + extra
+    starts = np.cumsum([0] + blocks)
+    w = np.zeros((k, t, n), dtype=complex)
+    w[:, n:] = _complex_normal(rng, (k, extra, n))
+    for b, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        w[:, hi:n, lo:hi] = _complex_normal(rng, (k, n - hi, hi - lo))
+        basis, _ = np.linalg.qr(rng.standard_normal((2 * (hi - lo),) * 2))
+        first = 0
+        for g, size in enumerate(sizes):
+            coords = np.outer(rng.standard_normal(size), basis[:, g])
+            p = coords[:, 0] + 1j * coords[:, 1]
+            if hi - lo == 1:
+                w[first:first + size, lo, lo] = p
+            else:
+                q = coords[:, 2] + 1j * coords[:, 3]
+                w[first:first + size, lo:hi, lo:hi] = np.stack(
+                    [np.stack([p, q], -1), np.stack([-q.conj(), p.conj()], -1)], -2)
+            first += size
+    w = w[:, rng.permutation(t)][:, :, rng.permutation(n)]
+    groups = np.split(np.arange(k), np.cumsum(sizes)[:-1])
+    return Design(w), GroupingScheme(tuple(map(tuple, groups)), k), rng
+
+
+class TestCertifyProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_triangular_designs())
+    def test_a_triangular_design_is_certified_and_keeps_rank(self, case):
+        design, scheme, rng = case
+        w, n = design.weight_matrices, design.antennas
+        for mode, interference_of in (("pic", scheme.complement),
+                                      ("picsic", scheme.later)):
+            assert certify(design, scheme, mode, pam_levels=4)
+            for k, group in enumerate(scheme.groups):
+                a = np.zeros(len(group))
+                while not a.any():
+                    a = 2.0 * rng.integers(-3, 4, size=len(group))
+                idx = list(interference_of(k))
+                mat = (np.tensordot(a, w[list(group)], axes=(0, 0))
+                       + np.tensordot(rng.standard_normal(len(idx)), w[idx], axes=(0, 0)))
+                assert numerical_rank(mat) == n
