@@ -10,20 +10,27 @@ Two kinds of checkers live here:
 
 * Randomized falsifiers (falsify_pic / falsify_picsic).  They enumerate the
   difference vectors exhaustively (up to a cap) and pair them with random
-  plus deterministic sparse interference probes.  A block of (difference,
-  probe) matrices X is screened at once, held batch-last and real as
-  [Re X; Im X]: X is flagged unless det(X^H X) / tr(X^H X)^N, taken as the
-  product of the LDL^H pivots of X^H X over its trace, is finite and above
-  SCREEN_TAU.  Every X that numerical_rank calls deficient (s_min <=
-  RANK_EPS * s_max) has an exact ratio of at most lambda_min / tr <=
-  RANK_EPS^2.  LDL^H of a positive semidefinite Gram is backward stable:
-  the computed pivots are exact for a Gram a few hundred roundoffs of tr
-  away, far inside SCREEN_TAU * tr, or one comes out non-positive or
-  non-finite, which flags X too.  So at any scale of the design the screen
-  flags a superset of the deficient matrices.  Flagged matrices are
-  confirmed by numerical_rank in (difference, probe) order, and the first
-  confirmed one is the witness.  A returned witness is a proof of failure;
-  returning None is NOT a proof of full diversity, only a failed
+  plus deterministic sparse interference probes.  The design is linear, so
+  a pair's X = A_d + U_p has the Gram G = G_A + G_U + C + C^H, C = A_d^H
+  U_p: G_A and G_U are taken once per group, and one batched GEMM per block
+  gives the lower triangle of every G (_screen_factors).  X is flagged
+  unless the product of G's unpivoted LDL^H pivots, each over tr(G), is
+  finite and above SCREEN_TAU; a deficient X (numerical_rank: s_min <=
+  RANK_EPS * s_max) has an exact product, det(G) / tr^N, of at most
+  lambda_min / tr <= RANK_EPS^2.  Each G_ij is one inner product of terms
+  summing in magnitude to at most v_i v_j, v_i = |A_i| + |U_i|, so the
+  formed G is within gamma S, S = (|A_d|_F + |U_p|_F)^2, gamma = 3T + 6
+  roundoffs; LDL^H of a positive semidefinite Gram is backward stable, its
+  pivots exact for a Gram a few hundred roundoffs of tr away (or one is
+  non-positive or non-finite, which flags X).  Where A_d and U_p nearly
+  cancel, gamma S dwarfs tr, so a guard flags every pair with tr < S /
+  SCREEN_KAPPA.  Past it both errors stay below (SCREEN_KAPPA gamma + a few
+  hundred roundoffs) tr: under SCREEN_TAU / 10 for T up to 16 and under
+  SCREEN_TAU for T up to about 300.  Both tests are ratios, so at any scale
+  the screen flags a superset of the deficient matrices.  Flagged matrices
+  are confirmed by numerical_rank in (difference, probe) order, and the
+  first confirmed one is the witness.  A returned witness is a proof of
+  failure; returning None is NOT a proof of full diversity, only a failed
   falsification at the given budget.
 
 * One certificate (certify) for any design and either mode; True is a proof
@@ -52,6 +59,7 @@ from .rotations import certify_rotation  # noqa: F401  (perfbench's tracer names
 
 DIFFERENCE_ENUM_CAP = 10_000
 SCREEN_TAU = 1e-12  # det(G) / tr(G)^N at or below which numerical_rank checks X
+SCREEN_KAPPA = 8  # tr(G) below (|A_d|_F + |U_p|_F)^2 / SCREEN_KAPPA flags the pair
 SCREEN_BLOCK = 1 << 13  # matrices screened per block; a block holds whole differences
 
 
@@ -120,25 +128,41 @@ def _interference_probes(count, trials, rng):
     return np.concatenate([det, rng.standard_normal((trials, count))], axis=0)
 
 
-def _rank_screen(y):
-    """Mask over the pairs of y = [Re X; Im X], shaped (2T, N, *pairs): True
-    unless the product of the unpivoted LDL^H pivots of X^H X, each over its
-    trace, is finite and above SCREEN_TAU (see the module docstring)."""
-    t, n = len(y) // 2, y.shape[1]
-    re = np.einsum("ti...,tj...->ij...", y, y)
-    im = np.einsum("ti...,tj...->ij...", y[:t], y[t:])
-    im = im - im.swapaxes(0, 1)
-    trace = np.einsum("ii...->...", re)
+def _screen_factors(a_mats, u_mats):
+    """Left (Q, D, 2T+2) and right (Q, 2T+2, P) factors of G_ij = (G_A + G_U +
+    C + C^H)_ij, C = A_d^H U_p, for every pair of the (count, T, N) a_mats and
+    u_mats, q = (i, j) running over G's lower triangle column by column, Q =
+    N(N+1)/2: [conj(A_i); A_j; G_A,ij; 1] and [U_j; conj(U_i); 1; G_U,ij]."""
+    j, i = np.triu_indices(a_mats.shape[-1])
+    a, u = np.moveaxis(a_mats, 0, -1), np.moveaxis(u_mats, 0, -1)
+    ga, gu = (np.einsum("tqc,tqc->qc", x[:, i].conj(), x[:, j]) for x in (a, u))
+    left = np.concatenate([a[:, i].conj(), a[:, j], ga[None], np.ones((1,) + ga.shape)])
+    right = np.concatenate([u[:, j], u[:, i].conj(), np.ones((1,) + gu.shape), gu[None]])
+    return np.ascontiguousarray(np.moveaxis(left, 0, -1)), np.moveaxis(right, 0, 1)
+
+
+def _rank_screen(left, right):
+    """Mask (D, P) over the pairs of the factors (_screen_factors): True where
+    tr(G) < (|A_d|_F + |U_p|_F)^2 / SCREEN_KAPPA, the squared norms read off
+    as tr(G_A) and tr(G_U), or unless the product of the unpivoted LDL^H
+    pivots of G's packed lower triangle, each over tr(G), is finite and above
+    SCREEN_TAU (see the module docstring)."""
+    n = int(np.sqrt(2 * len(left)))  # Q = N(N+1)/2
+    diag = [k * n - k * (k - 1) // 2 for k in range(n)]  # column k starts at G_kk
+    g = np.matmul(left, right)
+    trace = g.real[diag].sum(axis=0)
     ratio = np.ones(trace.shape)
     with np.errstate(all="ignore"):
-        for k in range(n):
-            pivot, cr, ci = re[k, k], re[k + 1:, k], im[k + 1:, k]
+        for k, s in enumerate(diag):
+            pivot, col = g[s].real, g[s + 1:s + n - k]
             ratio *= np.maximum(pivot, 0) / trace
-            lr, li = cr / pivot, ci / pivot
-            # Schur complement: G_ij -= G_ik conj(G_jk) / pivot
-            re[k + 1:, k + 1:] -= lr[:, None] * cr + li[:, None] * ci
-            im[k + 1:, k + 1:] -= li[:, None] * cr - lr[:, None] * ci
-    return ~(np.isfinite(ratio) & (ratio > SCREEN_TAU))
+            scaled = col.conj() * (1 / pivot)
+            # Schur complement, column by column: G_ij -= G_ik conj(G_jk) / pivot
+            for o, c in enumerate(diag[k + 1:]):
+                g[c:c + n - k - 1 - o] -= col[o:] * scaled[o]
+    a_norm, u_norm = (np.sqrt(f[diag].real.sum(axis=0)) for f in (left[..., -2], right[:, -1]))
+    cancelled = trace * SCREEN_KAPPA < np.add.outer(a_norm, u_norm) ** 2
+    return cancelled | ~(np.isfinite(ratio) & (ratio > SCREEN_TAU))
 
 
 def _search_group(design, group, interference_idx, diffs, probes):
@@ -154,15 +178,10 @@ def _search_group(design, group, interference_idx, diffs, probes):
     # no interference (PIC-SIC's last group) has the one zero probe
     u_mats = (probes @ w[list(interference_idx)].reshape(len(interference_idx), t * n)
               ).reshape(len(probes), t, n)
-    # [Re; Im] of each matrix, batch-last: (2T, N, count)
-    a_rows, u_rows = (np.concatenate([m.real, m.imag])
-                      for m in (np.moveaxis(a_mats, 0, -1), np.moveaxis(u_mats, 0, -1)))
+    left, right = _screen_factors(a_mats, u_mats)
     step = max(1, SCREEN_BLOCK // len(u_mats))
     for start in range(0, len(a_mats), step):
-        a_block = a_rows[:, :, start:start + step, None]
-        y = np.empty(a_block.shape[:3] + (len(u_mats),))
-        np.add(a_block, u_rows[:, :, None], out=y)
-        for i, j in np.argwhere(_rank_screen(y)):
+        for i, j in np.argwhere(_rank_screen(left[:, start:start + step], right)):
             x = a_mats[start + i] + u_mats[j]
             rank = numerical_rank(x)
             if rank < n:

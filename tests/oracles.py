@@ -16,9 +16,11 @@ solves least squares on the columns the same rank rule keeps, with every
 skipped column's estimate 0; on a full-rank channel that is the
 pseudo-inverse solution.
 
-The falsifier screen's reference takes each candidate's Gram determinant
-by LAPACK, one matrix at a time, and flags it at or below SCREEN_TAU times
-the trace to the N-th power.
+The falsifier screen has two references.  The direct screen forms every
+candidate X = A_d + U_p, takes each Gram X^H X by einsum and runs the
+unpivoted LDL^H on both triangles.  The determinant screen takes each
+Gram's determinant by LAPACK, one matrix at a time, and flags it at or
+below SCREEN_TAU times the trace to the N-th power.
 """
 
 import itertools
@@ -168,10 +170,49 @@ def metric_gaps(problem, name, decided):
     return out
 
 
+def pair_rows(a, u):
+    """y = [Re X; Im X] of every X = A_d + U_p, shaped (2T, N, d, p), from the
+    matrices held batch-last, (T, N, d) and (T, N, p)."""
+    x = a[..., :, None] + u[..., None, :]
+    return np.concatenate([x.real, x.imag])
+
+
+def factor_matrices(left, right):
+    """A_d and U_p, batch-last, read back from diversity._screen_factors: the
+    first T entries of each diagonal q = (i, i) hold conj(A_i) and U_i."""
+    n = int(np.sqrt(2 * len(left)))  # Q = N(N+1)/2
+    diag = [k * n - k * (k - 1) // 2 for k in range(n)]
+    t = (left.shape[-1] - 2) // 2
+    return np.moveaxis(left[diag, :, :t].conj(), -1, 0), np.moveaxis(right[diag, :t], 1, 0)
+
+
+def direct_rank_screen(left, right):
+    """The direct screen of the factors diversity._rank_screen takes: True
+    unless the product of the unpivoted LDL^H pivots of each X^H X of y =
+    pair_rows(*factor_matrices), each over its trace, is finite and above
+    SCREEN_TAU."""
+    y = pair_rows(*factor_matrices(left, right))
+    t, n = len(y) // 2, y.shape[1]
+    re = np.einsum("ti...,tj...->ij...", y, y)
+    im = np.einsum("ti...,tj...->ij...", y[:t], y[t:])
+    im = im - im.swapaxes(0, 1)
+    trace = np.einsum("ii...->...", re)
+    ratio = np.ones(trace.shape)
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            pivot, cr, ci = re[k, k], re[k + 1:, k], im[k + 1:, k]
+            ratio *= np.maximum(pivot, 0) / trace
+            lr, li = cr / pivot, ci / pivot
+            # Schur complement: G_ij -= G_ik conj(G_jk) / pivot
+            re[k + 1:, k + 1:] -= lr[:, None] * cr + li[:, None] * ci
+            im[k + 1:, k + 1:] -= li[:, None] * cr - lr[:, None] * ci
+    return ~(np.isfinite(ratio) & (ratio > SCREEN_TAU))
+
+
 def det_rank_screen(y):
     """The determinant screen of y = [Re X; Im X], shaped (2T, N, *pairs) as
-    diversity._rank_screen takes it: True where det(X^H X) <= SCREEN_TAU *
-    tr(X^H X)^N, with det from LAPACK on each X^H X."""
+    pair_rows builds it: True where det(X^H X) <= SCREEN_TAU * tr(X^H X)^N,
+    with det from LAPACK on each X^H X."""
     t = len(y) // 2
     x = np.moveaxis(y[:t] + 1j * y[t:], (0, 1), (-2, -1))
     gram = x.conj().swapaxes(-1, -2) @ x

@@ -14,7 +14,7 @@ from stbclab.diversity import (
 )
 from stbclab.lindesign import RANK_EPS, Design, GroupingScheme
 from stbclab.rotations import RotationMatrix, build_rotation, certify_rotation
-from tests.oracles import det_rank_screen
+from tests.oracles import det_rank_screen, direct_rank_screen, factor_matrices, pair_rows
 from tests.test_lindesign import alamouti_design
 
 
@@ -124,13 +124,9 @@ def _complex_normal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _pair_rows(a_mats, u_mats):
-    """y[:, :, i, j] = [Re; Im] of a_mats[i] + u_mats[j], built as the falsifier
-    builds its screen blocks."""
-    a_rows, u_rows = (np.concatenate([m.real, m.imag])
-                      for m in (np.moveaxis(a_mats, 0, -1), np.moveaxis(u_mats, 0, -1)))
-    y = np.empty(a_rows.shape + (len(u_mats),))
-    return np.add(a_rows[..., None], u_rows[:, :, None], out=y)
+def _screen(a_mats, u_mats):
+    """The screen's mask over the pairs of a_mats and u_mats, (count, T, N) each."""
+    return diversity._rank_screen(*diversity._screen_factors(a_mats, u_mats))
 
 
 class TestRankScreen:
@@ -174,7 +170,7 @@ class TestRankScreen:
         deficient = numerical_rank(x) < n
         assert deficient == (kind != "above")
         if deficient:
-            assert diversity._rank_screen(_pair_rows(x[None], np.zeros((1, t, n))))[0, 0]
+            assert _screen(x[None], np.zeros((1, t, n)))[0, 0]
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 8), extra_rows=st.integers(0, 3), diffs=st.integers(1, 7),
@@ -192,11 +188,30 @@ class TestRankScreen:
         i, j, r = rng.integers(diffs), rng.integers(probes), rng.integers(0, n)
         planted = _complex_normal(rng, (t, r)) @ _complex_normal(rng, (r, n))
         a_mats[i] = scale * planted - u_mats[j]
-        mask = diversity._rank_screen(_pair_rows(a_mats, u_mats))
+        mask = _screen(a_mats, u_mats)
         deficient = np.array([[numerical_rank(a + u) < n for u in u_mats]
                               for a in a_mats])
         assert deficient[i, j]
         assert mask[deficient].all()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 4), extra_rows=st.integers(0, 3), cancel_exp=st.integers(5, 24),
+           scale_exp=st.sampled_from([-300, -40, 40, 300]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_a_cancelling_deficient_pair_is_flagged(self, n, extra_rows, cancel_exp,
+                                                    scale_exp, seed):
+        # a = P - u with P of rank < N and |u|_F = 2^cancel_exp |P|_F: the Gram
+        # formed from the parts is off by about 4^cancel_exp roundoffs of tr(G),
+        # so the pivots say nothing and only the cancellation guard flags it
+        t = n + extra_rows
+        rng = np.random.default_rng(seed)
+        r = rng.integers(1, n)
+        planted = _complex_normal(rng, (t, r)) @ _complex_normal(rng, (r, n))
+        u = _complex_normal(rng, (t, n))
+        u *= 2.0 ** cancel_exp * np.linalg.norm(planted) / np.linalg.norm(u)
+        planted, u = planted * 2.0 ** scale_exp, u * 2.0 ** scale_exp
+        a = planted - u
+        if numerical_rank(a + u) < n:
+            assert _screen(a[None], u[None])[0, 0]
 
 
 def _identity_diagonal(antennas, group_size, layers):
@@ -255,8 +270,8 @@ def _recording(monkeypatch, screen):
     matrices numerical_rank confirms."""
     masks, calls = [], []
 
-    def recording_screen(y):
-        masks.append(screen(y))
+    def recording_screen(left, right):
+        masks.append(screen(left, right))
         return masks[-1]
 
     def recording_rank(mat):
@@ -268,10 +283,15 @@ def _recording(monkeypatch, screen):
     return masks, calls
 
 
+def _det_screen(left, right):
+    return det_rank_screen(pair_rows(*factor_matrices(left, right)))
+
+
 class TestScreenWorkspace:
     def test_workspace_mask_matches_a_fresh_screen(self):
         # three "groups": 23 differences in blocks of 5 (a short last block),
-        # then a block of 4 x 9 probes, then a block of 3 x 2
+        # then a block of 4 x 9 probes, then a block of 3 x 2; each group's
+        # factors are built once and sliced per block, as the falsifier does
         rng = np.random.default_rng(11)
         t, n = 5, 3
         for diffs, probes, step in ((23, 4, 5), (4, 9, 4), (3, 2, 3)):
@@ -280,9 +300,13 @@ class TestScreenWorkspace:
             u_mats = _complex_normal(rng, (probes, t, n))
             u_mats[0] = 0
             u_mats[1, :, 1:] = 0
+            left, right = diversity._screen_factors(a_mats, u_mats)
             for start in range(0, diffs, step):
-                y = _pair_rows(a_mats[start:start + step], u_mats)
-                mask = diversity._rank_screen(y)
+                block = left[:, start:start + step]
+                mask = diversity._rank_screen(block, right)
+                assert np.array_equal(mask, direct_rank_screen(block, right))
+                y = pair_rows(*(np.moveaxis(m, 0, -1)
+                                for m in (a_mats[start:start + step], u_mats)))
                 assert np.array_equal(mask, det_rank_screen(y))
             assert mask.any() and not mask.all()
 
@@ -305,12 +329,13 @@ class TestScreenWorkspace:
             return witnesses, masks, calls
 
         witnesses, masks, calls = outcomes(diversity._rank_screen)
-        oracle_witnesses, oracle_masks, oracle_calls = outcomes(det_rank_screen)
-        assert witnesses == oracle_witnesses
-        assert len(masks) == len(oracle_masks)
-        assert all(np.array_equal(a, b) for a, b in zip(masks, oracle_masks))
-        assert len(calls) == len(oracle_calls)
-        assert all(np.array_equal(a, b) for a, b in zip(calls, oracle_calls))
+        for oracle in (direct_rank_screen, _det_screen):
+            oracle_witnesses, oracle_masks, oracle_calls = outcomes(oracle)
+            assert witnesses == oracle_witnesses
+            assert len(masks) == len(oracle_masks)
+            assert all(np.array_equal(a, b) for a, b in zip(masks, oracle_masks))
+            assert len(calls) == len(oracle_calls)
+            assert all(np.array_equal(a, b) for a, b in zip(calls, oracle_calls))
         if inputs == "broken":
             assert all(w is not None for w in witnesses)
 
@@ -355,8 +380,9 @@ class TestMemory:
 
     def test_falsifier_peak(self):
         # one screen block of 35 differences x 229 probes of 6 x 4 matrices
-        # holds [Re X; Im X] (3.1 MB), the Gram's real and imaginary parts
-        # (1.0 MB each) and the LDL^H update's temporaries: about 7.9 MB
+        # holds the 10 packed lower Gram entries of every pair (1.3 MB,
+        # complex) beside the probes' factor (0.5 MB) and the LDL^H update's
+        # temporaries: about 4.0 MB
         design, grouping, _ = build_alamouti_block_code(4, 2)
         assert self._peak_mb(lambda: falsify_picsic(
             design, grouping, pam_levels=4, trials_per_group=200, rng_seed=0)) < 16.0
