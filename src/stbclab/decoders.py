@@ -64,10 +64,11 @@ features(x) @ w (_gram_weights).  The features are the levels of x in units
 of half the spacing, u_i, and their products u_i u_j, all small integers;
 w is rounded to a power-of-two grid on which every partial sum is exact.
 So a candidate's metric is one number whatever the search, layout, order
-of summation or BLAS build, and x and -x tie exactly at y = 0.  The
-exhaustive metrics are one matvec of a feature table cached per alphabet
-and symbol count, or, when that table would pass GRAM_MAX_TABLE doubles
-(ML near ML_CAP), sums over a head and a tail table (_metrics).
+of summation, BLAS build or evaluation in NumPy or in Python floats, and
+x and -x tie exactly at y = 0.  The exhaustive metrics are one matvec of a
+feature table cached per alphabet and symbol count, or, when that table
+would pass GRAM_MAX_TABLE doubles (ML near ML_CAP), sums over a head and
+a tail table (_metrics).
 A search plan cached per alphabet and symbol count (_search_plan) holds
 the feature constants, the indices that split w between the head and the
 tail table and, for the conditioned search, those that gather w into two
@@ -78,9 +79,14 @@ the reason the metric is.
 The conditioned search (_conditioned_metrics) takes the pivot level by
 np.searchsorted of -c / (2 w00) among the midpoints of the levels in
 units: at a true midpoint that quotient of two grid multiples is exact,
-and the lower level wins.  Both layouts number the candidates
-lexicographically, so the winning row's level indices are its digits in
-base sqrt(M), the alphabet size; no table holds them.
+and the lower level wins.  A conditioned search of at most
+FLOAT_MAX_EVALS evaluations, such as PIC-SIC's on two 4-QAM symbols, is
+cheaper without NumPy's per-call cost: _float_search evaluates the same
+sums and the same bisection in Python floats on w.tolist(), with the
+table's rows cached as tuples (_float_plan).  w itself always comes from
+NumPy, so it carries the same rounding on either path.  Every path numbers
+the candidates lexicographically, so the winning row's level indices are
+its digits in base sqrt(M), the alphabet size; no table holds them.
 
 Ties between equal metrics resolve to the candidate earliest in
 lexicographic enumeration order (the first symbol varies slowest), in both
@@ -90,7 +96,9 @@ functions; counters are returned by value.
 
 import dataclasses
 import math
+from bisect import bisect_left
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 from dataclasses import dataclass
@@ -102,6 +110,9 @@ SEARCH_MODES = ("exhaustive", "conditioned")
 # Largest feature table, in doubles (16 MB).  A search over more candidates,
 # such as ML near ML_CAP, sums a head and a tail table instead.
 GRAM_MAX_TABLE = 1 << 21
+# Largest conditioned search, in metric evaluations, that runs in Python
+# floats: the measured crossover with NumPy (notes/decisions.md).
+FLOAT_MAX_EVALS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,7 +324,9 @@ def group_joint_decode(py, pg, alphabet, snr, mode="exhaustive"):
     indices a fresh array.  Both modes evaluate the metric of _gram_weights
     and return the same argmin, and of equal least metrics the
     lexicographically first candidate; the conditioned mode falls back to
-    the exhaustive search when the pivot column is exactly zero.
+    the exhaustive search when the pivot column is exactly zero.  A
+    conditioned search of at most FLOAT_MAX_EVALS evaluations runs in Python
+    floats (_float_search), to the same metrics.
     """
     py = np.asarray(py, dtype=float)
     pg = np.asarray(pg, dtype=float)
@@ -322,21 +335,66 @@ def group_joint_decode(py, pg, alphabet, snr, mode="exhaustive"):
         raise ValueError(f"unknown group search mode {mode!r}")
     w = _gram_weights(py, pg, alphabet, snr)
     if mode == "conditioned" and n >= 1 and np.count_nonzero(pg[:, 0]):
-        piv, metrics = _conditioned_metrics(w, alphabet, n)
-        # candidate r of the non-pivot symbols is row piv[r] * len(metrics) + r
-        row = int(metrics.argmin())
-        least = metrics == metrics[row]
-        if np.count_nonzero(least) > 1:
-            least = np.flatnonzero(least)
-            row = int((piv[least] * len(metrics) + least).min())
+        count = alphabet.size ** (n - 1)
+        if count <= FLOAT_MAX_EVALS:
+            row = _float_search(w.tolist(), alphabet, n)
         else:
-            row += int(piv[row]) * len(metrics)
+            piv, metrics = _conditioned_metrics(w, alphabet, n)
+            # candidate r of the non-pivot symbols is row piv[r] * count + r
+            row = int(metrics.argmin())
+            least = metrics == metrics[row]
+            if np.count_nonzero(least) > 1:
+                least = np.flatnonzero(least)
+                row = int((piv[least] * count + least).min())
+            else:
+                row += int(piv[row]) * count
     else:
-        metrics = _metrics(w, alphabet, n)
-        row = int(metrics.argmin())
-    # both layouts number the candidates lexicographically: idx holds the digits of row
+        count = alphabet.size ** n
+        row = int(_metrics(w, alphabet, n).argmin())
+    # every search numbers the candidates lexicographically: idx holds the digits of row
     idx = np.array([row // alphabet.size ** (n - 1 - i) % alphabet.size for i in range(n)])
-    return alphabet.levels[idx], idx, len(metrics)
+    return alphabet.levels[idx], idx, count
+
+
+def _float_search(w, alphabet, n):
+    """The least row of a conditioned search, its metrics evaluated in Python floats on w.
+
+    w is _gram_weights' output as a list.  As in _conditioned_metrics,
+    candidate r of the non-pivot symbols takes the pivot level u that
+    bisect_left finds among the midpoints and scores rest + (w00 u + c) u.
+    Every term is a grid multiple within the bound of _gram_weights, so each
+    metric is exact and equals _conditioned_metrics', and the pivot is the
+    same bisection of the same quotient.  Of equal least metrics the least
+    row piv * len(rows) + r wins, as in group_joint_decode.
+    """
+    rows, units, mid, own, cross = _float_plan(alphabet, n)
+    own = [w[k] for k in own]
+    cross = [w[k] for k in cross]
+    w0, w00 = w[0], w[n]
+    keyed = []
+    for r, row in enumerate(rows):
+        c = sum(map(mul, row, cross)) + w0  # a row's first n - 1 features are its u
+        if w00 > 0:
+            p = bisect_left(mid, c / (-2 * w00))
+        else:
+            p = len(units) - 1 if c < 0 else 0
+        keyed.append((sum(map(mul, row, own)) + (w00 * units[p] + c) * units[p],
+                      p * len(rows) + r))
+    return min(keyed)[1]
+
+
+@lru_cache(maxsize=None)
+def _float_plan(alphabet, n):
+    """(rows, units, midpoints, own, cross) of _float_search on n symbols, as tuples (cached).
+
+    rows are those of _gram_table(alphabet, n - 1), the features of the
+    non-pivot symbols, and own and cross index w: the weights of those
+    features, and of the pivot's products with their u_i.
+    """
+    u, mid = _units(alphabet)
+    own, cross = _search_plan(alphabet, n)[3].T
+    return (tuple(map(tuple, _gram_table(alphabet, n - 1).tolist())), tuple(u.tolist()),
+            tuple(mid.tolist()), tuple(own.tolist()), tuple(cross[:n - 1].tolist()))
 
 
 def _conditioned_metrics(w, alphabet, n):

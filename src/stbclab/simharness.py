@@ -15,7 +15,6 @@ CSV column contract (byte-stable across runs and worker counts):
     snr_db,frames,bit_errors,ber,ser,fer,mean_evals,max_evals
 """
 
-import multiprocessing
 import time
 
 import numpy as np
@@ -195,6 +194,8 @@ def run_simulation(cfg, workers=1):
     ctx = _SimContext(cfg)
     pool = None
     if workers > 1:
+        import multiprocessing  # only a pool needs it: about 9 ms of every import otherwise
+
         pool = multiprocessing.Pool(workers, initializer=_worker_init,
                                     initargs=(cfg.to_json(),))
     try:

@@ -6,17 +6,19 @@ is exact.  The exhaustive search evaluates it for every candidate, in one
 matvec of a cached feature table or, when that table would pass
 GRAM_MAX_TABLE doubles, split into a head and a tail table.  The
 conditioned search evaluates it for each candidate of the non-pivot
-symbols with the pivot level that minimizes it.  These tests check that
-every layout and mode gives a candidate the same metric bit for bit, that
-the conditioned search's pivot level is the least one (the lower level at
-an exact midpoint), and that all of them return the same indices, ties
+symbols with the pivot level that minimizes it, in Python floats when it
+makes at most FLOAT_MAX_EVALS evaluations and in NumPy otherwise.  These
+tests check that every layout and mode gives a candidate the same metric
+bit for bit, that the conditioned search's pivot level is the least one
+(the lower level at an exact midpoint), and that every form (Python
+floats, one table, split tables) and mode returns the same indices, ties
 included, with the same evaluation counts.  The inputs cover full-rank,
 triangular, rank-1 and short (rows < n) group channels, exact ties at
-y = 0, zero pivot columns and scaled copies, on groups of 2 to 4096 candidates.
+y = 0, zero pivot columns and scaled copies, on groups of 2 to 4096
+candidates.
 """
 
 import warnings
-from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -73,37 +75,40 @@ def group_inputs(draw, qam_sets=QAM_GROUPS):
     return py, pg, alphabet, snr
 
 
-@contextmanager
-def layout(split):
-    """Every table above a ceiling of 0 doubles, so every search with symbols splits."""
-    if not split:
-        yield
-        return
-    with mock.patch.object(decoders, "GRAM_MAX_TABLE", 0):
-        yield
+# The forms of a search: every conditioned search in Python floats, or
+# every search in NumPy on one table, or on tables split at a ceiling of 0
+# doubles, so that every search with symbols splits.
+FORMS = {"float": {"FLOAT_MAX_EVALS": decoders.ML_CAP},
+         "table": {"FLOAT_MAX_EVALS": 0},
+         "split": {"FLOAT_MAX_EVALS": 0, "GRAM_MAX_TABLE": 0}}
 
 
-def assert_layouts_and_modes_agree(py, pg, alphabet, snr):
-    """Both modes in both layouts, keyed by (mode, split): the same decision."""
+def form(name):
+    """Patch the decoders to search in the named form of FORMS."""
+    return mock.patch.multiple(decoders, **FORMS[name])
+
+
+def assert_forms_and_modes_agree(py, pg, alphabet, snr):
+    """Both modes in every form, keyed by (mode, form): the same decision."""
     results = {}
-    for split in (False, True):
-        with layout(split):
+    for name in FORMS:
+        with form(name):
             for mode in decoders.SEARCH_MODES:
-                results[mode, split] = group_joint_decode(py, pg, alphabet, snr, mode)
+                results[mode, name] = group_joint_decode(py, pg, alphabet, snr, mode)
     (levels, idx, _), *others = results.values()
     for other_levels, other_idx, _ in others:
         assert np.array_equal(other_idx, idx)
         assert np.array_equal(other_levels, levels)
     for mode in decoders.SEARCH_MODES:
-        assert results[mode, False][2] == results[mode, True][2]
+        assert len({results[mode, name][2] for name in FORMS}) == 1
     return results
 
 
 def both_layouts(w, alphabet, n):
-    """(exhaustive metrics, conditioned (pivot indices, metrics)) in each layout."""
+    """(exhaustive metrics, conditioned (pivot indices, metrics)) in each NumPy layout."""
     out = []
-    for split in (False, True):
-        with layout(split):
+    for name in ("table", "split"):
+        with form(name):
             out.append((decoders._metrics(w, alphabet, n),
                         decoders._conditioned_metrics(w, alphabet, n)))
     return out
@@ -126,11 +131,11 @@ def assert_pivot_is_least(w, alphabet, n):
 @PROPERTY
 @given(group_inputs())
 def test_forms_and_modes_agree(args):
-    results = assert_layouts_and_modes_agree(*args)
+    results = assert_forms_and_modes_agree(*args)
     _, pg, alphabet, _ = args
     total = alphabet.size ** pg.shape[1]
-    assert results["exhaustive", False][2] == total
-    assert results["conditioned", False][2] == total // alphabet.size
+    assert results["exhaustive", "table"][2] == total
+    assert results["conditioned", "table"][2] == total // alphabet.size
 
 
 @PROPERTY
@@ -139,8 +144,8 @@ def test_exact_ties_go_to_the_lexicographic_first(args):
     # At y = 0 every x ties with -x; the first of the two has a negative
     # first symbol whenever x's first symbol is not 0.
     py, pg, alphabet, snr = args
-    results = assert_layouts_and_modes_agree(np.zeros_like(py), pg, alphabet, snr)
-    assert results["exhaustive", False][0][0] < 0
+    results = assert_forms_and_modes_agree(np.zeros_like(py), pg, alphabet, snr)
+    assert results["exhaustive", "table"][0][0] < 0
 
 
 @PROPERTY
@@ -208,9 +213,9 @@ def test_zero_pivot_weight_decides_without_a_warning():
         assert w[2] == 0.0 and w[0] <= 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            results = assert_layouts_and_modes_agree(py, pg, alphabet, 1.0)
-        assert results["conditioned", False][1][0] == first
-        assert results["conditioned", False][2] == 2
+            results = assert_forms_and_modes_agree(py, pg, alphabet, 1.0)
+        assert results["conditioned", "table"][1][0] == first
+        assert results["conditioned", "table"][2] == 2
         assert_pivot_is_least(w, alphabet, 2)
 
 
@@ -237,21 +242,21 @@ def test_metrics_do_not_depend_on_the_rows_searched(seed, size_and_symbols):
     for count in range(1, 17):
         rows = rng.choice(len(features), size=count)
         assert np.array_equal(features[rows] @ w, one[rows])
-    results = assert_layouts_and_modes_agree(py, pg, alphabet, 1.0)
+    results = assert_forms_and_modes_agree(py, pg, alphabet, 1.0)
     if size % 2 == 0:  # no zero level, so x = -x is impossible
-        assert results["exhaustive", False][0][0] < 0
+        assert results["exhaustive", "table"][0][0] < 0
 
 
 @PROPERTY
 @given(group_inputs())
 def test_degenerate_pivot_falls_back_in_both_forms(args):
     # An exactly zero pivot column, which _ordered_qr gives every null
-    # column, sends the conditioned search to the exhaustive one in either
-    # layout.
+    # column, sends the conditioned search to the exhaustive one in every
+    # form.
     py, pg, alphabet, snr = args
     pg = pg.copy()
     pg[:, 0] = 0.0
-    results = assert_layouts_and_modes_agree(py, pg, alphabet, snr)
+    results = assert_forms_and_modes_agree(py, pg, alphabet, snr)
     total = alphabet.size ** pg.shape[1]
     assert all(used == total for _, _, used in results.values())
 
@@ -302,29 +307,47 @@ def test_searches_decide_an_oracle_argmin(args):
 
 
 def searches_run(*args):
-    """(tables built or read, conditioned searches) of one group_joint_decode."""
+    """(tables read, NumPy and Python-float conditioned searches) of one group_joint_decode.
+
+    A first call fills the caches, so that only the tables the search
+    itself reads are counted: a Python-float search takes its rows from a
+    cached plan and reads none.
+    """
+    group_joint_decode(*args)
     with mock.patch.object(decoders, "_gram_table", wraps=decoders._gram_table) as tables, \
             mock.patch.object(decoders, "_conditioned_metrics",
-                              wraps=decoders._conditioned_metrics) as conditioned:
+                              wraps=decoders._conditioned_metrics) as conditioned, \
+            mock.patch.object(decoders, "_float_search",
+                              wraps=decoders._float_search) as floats:
         group_joint_decode(*args)
-    return sorted(call.args[1] for call in tables.call_args_list), conditioned.call_count
+    return (sorted(call.args[1] for call in tables.call_args_list), conditioned.call_count,
+            floats.call_count)
 
 
 @PROPERTY
-@given(group_inputs(), st.booleans())
-def test_mode_and_table_size_choose_the_form(args, zero_pivot):
+@given(group_inputs(), st.booleans(), st.sampled_from((0, decoders.FLOAT_MAX_EVALS, 4096)))
+def test_mode_and_table_size_choose_the_form(args, zero_pivot, ceiling):
     # The mode chooses the search: the exhaustive one reads the n-symbol
-    # table, the conditioned one the (n-1)-symbol table (for the rest's
-    # metrics and the pivot's c), and on a zero pivot column it falls back
-    # to the exhaustive search.  The table size chooses only the layout.
+    # table, and the conditioned one, on a nonzero pivot column, makes
+    # L**(n-1) evaluations; on a zero pivot column it falls back to the
+    # exhaustive search.  That evaluation count chooses the conditioned
+    # search's form: at most FLOAT_MAX_EVALS run in Python floats, more in
+    # NumPy on the (n-1)-symbol table (for the rest's metrics and the
+    # pivot's c).  The table size chooses only the layout.
     py, pg, alphabet, snr = args
     n = pg.shape[1]
     if zero_pivot:
         pg = pg.copy()
         pg[:, 0] = 0.0
-    assert searches_run(py, pg, alphabet, snr, "exhaustive") == ([n], 0)
-    assert searches_run(py, pg, alphabet, snr, "conditioned") == (
-        ([n], 0) if zero_pivot else ([n - 1], 1))
+    with mock.patch.object(decoders, "FLOAT_MAX_EVALS", ceiling):
+        assert searches_run(py, pg, alphabet, snr, "exhaustive") == ([n], 0, 0)
+        if zero_pivot:
+            expected = ([n], 0, 0)
+        elif alphabet.size ** (n - 1) <= ceiling:
+            expected = ([], 0, 1)
+        else:
+            expected = ([n - 1], 1, 0)
+        assert searches_run(py, pg, alphabet, snr, "conditioned") == expected
 
 
 def test_table_ceiling_sends_exhaustive_search_to_split_layout():
@@ -335,10 +358,10 @@ def test_table_ceiling_sends_exhaustive_search_to_split_layout():
     pg, py = rng.standard_normal((7, 5)), rng.standard_normal(7)
     w = decoders._gram_weights(py, pg, alphabet, 4.0)
     with mock.patch.object(decoders, "GRAM_MAX_TABLE", 1024 * 20 - 1):
-        assert searches_run(py, pg, alphabet, 4.0, "exhaustive") == ([2, 3], 0)
+        assert searches_run(py, pg, alphabet, 4.0, "exhaustive") == ([2, 3], 0, 0)
         split = group_joint_decode(py, pg, alphabet, 4.0)
         split_metrics = decoders._metrics(w, alphabet, 5)
-    assert searches_run(py, pg, alphabet, 4.0, "exhaustive") == ([5], 0)
+    assert searches_run(py, pg, alphabet, 4.0, "exhaustive") == ([5], 0, 0)
     one = group_joint_decode(py, pg, alphabet, 4.0)
     assert np.array_equal(one[1], split[1]) and one[2] == split[2] == 1024
     assert np.array_equal(decoders._metrics(w, alphabet, 5), split_metrics)
@@ -353,7 +376,7 @@ def test_large_ml_search_builds_no_large_table():
     pg = rng.standard_normal((12, 10))
     truth = rng.integers(alphabet.size, size=10)
     py = 10.0 * pg @ alphabet.levels[truth]
-    assert searches_run(py, pg, alphabet, 100.0, "exhaustive") == ([5, 5], 0)
+    assert searches_run(py, pg, alphabet, 100.0, "exhaustive") == ([5, 5], 0, 0)
     levels, idx, used = group_joint_decode(py, pg, alphabet, 100.0)
     assert np.array_equal(idx, truth) and used == 4 ** 10
 
@@ -365,7 +388,7 @@ def test_split_layout_decides_the_oracle_argmin():
     for _ in range(3):
         pg = rng.standard_normal((10, 8))
         py = 2.0 * pg @ alphabet.levels[rng.integers(4, size=8)] + rng.standard_normal(10)
-        assert searches_run(py, pg, alphabet, 4.0, "exhaustive") == ([4, 4], 0)
+        assert searches_run(py, pg, alphabet, 4.0, "exhaustive") == ([4, 4], 0, 0)
         _, metrics = group_metrics(py, pg, alphabet, 4.0)
         _, idx, used = group_joint_decode(py, pg, alphabet, 4.0)
         assert np.ravel_multi_index(tuple(idx), (4,) * 8) == metrics.argmin()

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import stbclab
 from stbclab.simharness import (
     CSV_HEADER, SimConfig, SimResult, SnrPointResult, estimate_diversity_order,
     read_results, render_tradeoff, run_simulation, write_results,
@@ -56,6 +60,16 @@ class TestRunSimulation:
         a = run_simulation(cfg, workers=1)
         b = run_simulation(cfg, workers=2)
         assert a == b
+
+    def test_import_leaves_multiprocessing_out(self):
+        # Only a worker pool needs multiprocessing; a fresh process that
+        # imports the package must not pay for loading it.
+        src = os.path.dirname(os.path.dirname(stbclab.__file__))
+        code = "import sys, stbclab; print('multiprocessing' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
     def test_high_snr_ml_is_error_free(self):
         cfg = tiny_config(decoder="ml", search_mode="exhaustive",
