@@ -25,7 +25,7 @@ from .decoders import (
     picsic_decode, zf_decode,
 )
 from .simharness import (
-    SimConfig, SimResult, estimate_diversity_order, read_results, render_tradeoff,
+    SimConfig, SimResult, fit_diversity, read_results, render_tradeoff,
     run_simulation, write_ber_curves, write_results,
 )
 

@@ -96,8 +96,9 @@ def _cmd_tradeoff(args):
 
 def _cmd_simulate(args):
     doc = lindesign.load_json(args.config)
-    csv_out = args.csv or doc.pop("csv_out", None)
-    json_out = args.json_out or doc.pop("json_out", None)
+    # both keys leave the config whatever the flags say; a flag wins
+    csv_out, json_out = doc.pop("csv_out", None), doc.pop("json_out", None)
+    csv_out, json_out = args.csv or csv_out, args.json_out or json_out
     overrides = {
         "decoder": args.decoder,
         "search_mode": args.search_mode,

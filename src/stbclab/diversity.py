@@ -41,8 +41,8 @@ Two kinds of checkers live here:
   invertible unless 0; the group's and the interference's real images in it
   must be independent; and the group's image must be nonzero on the PAM
   difference box: of real rank |group|, or with a coordinate form whose
-  least magnitude on the box (least_magnitudes) exceeds DELTA_THRESHOLD
-  times its norm.  Under PIC it declines all codes of three or more layers:
+  least magnitude on the box (least_magnitudes) exceeds RANK_EPS times
+  its norm.  Under PIC it declines all codes of three or more layers:
   rightly for groups of two or more symbols (notes/decisions.md), a gap for
   the Toeplitz codes.
 """
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 from .constructions import Family, build_alamouti_block_code, build_diagonal_code
 from .lindesign import RANK_EPS, numerical_rank
-from .rotations import DELTA_THRESHOLD, SUPPORTED_DIMENSIONS, least_magnitudes
+from .rotations import SUPPORTED_DIMENSIONS, least_magnitudes
 from .rotations import certify_rotation  # noqa: F401  (perfbench's tracer names it here)
 
 DIFFERENCE_ENUM_CAP = 10_000
@@ -250,7 +250,7 @@ def _certify_group(w, size, bound, memo):
         for f in forms:
             if f.tobytes() not in memo:
                 memo[f.tobytes()] = (least_magnitudes(f[None], bound)[0]
-                                     > DELTA_THRESHOLD * np.linalg.norm(f))
+                                     > RANK_EPS * np.linalg.norm(f))
         return any(memo[f.tobytes()] for f in forms)
 
     @cache

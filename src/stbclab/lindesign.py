@@ -20,7 +20,7 @@ import json
 import numpy as np
 from dataclasses import dataclass
 
-# Relative singular-value threshold below which directions count as rank-null.
+# The one relative zero threshold: of ranks, QR pivots and certified magnitudes.
 RANK_EPS = 1e-9
 
 

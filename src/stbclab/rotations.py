@@ -17,7 +17,8 @@ Q @ a then equals a nonzero conjugate of a nonzero algebraic integer, which
 is what the certificate re-checks: certify_rotation finds the least
 coordinate magnitude delta_min of Q @ a over every nonzero a in [-B, B]^dim
 exactly, taking Q's float entries as exact, by meeting in the middle at a
-cost of about (2B+1)^ceil(dim/2) * log per row.
+cost of about (2B+1)^ceil(dim/2) * log per row, and passes Q when delta_min
+exceeds lindesign.RANK_EPS, the package's one zero threshold.
 
 Supported dimensions: 1, 2, 3, 4, 5, 6 and 8 (dim 7 has neither form).
 """
@@ -29,10 +30,10 @@ from numbers import Integral
 import numpy as np
 from dataclasses import dataclass
 
+from .lindesign import RANK_EPS
+
 SUPPORTED_DIMENSIONS = (1, 2, 3, 4, 5, 6, 8)
 
-# Certified coordinates must clear this to count as nonzero.
-DELTA_THRESHOLD = 1e-9
 ORTHOGONALITY_TOL = 1e-10
 CERTIFIED_BOUND = 3  # build_rotation's bound B: covers 4-PAM (16-QAM) differences
 
@@ -59,7 +60,7 @@ class RotationMatrix:
 
     @property
     def is_certified(self):
-        return self.delta_min > DELTA_THRESHOLD
+        return self.delta_min > RANK_EPS
 
 
 def _field_conjugates(dim):
@@ -211,7 +212,7 @@ def certify_rotation(q, bound):
     Returns (passed, delta_min) where delta_min is the smallest coordinate
     magnitude of q @ a over those vectors, taking the entries of q as exact:
     the correctly rounded exact minimum, whatever the BLAS or the order of
-    its additions.  Passing requires it to exceed DELTA_THRESHOLD.
+    its additions.  Passing requires it to exceed RANK_EPS.
 
     Meet in the middle (Horowitz and Sahni, JACM 1974): each row's sums over
     the first ceil(dim/2) and the last floor(dim/2) coordinates come from one
@@ -233,7 +234,7 @@ def certify_rotation(q, bound):
     if bound < 1:
         raise ValueError("bound must be at least 1")
     delta = float(least_magnitudes(q, int(bound)).min())
-    return delta > DELTA_THRESHOLD, delta
+    return delta > RANK_EPS, delta
 
 
 def least_magnitudes(forms, bound):

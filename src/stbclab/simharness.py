@@ -205,13 +205,11 @@ def run_simulation(cfg, workers=1):
             max_ev = frames = 0
             while frames < cfg.max_frames and agg[2] < cfg.min_frame_errors:
                 batch_end = min(frames + FRAME_BATCH, cfg.max_frames)
-                if pool is not None:
-                    step = max(1, (batch_end - frames + workers - 1) // workers)
-                    tasks = [(si, lo, min(lo + step, batch_end))
-                             for lo in range(frames, batch_end, step)]
-                    outs = pool.map(_worker_range, tasks)
-                else:
-                    outs = [ctx.run_range(si, frames, batch_end)]
+                step = -((frames - batch_end) // max(workers, 1))  # ceil: one task a worker
+                tasks = [(si, lo, min(lo + step, batch_end))
+                         for lo in range(frames, batch_end, step)]
+                outs = (pool.map(_worker_range, tasks) if pool is not None
+                        else [ctx.run_range(*task) for task in tasks])
                 for b, s, f, ev, mx in outs:
                     agg += (b, s, f, ev)
                     max_ev = max(max_ev, mx)
@@ -227,35 +225,25 @@ def run_simulation(cfg, workers=1):
         if pool is not None:
             pool.close()
             pool.join()
-    order, window = _fit_diversity(points)
+    order, window = fit_diversity(points)
     return SimResult(cfg, tuple(points), order, window,
                      time.perf_counter() - t0, ctx.overloaded)
 
 
-def estimate_diversity_order(ber_points, window):
-    """Negated log-log slope of the last `window` positive-BER points.
+def fit_diversity(points):
+    """The diversity fit of a sweep: (order, window_db).
 
-    ber_points is a sequence of (snr_linear, ber); zero-BER points are
-    dropped first.  Raises ValueError when fewer than two usable points
-    remain.
+    order is the negated least-squares slope of log10 BER over log10 linear
+    SNR on the highest three SNR points with FIT_MIN_BIT_ERRORS bit errors or
+    more, and window_db their SNRs in dB; (None, ()) when fewer than two
+    points qualify.
     """
-    usable = [(s, b) for s, b in ber_points if b > 0]
-    usable = usable[-window:]
-    if len(usable) < 2:
-        raise ValueError("need at least two SNR points with positive BER")
-    logsnr = np.log10([s for s, _ in usable])
-    logber = np.log10([b for _, b in usable])
-    slope = np.polyfit(logsnr, logber, 1)[0]
-    return -float(slope)
-
-
-def _fit_diversity(points):
-    """The fit: the highest three SNR points with FIT_MIN_BIT_ERRORS bit errors or more."""
     chosen = [p for p in points if p.bit_errors >= FIT_MIN_BIT_ERRORS][-3:]
     if len(chosen) < 2:
         return None, ()
-    pts = [(10.0 ** (p.snr_db / 10.0), p.ber) for p in chosen]
-    return estimate_diversity_order(pts, len(pts)), tuple(p.snr_db for p in chosen)
+    logsnr = np.log10([10.0 ** (p.snr_db / 10.0) for p in chosen])
+    logber = np.log10([p.ber for p in chosen])
+    return -float(np.polyfit(logsnr, logber, 1)[0]), tuple(p.snr_db for p in chosen)
 
 
 def _fmt(x):
@@ -339,11 +327,6 @@ def _ticks(lo, hi, target=6):
     return [round(first + i * step, 10) for i in range(int((hi - first) / step) + 1)]
 
 
-def _decade_ticks(lo, hi):
-    return [10.0 ** k for k in range(int(np.floor(np.log10(lo))),
-                                     int(np.ceil(np.log10(hi))) + 1)]
-
-
 def write_svg_scatter(path, series, xlabel="", ylabel="", title="", ylog=False,
                       lines=False):
     """Self-contained 640 x 480 SVG scatter plot, one marker set (and color) per series.
@@ -354,16 +337,14 @@ def write_svg_scatter(path, series, xlabel="", ylabel="", title="", ylog=False,
     """
     width, height = 640, 480
     margin, inner_w, inner_h = 60, width - 120, height - 110
-    if ylog:
-        series = {k: [(x, y) for x, y in ps if y > 0] for k, ps in series.items()}
+    if ylog:  # plot log10 y from here on
+        series = {k: [(x, np.log10(y)) for x, y in ps if y > 0] for k, ps in series.items()}
     pts = [p for ps in series.values() for p in ps]
     xs = [p[0] for p in pts] or [0.0, 1.0]
-    ys = [p[1] for p in pts] or ([0.1, 1.0] if ylog else [0.0, 1.0])
+    ys = [p[1] for p in pts] or ([-1.0, 0.0] if ylog else [0.0, 1.0])
     xlo, xhi = min(xs + [0.0] * (not ylog)), max(xs) + 0.05 * (max(xs) - min(xs)) + 1e-9
-    if ylog:
-        ylo, yhi = 10.0 ** np.floor(np.log10(min(ys))), 10.0 ** np.ceil(np.log10(max(ys)))
-        if yhi <= ylo:
-            yhi = 10.0 * ylo
+    if ylog:  # whole decades, at least one
+        ylo, yhi = np.floor(min(ys)), max(np.ceil(max(ys)), np.floor(min(ys)) + 1)
     else:
         ylo, yhi = min(ys + [0.0]), max(ys) * 1.05 + 1e-9
 
@@ -371,14 +352,10 @@ def write_svg_scatter(path, series, xlabel="", ylabel="", title="", ylog=False,
         return margin + (x - xlo) / (xhi - xlo) * inner_w
 
     def sy(y):
-        if ylog:
-            frac = (np.log10(y) - np.log10(ylo)) / (np.log10(yhi) - np.log10(ylo))
-        else:
-            frac = (y - ylo) / (yhi - ylo)
-        return margin + inner_h - frac * inner_h
+        return margin + inner_h - (y - ylo) / (yhi - ylo) * inner_h
 
     def fmt(t):
-        return f"{t:.0e}".replace("e-0", "e-").replace("e+0", "e") if ylog else f"{t:g}"
+        return f"{10.0 ** t:.0e}".replace("e-0", "e-").replace("e+0", "e") if ylog else f"{t:g}"
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -394,7 +371,7 @@ def write_svg_scatter(path, series, xlabel="", ylabel="", title="", ylog=False,
                    f'y2="{margin + inner_h + 4}" stroke="black"/>')
         out.append(f'<text x="{x:.1f}" y="{margin + inner_h + 16}" '
                    f'text-anchor="middle">{t:g}</text>')
-    for t in (_decade_ticks(ylo, yhi) if ylog else _ticks(ylo, yhi)):
+    for t in (range(int(ylo), int(yhi) + 1) if ylog else _ticks(ylo, yhi)):
         y = sy(t)
         out.append(f'<line x1="{margin - 4}" y1="{y:.1f}" x2="{margin}" '
                    f'y2="{y:.1f}" stroke="black"/>')

@@ -206,6 +206,21 @@ class TestSimulate:
         lines = csv.read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("8.0,64,")
 
+    def test_output_flags_override_config_keys(self, tmp_path):
+        # a config that names both outputs, and flags that name them again
+        keyed = {"csv_out": tmp_path / "key.csv", "json_out": tmp_path / "key.json"}
+        cfg = self.config(tmp_path, max_frames=8,
+                          **{k: str(v) for k, v in keyed.items()})
+        csv, js = tmp_path / "flag.csv", tmp_path / "flag.json"
+        assert cli.main(["simulate", "--config", str(cfg), "--csv", str(csv),
+                         "--json-out", str(js)]) == 0
+        assert csv.read_text().startswith("snr_db,")
+        assert simharness.read_results(js).points[0].frames == 8
+        assert not any(p.exists() for p in keyed.values())
+        # without the flags the keys still name the outputs
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        assert all(p.exists() for p in keyed.values())
+
     def test_overloaded_link_warns(self, tmp_path, capsys):
         # sec4(4,2) has K = 16 and T = 6: N_r = 1 gives 12 < 16 observations
         for receive_antennas, warned in ((1, True), (2, False)):

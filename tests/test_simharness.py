@@ -8,7 +8,7 @@ import pytest
 
 import stbclab
 from stbclab.simharness import (
-    CSV_HEADER, SimConfig, SimResult, SnrPointResult, estimate_diversity_order,
+    CSV_HEADER, FIT_MIN_BIT_ERRORS, SimConfig, SimResult, SnrPointResult, fit_diversity,
     read_results, render_tradeoff, run_simulation, write_results,
     write_svg_scatter,
 )
@@ -24,28 +24,41 @@ def tiny_config(**overrides):
     return SimConfig(**base)
 
 
+def fit_point(snr_db, ber, bit_errors=100):
+    """A sweep point with bit error rate `ber`: one bit a frame."""
+    return SnrPointResult(snr_db, round(bit_errors / ber) if bit_errors else 1000,
+                          bit_errors, 0, 0, 0, 0, 1, 1)
+
+
 class TestEstimateDiversityOrder:
+    """fit_diversity, the one diversity fit of a sweep."""
+
     def test_exact_quartic_law(self):
-        snr = np.array([10.0, 30.0, 100.0, 300.0])
-        pts = list(zip(snr, 0.7 * snr ** -4.0))
-        assert abs(estimate_diversity_order(pts, 4) - 4.0) < 1e-9
+        pts = [fit_point(10.0, 1e-1), fit_point(20.0, 1e-5), fit_point(30.0, 1e-9)]
+        order, window = fit_diversity(pts)
+        assert abs(order - 4.0) < 1e-9 and window == (10.0, 20.0, 30.0)
 
     def test_exact_linear_law(self):
-        snr = np.array([10.0, 100.0, 1000.0])
-        pts = list(zip(snr, 2.0 / snr))
-        assert abs(estimate_diversity_order(pts, 3) - 1.0) < 1e-9
+        pts = [fit_point(10.0, 0.2), fit_point(20.0, 0.02), fit_point(30.0, 0.002)]
+        assert abs(fit_diversity(pts)[0] - 1.0) < 1e-9
 
     def test_zero_ber_points_excluded(self):
-        pts = [(10.0, 1e-2), (100.0, 1e-4), (1000.0, 0.0)]
-        assert abs(estimate_diversity_order(pts, 3) - 2.0) < 1e-9
+        # points below FIT_MIN_BIT_ERRORS, zero errors included, stay out
+        pts = [fit_point(10.0, 1e-2), fit_point(20.0, 1e-4),
+               fit_point(30.0, 1e-3, FIT_MIN_BIT_ERRORS - 1), fit_point(40.0, 0.0, 0)]
+        order, window = fit_diversity(pts)
+        assert abs(order - 2.0) < 1e-9 and window == (10.0, 20.0)
 
     def test_insufficient_points(self):
-        with pytest.raises(ValueError):
-            estimate_diversity_order([(10.0, 1e-2), (100.0, 0.0)], 2)
+        assert fit_diversity([]) == (None, ())
+        pts = [fit_point(10.0, 1e-2), fit_point(20.0, 1e-3, FIT_MIN_BIT_ERRORS - 1)]
+        assert fit_diversity(pts) == (None, ())
 
     def test_window_selects_last_points(self):
-        pts = [(1.0, 0.5), (10.0, 1e-1), (100.0, 1e-3), (1000.0, 1e-5)]
-        assert abs(estimate_diversity_order(pts, 2) - 2.0) < 1e-9
+        pts = [fit_point(0.0, 0.5), fit_point(10.0, 1e-1), fit_point(20.0, 1e-3),
+               fit_point(30.0, 1e-5)]
+        order, window = fit_diversity(pts)
+        assert abs(order - 2.0) < 1e-9 and window == (10.0, 20.0, 30.0)
 
 
 class TestRunSimulation:
@@ -290,13 +303,12 @@ class TestDiversityFitWindow:
             return SnrPointResult(snr, 1000, bits_err, bits_err, bits_err // 2,
                                   0, 0, 16, 16)
 
-        from stbclab.simharness import _fit_diversity
         pts = [point(8.0, 400), point(12.0, 200), point(16.0, 100),
                point(20.0, 60), point(24.0, 10)]
-        order, window = _fit_diversity(pts)
+        order, window = fit_diversity(pts)
         assert window == (12.0, 16.0, 20.0)
         pts = [point(8.0, 400), point(12.0, 10)]
-        order, window = _fit_diversity(pts)
+        order, window = fit_diversity(pts)
         assert order is None and window == ()
 
 
