@@ -29,7 +29,8 @@ decoded group by z[:s] -= sqrt(snr) R[:s, s:e] levels.  Both decoders keep
 their decisions in the PIC-SIC column order, where group k's are x[s:e]
 (_cancellation_orders, cached per scheme with the orders), and put them
 back at the symbols' indices once per problem.  On a full-rank G the
-factor is one QR call.
+factor is one QR call, and so it is on a G whose null columns are those of
+the last call with the same orders and shape (_ARRANGEMENTS).
 
 One rank rule decides which columns the QR keeps, for every decoder and on
 every input (_ordered_qr): a column is null when its residual off the kept
@@ -91,7 +92,8 @@ its digits in base sqrt(M), the alphabet size; no table holds them.
 Ties between equal metrics resolve to the candidate earliest in
 lexicographic enumeration order (the first symbol varies slowest), in both
 modes, which keeps every decoder deterministic.  Decoders are pure
-functions; counters are returned by value.
+functions: the arrangement hint _ordered_qr keeps changes their speed,
+never a bit of their output.  Counters are returned by value.
 """
 
 import dataclasses
@@ -161,23 +163,40 @@ def _ordered_qr(g, y, order):
     y].  On a full-rank g that one factor is the answer: r and z are bitwise
     its first K rows.  Otherwise each null column the factor finds is moved
     behind y and the factor taken again, so the kept directions are those of
-    the kept columns alone.
+    the kept columns alone.  The next call with the same orders and shape of
+    g factors once in the arrangement that loop last ended on, and keeps that
+    factor only where the loop would provably end on it: the speed changes,
+    never a bit of (r, z).
     """
     k = g.shape[1]
     orders = order.reshape(-1, k)
     lead = order.shape[:-1]
+    # a column is null when |r_jj| <= its limit
+    lim = RANK_EPS * np.sqrt(np.einsum("ij,ij->j", g, g))
+    key = orders.tobytes(), g.shape
+    hint = _ARRANGEMENTS.get(key)
+    if hint is not None:
+        take, (kb, kp, kc), (mb, mp, mc, below), layout = hint
+        h = np.linalg.qr(np.vstack([g.T, y])[take].swapaxes(1, 2), mode="raw")[0]
+        # The loop's own last factor when each kept |r_jj| exceeds twice its
+        # limit and each moved column's residual off the kept columns it was
+        # tested behind is within half its limit (notes/decisions.md).
+        residual = np.hypot.reduce(np.where(below, h[mb, mp], 0.0), axis=1)
+        if (np.abs(h[kb, kp, kp]) > 2 * lim[kc]).all() and (residual <= lim[mc] / 2).all():
+            return _placed(h, *layout, lead)
     # [g[:, order], y] of each order, one column per row
     cols = np.empty((len(orders), k + 1, len(y)))
     cols[:, :k] = g.T[orders]
     cols[:, k] = y
-    # a column is null when |r_jj| <= limit; y and the columns behind it never are
+    # each position's limit; y and the columns behind it are never null
     limit = np.full(cols.shape[:2], -1.0)
-    limit[:, :k] = RANK_EPS * np.sqrt(np.einsum("ij,ij->j", g, g))[orders]
+    limit[:, :k] = lim[orders]
     # the raw factor's diagonal is R's; R itself is needed only at the end
     h = np.linalg.qr(cols.swapaxes(1, 2), mode="raw")[0]
     m = min(h.shape[1:])
     null = np.abs(h.diagonal(0, 1, 2)) <= limit[:, :m]
     if m >= k and not np.count_nonzero(null):
+        _ARRANGEMENTS.pop(key, None)
         r = np.where(_upper(m, k + 1), h.swapaxes(1, 2)[:, :m], 0.0)
         return r[:, :k, :k].reshape(lead + (k, k)), r[:, :k, k].reshape(lead + (k,))
     batch = np.arange(len(orders))[:, None]
@@ -194,12 +213,46 @@ def _ordered_qr(g, y, order):
         limit[:, -1] = -1.0
         h = np.linalg.qr(cols.swapaxes(1, 2), mode="raw")[0]
         null = np.abs(h.diagonal(0, 1, 2)) <= limit[:, :m]
-    # put each kept row at its column's position; null rows stay zero
-    full = np.zeros(perm.shape + (k + 1,))
-    full[:, :m] = np.where(_upper(m, k + 1) & (limit[:, :m, None] >= 0),
-                           h.swapaxes(1, 2)[:, :m], 0.0)
-    back = np.argsort(perm, axis=1)
-    r = full[batch[:, :, None], back[:, :, None], back[:, None, :]]
+    hint = _arrangement(orders, perm, limit, len(y))
+    if hint[2][0].size:  # some column moved
+        _ARRANGEMENTS[key] = hint
+    else:
+        _ARRANGEMENTS.pop(key, None)
+    return _placed(h, *hint[3], lead)
+
+
+# The arrangement the loop of _ordered_qr last ended on, per (orders, shape
+# of g), as _arrangement records it; only one that moved a column is kept.
+_ARRANGEMENTS = {}
+
+
+def _arrangement(orders, perm, limit, n):
+    """Record of the loop's final arrangement, for a later call to factor in and verify.
+
+    The rows of [g.T; y] in that arrangement; the (order, position, column
+    of g) of each kept column the factor tests; the same of each moved
+    column, with the rows of its R column below the kept columns it was
+    tested behind (those before it in order); and _placed's layout.
+    """
+    k = orders.shape[1]
+    m = min(n, k + 1)
+    take = np.take_along_axis(np.hstack([orders, np.full((len(orders), 1), k)]), perm, 1)
+    kb, kp = np.nonzero(limit[:, :m] >= 0)
+    mb, mp = np.nonzero((limit < 0) & (perm < k))
+    ahead = ((limit[mb] >= 0) & (perm[mb] < perm[mb, mp, None])).sum(axis=1)
+    below = (ahead[:, None] <= np.arange(n)) & (np.arange(n) <= mp[:, None])
+    layout = np.argsort(perm, axis=1), _upper(m, k + 1) & (limit[:, :m, None] >= 0)
+    return take, (kb, kp, take[kb, kp]), (mb, mp, take[mb, mp], below), layout
+
+
+def _placed(h, back, kept, lead):
+    """(r, z) from the raw factor h: kept rows at their columns' positions, back = argsort(perm)."""
+    k = back.shape[1] - 1
+    m = kept.shape[1]
+    full = np.zeros(back.shape + (k + 1,))
+    full[:, :m] = np.where(kept, h.swapaxes(1, 2)[:, :m], 0.0)
+    rows = np.arange(len(back))[:, None, None]
+    r = full[rows, back[:, :, None], back[:, None, :]]
     return r[:, :k, :k].reshape(lead + (k, k)), r[:, :k, k].reshape(lead + (k,))
 
 

@@ -347,6 +347,11 @@ def write_svg_scatter(path, series, xlabel="", ylabel="", title="", ylog=False,
         ylo, yhi = np.floor(min(ys)), max(np.ceil(max(ys)), np.floor(min(ys)) + 1)
     else:
         ylo, yhi = min(ys + [0.0]), max(ys) * 1.05 + 1e-9
+    # a zero-width range gets one unit each side, so that its ticks differ
+    if xlo == max(xs):
+        xlo, xhi = xlo - 1.0, xlo + 1.0
+    if not ylog and ylo == max(ys):
+        ylo, yhi = ylo - 1.0, ylo + 1.0
 
     def sx(x):
         return margin + (x - xlo) / (xhi - xlo) * inner_w

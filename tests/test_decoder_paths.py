@@ -226,6 +226,32 @@ def test_residual_above_rank_eps_keeps_triangular_path(problem, name, mode):
     assert_same(got, ref)
 
 
+def assert_hint_keeps_the_bits(problem):
+    """_ordered_qr gives the same (r, z) bits cold and then warm, with the
+    arrangement the cold call recorded, in each order a decoder uses."""
+    sic, pic = decoders._cancellation_orders(problem.scheme)[:2]
+    g = problem.g
+    for order in (sic, pic, np.arange(g.shape[1])):
+        decoders._ARRANGEMENTS.clear()
+        cold = decoders._ordered_qr(g, problem.y, order)
+        warm = decoders._ordered_qr(g, problem.y, order)
+        for a, b in zip(warm, cold):
+            assert a.tobytes() == b.tobytes()
+
+
+@PROPERTY
+@given(groupings(), st.data())
+def test_overloaded_link_qr_is_the_same_warm(scheme, data):
+    rng, g = data.draw(channels(scheme.num_symbols, overloaded=True))
+    assert_hint_keeps_the_bits(make_problem(rng, g, scheme, 4, 12.0))
+
+
+@PROPERTY
+@given(near_copy_problems(RANK_EPS / 100))
+def test_residual_below_rank_eps_qr_is_the_same_warm(problem):
+    assert_hint_keeps_the_bits(problem)
+
+
 @st.composite
 def scaled_column_problems(draw, scale):
     """Unit columns but one, scaled by `scale`: small against the largest

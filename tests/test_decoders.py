@@ -9,7 +9,7 @@ from stbclab.decoders import (
     zf_decode,
 )
 from stbclab.lindesign import (
-    GroupingScheme, assemble_codeword, equivalent_channel, vec_complex,
+    RANK_EPS, GroupingScheme, assemble_codeword, equivalent_channel, vec_complex,
 )
 from tests.oracles import complement_projector, ml_oracle, zf_oracle
 
@@ -200,6 +200,118 @@ class TestOrderedQr:
         # with every observation kept, the rows hold all of y and of each column
         assert np.isclose(z @ z, y @ y)
         assert np.allclose(np.einsum("ij,ij->j", r, r), np.einsum("ij,ij->j", g, g))
+
+    # The arrangement hint: a call factors once in the arrangement the loop
+    # last ended on for the same orders and shape, and keeps that factor only
+    # where the loop would provably end on it.
+
+    @staticmethod
+    def cold(g, y, order):
+        """The loop's own (r, z), with no arrangement recorded beforehand."""
+        decoders._ARRANGEMENTS.clear()
+        return decoders._ordered_qr(g, y, order)
+
+    @staticmethod
+    def assert_bitwise(got, ref):
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """A list that gains one entry per np.linalg.qr call."""
+        qr, calls = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or qr(*a, **kw))
+        return calls
+
+    @staticmethod
+    def overloaded_links(count, seed):
+        """Problems on sim-sec4-overloaded's link: sec4(4,2), N_r = 1, 4-QAM, 8-24 dB."""
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            problem, _ = random_problem(build_alamouti_block_code, (4, 2), 4, rng,
+                                        receive_antennas=1, snr_db=8.0 + 4 * (i % 5))
+            yield problem
+
+    @pytest.mark.parametrize("which", [0, 1])  # the PIC-SIC order, PIC's stacked orders
+    def test_warm_hint_is_bitwise_the_cold_loop(self, which):
+        decoders._ARRANGEMENTS.clear()
+        for problem in self.overloaded_links(200, 41):
+            order = decoders._cancellation_orders(problem.scheme)[which]
+            warm = decoders._ordered_qr(problem.g, problem.y, order)
+            self.assert_bitwise(warm, self.cold(problem.g, problem.y, order))
+
+    def test_poisoned_hint_still_gives_the_cold_loop(self, calls):
+        # i.i.d. Gaussian 12 x 16 links alternate with the overloaded ones
+        # under the same order.  The loop moves nothing on a Gaussian G, so
+        # each hint is wrong for the call after it.
+        rng = np.random.default_rng(42)
+        decoders._ARRANGEMENTS.clear()
+        for i, problem in enumerate(self.overloaded_links(100, 43)):
+            order = decoders._cancellation_orders(problem.scheme)[i % 2]
+            for g in (problem.g, rng.standard_normal(problem.g.shape)):
+                hinted = (order.tobytes(), g.shape) in decoders._ARRANGEMENTS
+                calls.clear()
+                warm = decoders._ordered_qr(g, problem.y, order)
+                warm_calls = len(calls)
+                calls.clear()
+                self.assert_bitwise(warm, self.cold(g, problem.y, order))
+                # a refused hint costs one factor more than the loop
+                assert warm_calls == len(calls) + hinted
+
+    @pytest.mark.parametrize("r1, r3, nulls, refused", [
+        (100.0, 0.01, [3], False),  # the recorded pattern, far from the threshold
+        (1.5, 0.01, [3], True),  # kept column 1 within twice its limit
+        (100.0, 0.6, [3], True),  # null column 3 above half its limit
+        (100.0, 1.8, [], True),  # column 3 above its limit: the loop keeps it
+    ])
+    def test_near_threshold_residual_refuses_the_hint(self, calls, r1, r3, nulls, refused):
+        # Columns 1 and 3 are columns 0 and 2 plus residuals of r1 and r3
+        # times RANK_EPS off the columns before them.  The hint recorded at
+        # (100, 0.01) moves column 3.  Within a factor 2 of the threshold it
+        # must be refused, and the loop decides, as cold.
+        rng = np.random.default_rng(44)
+        order = np.arange(5)
+        for _ in range(20):
+            g = rng.standard_normal((8, 5))
+            g /= np.linalg.norm(g, axis=0)
+            q = np.linalg.qr(np.column_stack([g, rng.standard_normal((8, 2))]))[0]
+            y = rng.standard_normal(8)
+
+            def planted(a, b):
+                out = g.copy()
+                out[:, 1] = g[:, 0] + a * RANK_EPS * q[:, 5]
+                out[:, 3] = g[:, 2] + b * RANK_EPS * q[:, 6]
+                return out
+
+            calls.clear()
+            ref = self.cold(planted(r1, r3), y, order)
+            cold_calls = len(calls)
+            assert [j for j in range(5) if not ref[0][j].any()] == nulls
+            self.cold(planted(100.0, 0.01), y, order)  # records the hint
+            calls.clear()
+            got = decoders._ordered_qr(planted(r1, r3), y, order)
+            assert len(calls) == (cold_calls + 1 if refused else 1)
+            self.assert_bitwise(got, ref)
+
+    @pytest.mark.parametrize("receive, first", [(1, 4), (2, 1)])
+    def test_one_lapack_factor_per_frame_after_the_first(self, calls, receive, first):
+        # sim-sec4-overloaded's frames (N_r = 1): the loop factors four times
+        # on the first frame, moving three null columns, and every later
+        # frame factors once in that arrangement.  At N_r = 2 G has full rank
+        # and every frame factors once.
+        from stbclab.simharness import SimConfig, _SimContext
+
+        cfg = SimConfig("sec4", 4, 2, receive_antennas=receive,
+                        snr_grid_db=(8.0, 12.0, 16.0, 20.0, 24.0))
+        ctx = _SimContext(cfg)
+        decoders._ARRANGEMENTS.clear()
+        counts = []
+        for si in range(5):
+            for fi in range(12):
+                calls.clear()
+                ctx.run_frame(si, fi)
+                counts.append(len(calls))
+        assert counts == [first] + [1] * 59
 
 
 class TestOracleChain:

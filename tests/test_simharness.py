@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -346,6 +347,22 @@ class TestSvgWriter:
         assert text.count("<circle") == 3  # 2 surviving points + legend
         assert "<polyline" in text
         assert "1e-4" in text  # decade tick labels
+
+    @pytest.mark.parametrize("series, ylog, axis", [
+        ({"a": [(8.0, 1e-3)]}, True, "x"),
+        ({"a": [(8.0, 1e-3), (8.0, 1e-2)]}, True, "x"),
+        ({"a": [(0.0, 1.0)]}, False, "x"),
+        ({"a": [(1.0, 0.0), (2.0, 0.0)]}, False, "y"),
+        ({"a": [(1.0, -3.0), (2.0, -3.0)]}, False, "y"),
+    ])
+    def test_one_valued_axis_has_distinct_tick_labels(self, tmp_path, series, ylog, axis):
+        # A zero-width range is padded by one unit each side; it once put
+        # six ticks inside [x, x + 1e-9], every one labelled x.
+        path = tmp_path / "one.svg"
+        write_svg_scatter(path, series, ylog=ylog)
+        anchor = 'y="446" text-anchor="middle"' if axis == "x" else 'text-anchor="end"'
+        labels = re.findall(anchor + r">([^<]*)</text>", path.read_text())
+        assert len(labels) >= 3 and len(set(labels)) == len(labels)
 
     def test_ber_curves_from_result(self, tmp_path):
         from stbclab.simharness import write_ber_curves
