@@ -28,9 +28,15 @@ group search sees the same argmin through n rows.  PIC-SIC cancels a
 decoded group by z[:s] -= sqrt(snr) R[:s, s:e] levels.  Both decoders keep
 their decisions in the PIC-SIC column order, where group k's are x[s:e]
 (_cancellation_orders, cached per scheme with the orders), and put them
-back at the symbols' indices once per problem.  On a full-rank G the
-factor is one QR call, and so it is on a G whose null columns are those of
-the last call with the same orders and shape (_ARRANGEMENTS).
+back at the symbols' indices once per problem.
+
+Every decoder takes one problem or a stack of problems that share the
+grouping, alphabet and SNR (y (B, 2*N_r*T), G (B, 2*N_r*T, K)); one
+problem is a stack with no leading axis, decoded by the same code.  A
+stack takes one QR call over every frame and order, one more per round of
+moved null columns, and one product per PIC-SIC cancellation; the group
+searches run one per (frame, group).  LAPACK factors each matrix on its
+own, so a frame's decisions do not depend on the frames stacked with it.
 
 One rank rule decides which columns the QR keeps, for every decoder and on
 every input (_ordered_qr): a column is null when its residual off the kept
@@ -92,8 +98,7 @@ its digits in base sqrt(M), the alphabet size; no table holds them.
 Ties between equal metrics resolve to the candidate earliest in
 lexicographic enumeration order (the first symbol varies slowest), in both
 modes, which keeps every decoder deterministic.  Decoders are pure
-functions: the arrangement hint _ordered_qr keeps changes their speed,
-never a bit of their output.  Counters are returned by value.
+functions and keep no state between calls.  Counters are returned by value.
 """
 
 import dataclasses
@@ -119,10 +124,14 @@ FLOAT_MAX_EVALS = 4
 
 @dataclass(frozen=True, eq=False)
 class DecodeProblem:
-    """One received vector with its equivalent channel, grouping and alphabet."""
+    """Received vectors with their equivalent channels, grouping, alphabet and SNR.
 
-    y: np.ndarray  # (2 * N_r * T,) real
-    g: np.ndarray  # (2 * N_r * T, K) real equivalent channel
+    One problem has y (2 * N_r * T,) and g (2 * N_r * T, K); a stack of
+    problems that share the rest puts leading axes on both.
+    """
+
+    y: np.ndarray  # (..., 2 * N_r * T) real
+    g: np.ndarray  # (..., 2 * N_r * T, K) real equivalent channel
     scheme: object  # GroupingScheme
     alphabet: object  # PamAlphabet of every symbol
     snr: float
@@ -130,9 +139,9 @@ class DecodeProblem:
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
         g = np.asarray(self.g, dtype=float)
-        if y.shape != (g.shape[0],):
+        if g.ndim < 2 or y.shape != g.shape[:-1]:
             raise ValueError("received vector length must match channel rows")
-        if self.scheme is not None and self.scheme.num_symbols != g.shape[1]:
+        if self.scheme is not None and self.scheme.num_symbols != g.shape[-1]:
             raise ValueError("grouping scheme does not match channel columns")
         if not 0 <= self.snr < math.inf:
             raise ValueError("snr must be finite and non-negative")
@@ -142,117 +151,82 @@ class DecodeProblem:
 
 @dataclass(frozen=True, eq=False)
 class DecodeResult:
-    decided: np.ndarray  # (K,) decided levels
-    candidate_evaluations: int
-    per_group_counts: tuple = ()
+    """Decisions and metric evaluation counts: ints and a tuple for one problem,
+    arrays over the leading axes for a stack."""
+
+    decided: np.ndarray  # (..., K) decided levels
+    candidate_evaluations: object  # int, or (...) int array
+    per_group_counts: object = ()  # tuple, or (..., groups) int array
+
+
+def _result(decided, counts, lead):
+    """The DecodeResult of decisions (frames, K) and counts (frames, groups), shaped by lead."""
+    if lead:
+        return DecodeResult(decided.reshape(lead + decided.shape[1:]),
+                            counts.sum(axis=1).reshape(lead), counts.reshape(lead + (-1,)))
+    return DecodeResult(decided[0], int(counts.sum()), tuple(counts[0].tolist()))
 
 
 def _ordered_qr(g, y, order):
     """Thresholded triangular factor of g's columns taken in `order`, with Q^T y.
 
-    order is one column order (K,) or a stack of orders (B, K).  Returns
-    (r, z) shaped (..., K, K) and (..., K), rows and columns indexed by
-    position in the order.  A column is null when its residual off the kept
-    columns before it is at most RANK_EPS times its norm; a zero column
-    always is, and so is every column after 2*N_r*T kept ones.  Each kept
-    column owns the row of its own direction.  r holds every column's
-    components along the kept directions and z those of y; a null column's
-    row is zero, and its residual below the threshold is dropped.
+    g is one channel (rows, K) or a stack (..., rows, K) with y (..., rows),
+    and order one column order (K,) or a stack of orders (P, K).  Returns
+    (r, z) shaped (..., P, K, K) and (..., P, K), g's leading axes first,
+    rows and columns indexed by position in the order.  A column is null
+    when its residual off the kept columns before it is at most RANK_EPS
+    times its norm; a zero column always is, and so is every column after
+    2*N_r*T kept ones.  Each kept column owns the row of its own direction.
+    r holds every column's components along the kept directions and z those
+    of y; a null column's row is zero, and its residual below the threshold
+    is dropped.
 
     Q is never formed: r comes from the triangular factor of [g[:, order],
-    y].  On a full-rank g that one factor is the answer: r and z are bitwise
-    its first K rows.  Otherwise each null column the factor finds is moved
-    behind y and the factor taken again, so the kept directions are those of
-    the kept columns alone.  The next call with the same orders and shape of
-    g factors once in the arrangement that loop last ended on, and keeps that
-    factor only where the loop would provably end on it: the speed changes,
-    never a bit of (r, z).
+    y], one np.linalg.qr call over every channel and order.  Each null
+    column the factors find is moved behind y and those factors taken again,
+    in one call a round, so the kept directions are those of the kept
+    columns alone.  LAPACK factors each matrix of a stack on its own, so a
+    channel's (r, z) are bitwise those of a call on it alone.  On a
+    full-rank g, r and z are bitwise the first K rows of the first factor.
     """
-    k = g.shape[1]
+    rows, k = g.shape[-2:]
+    lead = g.shape[:-2] + order.shape[:-1]
+    g = g.reshape(-1, rows, k)
     orders = order.reshape(-1, k)
-    lead = order.shape[:-1]
-    # a column is null when |r_jj| <= its limit
-    lim = RANK_EPS * np.sqrt(np.einsum("ij,ij->j", g, g))
-    key = orders.tobytes(), g.shape
-    hint = _ARRANGEMENTS.get(key)
-    if hint is not None:
-        take, (kb, kp, kc), (mb, mp, mc, below), layout = hint
-        h = np.linalg.qr(np.vstack([g.T, y])[take].swapaxes(1, 2), mode="raw")[0]
-        # The loop's own last factor when each kept |r_jj| exceeds twice its
-        # limit and each moved column's residual off the kept columns it was
-        # tested behind is within half its limit (notes/decisions.md).
-        residual = np.hypot.reduce(np.where(below, h[mb, mp], 0.0), axis=1)
-        if (np.abs(h[kb, kp, kp]) > 2 * lim[kc]).all() and (residual <= lim[mc] / 2).all():
-            return _placed(h, *layout, lead)
-    # [g[:, order], y] of each order, one column per row
-    cols = np.empty((len(orders), k + 1, len(y)))
-    cols[:, :k] = g.T[orders]
-    cols[:, k] = y
-    # each position's limit; y and the columns behind it are never null
-    limit = np.full(cols.shape[:2], -1.0)
-    limit[:, :k] = lim[orders]
+    # [g[:, order], y] of each channel and order, one column per row
+    cols = np.empty((len(g), len(orders), k + 1, rows))
+    cols[:, :, :k] = g.swapaxes(1, 2)[:, orders]
+    cols[:, :, k] = y.reshape(-1, 1, rows)
+    # each position's limit, a column being null when |r_jj| <= it; y and
+    # the columns behind it are never null
+    limit = np.full(cols.shape[:3], -1.0)
+    limit[:, :, :k] = (RANK_EPS * np.sqrt(np.einsum("bij,bij->bj", g, g)))[:, orders]
+    cols, limit = cols.reshape(-1, k + 1, rows), limit.reshape(-1, k + 1)
     # the raw factor's diagonal is R's; R itself is needed only at the end
     h = np.linalg.qr(cols.swapaxes(1, 2), mode="raw")[0]
-    m = min(h.shape[1:])
+    m = min(rows, k + 1)
     null = np.abs(h.diagonal(0, 1, 2)) <= limit[:, :m]
-    if m >= k and not np.count_nonzero(null):
-        _ARRANGEMENTS.pop(key, None)
-        r = np.where(_upper(m, k + 1), h.swapaxes(1, 2)[:, :m], 0.0)
-        return r[:, :k, :k].reshape(lead + (k, k)), r[:, :k, k].reshape(lead + (k,))
-    batch = np.arange(len(orders))[:, None]
-    perm = np.arange(k + 1)[None].repeat(len(orders), axis=0)
+    perm = np.tile(np.arange(k + 1), (len(cols), 1))
     while null.any():
-        # Move each order's first null column behind y.  Only the first is
-        # sure: the factor took its residual as a direction, which skews the
-        # pivots after it.
-        first = np.where(null.any(axis=1), null.argmax(axis=1), k)[:, None]
+        # Move the first null column of each factor that has one behind y,
+        # and take those factors again.  Only the first is sure: the factor
+        # took its residual as a direction, which skews the pivots after it.
+        moved = np.flatnonzero(null.any(axis=1))
+        first = null[moved].argmax(axis=1)[:, None]
         src = np.arange(k + 1)
         src = src + (src >= first)
         src[:, -1:] = first
-        perm, limit, cols = perm[batch, src], limit[batch, src], cols[batch, src]
-        limit[:, -1] = -1.0
-        h = np.linalg.qr(cols.swapaxes(1, 2), mode="raw")[0]
-        null = np.abs(h.diagonal(0, 1, 2)) <= limit[:, :m]
-    hint = _arrangement(orders, perm, limit, len(y))
-    if hint[2][0].size:  # some column moved
-        _ARRANGEMENTS[key] = hint
-    else:
-        _ARRANGEMENTS.pop(key, None)
-    return _placed(h, *hint[3], lead)
-
-
-# The arrangement the loop of _ordered_qr last ended on, per (orders, shape
-# of g), as _arrangement records it; only one that moved a column is kept.
-_ARRANGEMENTS = {}
-
-
-def _arrangement(orders, perm, limit, n):
-    """Record of the loop's final arrangement, for a later call to factor in and verify.
-
-    The rows of [g.T; y] in that arrangement; the (order, position, column
-    of g) of each kept column the factor tests; the same of each moved
-    column, with the rows of its R column below the kept columns it was
-    tested behind (those before it in order); and _placed's layout.
-    """
-    k = orders.shape[1]
-    m = min(n, k + 1)
-    take = np.take_along_axis(np.hstack([orders, np.full((len(orders), 1), k)]), perm, 1)
-    kb, kp = np.nonzero(limit[:, :m] >= 0)
-    mb, mp = np.nonzero((limit < 0) & (perm < k))
-    ahead = ((limit[mb] >= 0) & (perm[mb] < perm[mb, mp, None])).sum(axis=1)
-    below = (ahead[:, None] <= np.arange(n)) & (np.arange(n) <= mp[:, None])
-    layout = np.argsort(perm, axis=1), _upper(m, k + 1) & (limit[:, :m, None] >= 0)
-    return take, (kb, kp, take[kb, kp]), (mb, mp, take[mb, mp], below), layout
-
-
-def _placed(h, back, kept, lead):
-    """(r, z) from the raw factor h: kept rows at their columns' positions, back = argsort(perm)."""
-    k = back.shape[1] - 1
-    m = kept.shape[1]
-    full = np.zeros(back.shape + (k + 1,))
-    full[:, :m] = np.where(kept, h.swapaxes(1, 2)[:, :m], 0.0)
-    rows = np.arange(len(back))[:, None, None]
-    r = full[rows, back[:, :, None], back[:, None, :]]
+        at = moved[:, None]
+        perm[moved], limit[moved], cols[moved] = perm[at, src], limit[at, src], cols[at, src]
+        limit[moved, -1] = -1.0
+        h[moved] = np.linalg.qr(cols[moved].swapaxes(1, 2), mode="raw")[0]
+        null[moved] = np.abs(h[moved].diagonal(0, 1, 2)) <= limit[moved, :m]
+    # the kept rows, each at its own column's position
+    full = np.zeros((len(cols), k + 1, k + 1))
+    full[:, :m] = np.where(_upper(m, k + 1) & (limit[:, :m, None] >= 0),
+                           h.swapaxes(1, 2)[:, :m], 0.0)
+    back = np.argsort(perm, axis=1)
+    r = full[np.arange(len(cols))[:, None, None], back[:, :, None], back[:, None, :]]
     return r[:, :k, :k].reshape(lead + (k, k)), r[:, :k, k].reshape(lead + (k,))
 
 
@@ -474,44 +448,46 @@ def _conditioned_metrics(w, alphabet, n):
 def pic_decode(problem, mode="exhaustive"):
     """Decode every group independently after projecting the others out.
 
-    One stacked thresholded QR gives every group's triangular block, in
-    the group's last columns.
+    One stacked thresholded QR gives every frame's and group's triangular
+    block, in the group's last columns.
     """
-    scheme = problem.scheme
-    _, orders, spans, position = _cancellation_orders(scheme)
+    _, orders, spans, position = _cancellation_orders(problem.scheme)
+    lead = problem.y.shape[:-1]
     r, z = _ordered_qr(problem.g, problem.y, orders)
     k = len(position)
-    x = np.empty(k)
-    counts = []
-    for i, (s, e) in enumerate(spans):
-        b = k - (e - s)
-        levels, _, used = group_joint_decode(
-            z[i, b:], r[i, b:, b:], problem.alphabet, problem.snr, mode)
-        x[s:e] = levels
-        counts.append(used)
-    return DecodeResult(x[position], int(sum(counts)), tuple(counts))
+    r, z = r.reshape(-1, len(spans), k, k), z.reshape(-1, len(spans), k)
+    x = np.empty((len(z), k))
+    counts = np.empty((len(z), len(spans)), dtype=np.int64)
+    for f in range(len(z)):
+        for i, (s, e) in enumerate(spans):
+            b = k - (e - s)
+            x[f, s:e], _, counts[f, i] = group_joint_decode(
+                z[f, i, b:], r[f, i, b:, b:], problem.alphabet, problem.snr, mode)
+    return _result(x[:, position], counts, lead)
 
 
 def picsic_decode(problem, mode="exhaustive"):
     """Decode groups in order, cancelling each decoded group from the residual.
 
     One thresholded QR of G with the groups in reverse decode order gives
-    every group's triangular block.
+    every frame's triangular blocks; each decoded group is cancelled from
+    every frame at once.
     """
-    scheme = problem.scheme
-    order, _, spans, position = _cancellation_orders(scheme)
+    order, _, spans, position = _cancellation_orders(problem.scheme)
+    lead = problem.y.shape[:-1]
     r, z = _ordered_qr(problem.g, problem.y, order)
+    k = len(order)
+    r, z = r.reshape(-1, k, k), z.reshape(-1, k)
     root_snr = math.sqrt(problem.snr)
-    x = np.empty(len(order))
-    counts = []
-    for s, e in spans:
-        levels, _, used = group_joint_decode(
-            z[s:e], r[s:e, s:e], problem.alphabet, problem.snr, mode)
-        x[s:e] = levels
-        counts.append(used)
+    x = np.empty(z.shape)
+    counts = np.empty((len(z), len(spans)), dtype=np.int64)
+    for i, (s, e) in enumerate(spans):
+        for f in range(len(z)):
+            x[f, s:e], _, counts[f, i] = group_joint_decode(
+                z[f, s:e], r[f, s:e, s:e], problem.alphabet, problem.snr, mode)
         if s:
-            z[:s] -= root_snr * (r[:s, s:e] @ levels)
-    return DecodeResult(x[position], int(sum(counts)), tuple(counts))
+            z[:, :s] -= root_snr * (r[:, :s, s:e] @ x[:, s:e, None])[..., 0]
+    return _result(x[:, position], counts, lead)
 
 
 def check_ml_cap(alphabet, k):
@@ -523,7 +499,7 @@ def check_ml_cap(alphabet, k):
 
 def ml_decode(problem):
     """Maximum likelihood: PIC with every symbol in one group, searched exhaustively."""
-    k = problem.g.shape[1]
+    k = problem.g.shape[-1]
     check_ml_cap(problem.alphabet, k)
     one_group = GroupingScheme((tuple(range(k)),), k)
     return pic_decode(dataclasses.replace(problem, scheme=one_group), "exhaustive")
@@ -535,12 +511,17 @@ def zf_decode(problem):
     The estimate solves the kept rows' triangular system; a null column lies
     in the span of the kept columns before it, and its estimate is 0.
     """
-    k = problem.g.shape[1]
+    k = problem.g.shape[-1]
+    lead = problem.y.shape[:-1]
     r, z = _ordered_qr(np.sqrt(problem.snr) * problem.g, problem.y, np.arange(k))
-    kept = np.diagonal(r) != 0
-    estimate = np.zeros(k)
-    estimate[kept] = np.linalg.solve(r[np.ix_(kept, kept)], z[kept])
-    return DecodeResult(problem.alphabet.quantize(estimate), 0, ())
+    r, z = r.reshape(-1, k, k), z.reshape(-1, k)
+    estimate = np.zeros(z.shape)
+    # each frame keeps its own columns, so each solves its own system
+    for rf, zf, ef in zip(r, z, estimate):
+        kept = np.diagonal(rf) != 0
+        ef[kept] = np.linalg.solve(rf[np.ix_(kept, kept)], zf[kept])
+    counts = np.zeros((len(z), 0), dtype=np.int64)
+    return _result(problem.alphabet.quantize(estimate), counts, lead)
 
 
 DECODERS = {

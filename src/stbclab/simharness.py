@@ -1,12 +1,14 @@
 """Monte Carlo link simulation, diversity-order estimation and results I/O.
 
-One frame = one codeword: draw bits, Gray-map to PAM, assemble the codeword,
-push it through a fresh quasi-static Rayleigh link and decode.  Each frame
-seeds its own RNG stream from (master_seed, snr_index, frame_index), so the
-result is a pure function of the configuration no matter how frames are
-scheduled across workers.  Per SNR point the loop stops once it has seen
-min_frame_errors frame errors or max_frames frames, whichever comes first,
-checking at fixed batch boundaries.
+One frame = one codeword: draw bits, Gray-map to PAM, assemble the codeword
+and push it through a fresh quasi-static Rayleigh link.  Each frame seeds
+its own RNG stream from (master_seed, snr_index, frame_index) and is drawn
+on its own (run_frame); the frames of a range are then decoded as one stack
+(run_range), and a frame's decisions do not depend on the frames stacked
+with it.  So the result is a pure function of the configuration no matter
+how frames are scheduled across workers.  Per SNR point the loop stops once
+it has seen min_frame_errors frame errors or max_frames frames, whichever
+comes first, checking at fixed batch boundaries.
 
 A link with fewer real observations than real symbols (2*N_r*T < K) is
 overloaded: it is decoded as configured, and the result carries the flag.
@@ -146,6 +148,7 @@ class _SimContext:
             check_ml_cap(self.alphabet, k)
 
     def run_frame(self, snr_index, frame_index):
+        """(bits, x, y, g) of one frame, drawn from its own RNG stream."""
         cfg = self.cfg
         rng = np.random.default_rng(
             np.random.SeedSequence(cfg.master_seed, spawn_key=(snr_index, frame_index))
@@ -157,23 +160,22 @@ class _SimContext:
                            cfg.snr_grid_db[snr_index], rng)
         y = vec_complex(transmit(codeword, link))
         g = equivalent_channel(self.design, link.h)
-        problem = DecodeProblem(y, g, self.scheme, self.alphabet, link.snr)
-        result = decode(problem, cfg.decoder, cfg.search_mode)
-        bits_hat = demap(result.decided, self.alphabet)
-        bit_err = int(np.count_nonzero(bits_hat != bits))
-        sym_err = int(np.count_nonzero(result.decided != x))
-        return (bit_err, sym_err, 1 if bit_err else 0, result.candidate_evaluations)
+        return bits, x, y, g
 
     def run_range(self, snr_index, lo, hi):
-        bit_err = sym_err = frame_err = total_ev = max_ev = 0
-        for fi in range(lo, hi):
-            b, s, f, ev = self.run_frame(snr_index, fi)
-            bit_err += b
-            sym_err += s
-            frame_err += f
-            total_ev += ev
-            max_ev = max(max_ev, ev)
-        return bit_err, sym_err, frame_err, total_ev, max_ev
+        """(bit, symbol and frame errors, evaluations, most evaluations in a frame)
+        of frames lo..hi-1, decoded as one stack."""
+        cfg = self.cfg
+        bits, x, y, g = map(np.array, zip(*(self.run_frame(snr_index, fi)
+                                             for fi in range(lo, hi))))
+        snr = 10.0 ** (cfg.snr_grid_db[snr_index] / 10.0)  # as sample_link converts it
+        result = decode(DecodeProblem(y, g, self.scheme, self.alphabet, snr),
+                        cfg.decoder, cfg.search_mode)
+        bits_hat = demap(result.decided, self.alphabet).reshape(bits.shape)
+        bit_err = np.count_nonzero(bits_hat != bits, axis=1)
+        evals = result.candidate_evaluations
+        return (int(bit_err.sum()), int(np.count_nonzero(result.decided != x)),
+                int(np.count_nonzero(bit_err)), int(evals.sum()), int(evals.max()))
 
 
 _WORKER_CTX = None
@@ -346,7 +348,7 @@ def write_svg_scatter(path, series, xlabel="", ylabel="", title="", ylog=False,
     if ylog:  # whole decades, at least one
         ylo, yhi = np.floor(min(ys)), max(np.ceil(max(ys)), np.floor(min(ys)) + 1)
     else:
-        ylo, yhi = min(ys + [0.0]), max(ys) * 1.05 + 1e-9
+        ylo, yhi = min(ys + [0.0]), max(ys + [0.0]) * 1.05 + 1e-9
     # a zero-width range gets one unit each side, so that its ticks differ
     if xlo == max(xs):
         xlo, xhi = xlo - 1.0, xlo + 1.0

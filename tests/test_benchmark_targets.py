@@ -100,3 +100,23 @@ def test_reference_seed_pass_passes_the_gate(bench, name):
     reference = json.loads((BENCH / "reference.json").read_text())[name]
     result = workload.run_pass(bench.workloads.REFERENCE_SEED)
     assert bench.run.failed_ops(result, workload.op_names, reference) == {}
+
+
+def test_sim_pass_searches_every_group_of_every_frame(bench):
+    # Frames are decoded as a stack per range, outside the frame spans, but
+    # every group of every frame still has its own search span: sec4(4,2)
+    # has 8 groups of n = 2 symbols, each searched on an n x n block, so
+    # each span's multiply-adds are evals * n * (n + 1).
+    workloads, spantrace, run = bench.workloads, bench.spantrace, bench.run
+    workload = workloads.WORKLOADS["sim-sec4-picsic"]
+    tracer = spantrace.Tracer()
+    with tracer.installed(workloads.TARGETS) as missing:
+        result = tracer.call(run.PASS_SPAN, workload.run_pass,
+                             workloads.REFERENCE_SEED, lambda: None)
+    assert missing == [] and result.errors == {}
+    frames = sum(record[0] for record in result.record.values())
+    assert frames == result.ops == len(
+        [s for s in tracer.spans if s.name == "simharness.frame"])
+    searches = [s.count for s in tracer.spans if s.name == "decoders.group_search"]
+    assert len(searches) == frames * 8
+    assert all(macs == evals * 2 * 3 for evals, macs in searches)

@@ -201,20 +201,17 @@ class TestOrderedQr:
         assert np.isclose(z @ z, y @ y)
         assert np.allclose(np.einsum("ij,ij->j", r, r), np.einsum("ij,ij->j", g, g))
 
-    # The arrangement hint: a call factors once in the arrangement the loop
-    # last ended on for the same orders and shape, and keeps that factor only
-    # where the loop would provably end on it.
+    # A stack of channels: one np.linalg.qr call over every frame and order,
+    # one more per round of moved null columns, and each frame's (r, z)
+    # bitwise those of a call on it alone.
 
     @staticmethod
-    def cold(g, y, order):
-        """The loop's own (r, z), with no arrangement recorded beforehand."""
-        decoders._ARRANGEMENTS.clear()
-        return decoders._ordered_qr(g, y, order)
-
-    @staticmethod
-    def assert_bitwise(got, ref):
-        for a, b in zip(got, ref):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    def assert_frames_are_single_calls(gs, ys, order):
+        r, z = decoders._ordered_qr(np.array(gs), np.array(ys), order)
+        assert r.shape == (len(gs),) + order.shape + order.shape[-1:]
+        for i, (g, y) in enumerate(zip(gs, ys)):
+            for a, b in zip((r[i], z[i]), decoders._ordered_qr(g, y, order)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -233,45 +230,43 @@ class TestOrderedQr:
             yield problem
 
     @pytest.mark.parametrize("which", [0, 1])  # the PIC-SIC order, PIC's stacked orders
-    def test_warm_hint_is_bitwise_the_cold_loop(self, which):
-        decoders._ARRANGEMENTS.clear()
-        for problem in self.overloaded_links(200, 41):
-            order = decoders._cancellation_orders(problem.scheme)[which]
-            warm = decoders._ordered_qr(problem.g, problem.y, order)
-            self.assert_bitwise(warm, self.cold(problem.g, problem.y, order))
+    def test_stacked_frames_are_bitwise_the_single_calls(self, which):
+        problems = list(self.overloaded_links(200, 41))
+        order = decoders._cancellation_orders(problems[0].scheme)[which]
+        self.assert_frames_are_single_calls([p.g for p in problems],
+                                            [p.y for p in problems], order)
 
-    def test_poisoned_hint_still_gives_the_cold_loop(self, calls):
-        # i.i.d. Gaussian 12 x 16 links alternate with the overloaded ones
-        # under the same order.  The loop moves nothing on a Gaussian G, so
-        # each hint is wrong for the call after it.
+    def test_mixed_stack_is_bitwise_the_single_calls(self, calls):
+        # i.i.d. Gaussian 12 x 16 links alternate with the overloaded ones in
+        # one stack.  The loop moves no column of a Gaussian G and three of
+        # an overloaded one, so the stack takes the overloaded link's four
+        # factors.
         rng = np.random.default_rng(42)
-        decoders._ARRANGEMENTS.clear()
-        for i, problem in enumerate(self.overloaded_links(100, 43)):
-            order = decoders._cancellation_orders(problem.scheme)[i % 2]
-            for g in (problem.g, rng.standard_normal(problem.g.shape)):
-                hinted = (order.tobytes(), g.shape) in decoders._ARRANGEMENTS
-                calls.clear()
-                warm = decoders._ordered_qr(g, problem.y, order)
-                warm_calls = len(calls)
-                calls.clear()
-                self.assert_bitwise(warm, self.cold(g, problem.y, order))
-                # a refused hint costs one factor more than the loop
-                assert warm_calls == len(calls) + hinted
+        gs, ys = [], []
+        for problem in self.overloaded_links(100, 43):
+            gs += [problem.g, rng.standard_normal(problem.g.shape)]
+            ys += [problem.y, problem.y]
+        for order in decoders._cancellation_orders(problem.scheme)[:2]:
+            calls.clear()
+            decoders._ordered_qr(np.array(gs), np.array(ys), order)
+            assert len(calls) == 4
+            self.assert_frames_are_single_calls(gs, ys, order)
 
-    @pytest.mark.parametrize("r1, r3, nulls, refused", [
-        (100.0, 0.01, [3], False),  # the recorded pattern, far from the threshold
-        (1.5, 0.01, [3], True),  # kept column 1 within twice its limit
-        (100.0, 0.6, [3], True),  # null column 3 above half its limit
-        (100.0, 1.8, [], True),  # column 3 above its limit: the loop keeps it
+    @pytest.mark.parametrize("r1, r3, nulls", [
+        (100.0, 0.01, [3]),  # far from the threshold
+        (1.5, 0.01, [3]),  # kept column 1 just above its limit
+        (100.0, 0.6, [3]),  # null column 3 just below its limit
+        (100.0, 1.8, []),  # column 3 above its limit: the loop keeps it
     ])
-    def test_near_threshold_residual_refuses_the_hint(self, calls, r1, r3, nulls, refused):
+    def test_near_threshold_nulls_stay_per_frame(self, r1, r3, nulls):
         # Columns 1 and 3 are columns 0 and 2 plus residuals of r1 and r3
-        # times RANK_EPS off the columns before them.  The hint recorded at
-        # (100, 0.01) moves column 3.  Within a factor 2 of the threshold it
-        # must be refused, and the loop decides, as cold.
+        # times RANK_EPS off the columns before them.  The case's channel is
+        # stacked with the three others, which move other columns or none,
+        # at every position; its null columns and its bits stay its own.
         rng = np.random.default_rng(44)
         order = np.arange(5)
-        for _ in range(20):
+        cases = [(100.0, 0.01), (1.5, 0.01), (100.0, 0.6), (100.0, 1.8)]
+        for draw in range(20):
             g = rng.standard_normal((8, 5))
             g /= np.linalg.norm(g, axis=0)
             q = np.linalg.qr(np.column_stack([g, rng.standard_normal((8, 2))]))[0]
@@ -283,35 +278,32 @@ class TestOrderedQr:
                 out[:, 3] = g[:, 2] + b * RANK_EPS * q[:, 6]
                 return out
 
-            calls.clear()
-            ref = self.cold(planted(r1, r3), y, order)
-            cold_calls = len(calls)
-            assert [j for j in range(5) if not ref[0][j].any()] == nulls
-            self.cold(planted(100.0, 0.01), y, order)  # records the hint
-            calls.clear()
-            got = decoders._ordered_qr(planted(r1, r3), y, order)
-            assert len(calls) == (cold_calls + 1 if refused else 1)
-            self.assert_bitwise(got, ref)
+            others = [planted(a, b) for a, b in cases if (a, b) != (r1, r3)]
+            mine = planted(r1, r3)
+            at = draw % 4
+            stack = others[:at] + [mine] + others[at:]
+            r, _ = decoders._ordered_qr(np.array(stack), np.array([y] * 4), order)
+            assert [j for j in range(5) if not r[at, j].any()] == nulls
+            self.assert_frames_are_single_calls(stack, [y] * 4, order)
 
-    @pytest.mark.parametrize("receive, first", [(1, 4), (2, 1)])
-    def test_one_lapack_factor_per_frame_after_the_first(self, calls, receive, first):
-        # sim-sec4-overloaded's frames (N_r = 1): the loop factors four times
-        # on the first frame, moving three null columns, and every later
-        # frame factors once in that arrangement.  At N_r = 2 G has full rank
-        # and every frame factors once.
+    @pytest.mark.parametrize("receive, factors", [(1, 4), (2, 1)])
+    def test_qr_calls_do_not_grow_with_the_stack(self, calls, receive, factors):
+        # sim-sec4-overloaded's frames (N_r = 1): every frame moves the same
+        # three null columns, so a stack of any size takes four factors.  At
+        # N_r = 2 G has full rank and a stack takes one.  Drawing a frame
+        # takes none.
         from stbclab.simharness import SimConfig, _SimContext
 
         cfg = SimConfig("sec4", 4, 2, receive_antennas=receive,
                         snr_grid_db=(8.0, 12.0, 16.0, 20.0, 24.0))
         ctx = _SimContext(cfg)
-        decoders._ARRANGEMENTS.clear()
-        counts = []
-        for si in range(5):
-            for fi in range(12):
-                calls.clear()
-                ctx.run_frame(si, fi)
-                counts.append(len(calls))
-        assert counts == [first] + [1] * 59
+        for size in (1, 2, 7, 60):
+            calls.clear()
+            frames = [ctx.run_frame(size % 5, fi) for fi in range(size)]
+            assert calls == []
+            _, _, y, g = map(np.array, zip(*frames))
+            picsic_decode(DecodeProblem(y, g, ctx.scheme, ctx.alphabet, 10.0), "conditioned")
+            assert len(calls) == factors
 
 
 class TestOracleChain:
@@ -513,11 +505,43 @@ class TestCounters:
         assert np.array_equal(cond.decided, exh.decided)
 
 
+class TestStacks:
+    @pytest.mark.parametrize("name, mode", [
+        ("pic", "exhaustive"), ("pic", "conditioned"), ("picsic", "exhaustive"),
+        ("picsic", "conditioned"), ("ml", "exhaustive"), ("zf", "exhaustive"),
+    ])
+    @pytest.mark.parametrize("receive", [1, 2])
+    def test_stack_decides_as_each_problem(self, name, mode, receive):
+        # one stacked problem gives every frame the decisions and counts of
+        # that frame's problem alone, on an overloaded link too (N_r = 1)
+        rng = np.random.default_rng(25 + receive)
+        args = (2, 1) if name == "ml" else (4, 2)
+        problems = [random_problem(build_alamouti_block_code, args, 4, rng,
+                                   receive_antennas=receive, snr_db=10.0)[0]
+                    for _ in range(12)]
+        first = problems[0]
+        stack = DecodeProblem(np.array([p.y for p in problems]),
+                              np.array([p.g for p in problems]),
+                              first.scheme, first.alphabet, first.snr)
+        got = decode(stack, name, mode)
+        assert got.decided.shape == (12, first.g.shape[1])
+        assert got.candidate_evaluations.shape == (12,)
+        for i, problem in enumerate(problems):
+            ref = decode(problem, name, mode)
+            assert np.array_equal(got.decided[i], ref.decided)
+            assert got.candidate_evaluations[i] == ref.candidate_evaluations
+            assert tuple(got.per_group_counts[i].tolist()) == ref.per_group_counts
+
+
 class TestValidation:
     def test_problem_shape_checks(self):
         alpha = pam_for_qam(4)
         with pytest.raises(ValueError):
             DecodeProblem(np.zeros(3), np.zeros((4, 2)), None, alpha, 1.0)
+        with pytest.raises(ValueError):
+            DecodeProblem(np.zeros((2, 4)), np.zeros((3, 4, 2)), None, alpha, 1.0)
+        with pytest.raises(ValueError):
+            DecodeProblem(np.zeros(()), np.zeros(4), None, alpha, 1.0)
         with pytest.raises(ValueError, match="grouping"):
             DecodeProblem(np.zeros(4), np.zeros((4, 2)),
                           GroupingScheme.contiguous(1, 3), alpha, 1.0)

@@ -4,14 +4,17 @@ import re
 import subprocess
 import sys
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stbclab
 from stbclab.simharness import (
-    CSV_HEADER, FIT_MIN_BIT_ERRORS, SimConfig, SimResult, SnrPointResult, fit_diversity,
-    read_results, render_tradeoff, run_simulation, write_results,
-    write_svg_scatter,
+    CSV_HEADER, FIT_MIN_BIT_ERRORS, FRAME_BATCH, SimConfig, SimResult, SnrPointResult,
+    _SimContext, fit_diversity, read_results, render_tradeoff, run_simulation,
+    write_results, write_svg_scatter,
 )
 
 
@@ -74,6 +77,53 @@ class TestRunSimulation:
         a = run_simulation(cfg, workers=1)
         b = run_simulation(cfg, workers=2)
         assert a == b
+
+    def test_worker_counts_split_a_partial_batch_alike(self):
+        # 300 frames a point: a full batch, then a partial one that two and
+        # three workers split into ranges of different sizes
+        cfg = tiny_config(snr_grid_db=(2.0, 8.0), min_frame_errors=10_000, max_frames=300)
+        assert cfg.max_frames % FRAME_BATCH
+        one = run_simulation(cfg, workers=1)
+        assert [p.frames for p in one.points] == [300, 300]
+        for workers in (2, 3):
+            assert run_simulation(cfg, workers=workers).points == one.points
+
+    # Configurations whose frame ranges must not depend on how they are split.
+    SPLIT_CASES = {
+        "picsic-conditioned-nr1": dict(family="sec4", antennas=4, layers=2,
+                                       receive_antennas=1, search_mode="conditioned"),
+        "picsic-conditioned-nr2": dict(family="sec4", antennas=4, layers=2,
+                                       receive_antennas=2, search_mode="conditioned"),
+        "picsic-exhaustive-nr1": dict(family="sec4", antennas=4, layers=2,
+                                      receive_antennas=1, search_mode="exhaustive"),
+        "picsic-exhaustive-nr2": dict(family="sec4", antennas=4, layers=2,
+                                      receive_antennas=2, search_mode="exhaustive"),
+        "sec3-pic-16qam": dict(family="sec3", antennas=4, group_size=4, layers=2,
+                               receive_antennas=2, qam=16, decoder="pic",
+                               search_mode="exhaustive"),
+        "ml": dict(family="sec3", antennas=2, group_size=2, layers=1, decoder="ml",
+                   search_mode="exhaustive"),
+        "zf": dict(family="sec4", antennas=4, layers=2, receive_antennas=2, decoder="zf"),
+    }
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def split_context(case):
+        cfg = SimConfig(**TestRunSimulation.SPLIT_CASES[case], snr_grid_db=(0.0, 8.0, 16.0),
+                        master_seed=21)
+        return _SimContext(cfg)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(SPLIT_CASES)), st.integers(0, 2), st.integers(0, 40),
+           st.integers(1, 12))
+    def test_range_is_the_sum_of_its_frames(self, case, si, lo, size):
+        # A range decoded as one stack counts what its frames decoded one
+        # at a time count: errors and evaluations add, the maximum is the
+        # largest frame's.
+        ctx = self.split_context(case)
+        frames = np.array([ctx.run_range(si, fi, fi + 1) for fi in range(lo, lo + size)])
+        assert ctx.run_range(si, lo, lo + size) == (
+            *(int(v) for v in frames[:, :4].sum(axis=0)), int(frames[:, 4].max()))
 
     def test_import_leaves_multiprocessing_out(self):
         # Only a worker pool needs multiprocessing; a fresh process that
@@ -363,6 +413,18 @@ class TestSvgWriter:
         anchor = 'y="446" text-anchor="middle"' if axis == "x" else 'text-anchor="end"'
         labels = re.findall(anchor + r">([^<]*)</text>", path.read_text())
         assert len(labels) >= 3 and len(set(labels)) == len(labels)
+
+    def test_negative_linear_y_stays_inside_the_frame(self, tmp_path):
+        # The top of a linear y range was max(y) * 1.05, below max(y) when
+        # every y is negative: the y = -1 marker sat above the frame.
+        path = tmp_path / "neg.svg"
+        write_svg_scatter(path, {"a": [(1.0, -3.0), (2.0, -1.0)]})
+        text = path.read_text()
+        markers = [float(cy) for cy in re.findall(r'<circle cx="[^"]*" cy="([^"]*)" r="4" '
+                                                  r'fill="[^"]*" fill-opacity', text)]
+        assert len(markers) == 2 and all(60 <= cy <= 430 for cy in markers)
+        ticks = [float(t) for t in re.findall(r'text-anchor="end">([^<]*)</text>', text)]
+        assert min(ticks) <= -3 and max(ticks) >= -1
 
     def test_ber_curves_from_result(self, tmp_path):
         from stbclab.simharness import write_ber_curves
