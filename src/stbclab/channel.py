@@ -7,6 +7,9 @@ All SNR scaling lives in the sqrt(snr) factor; the noise variance is fixed.
 Real symbols take values from a square-QAM half: a sqrt(M)-ary PAM alphabet
 scaled to energy 1/2 per real dimension, Gray-mapped, so that each complex
 symbol (a pair of reals) has unit average energy.
+
+Each function takes one frame, or a stack of frames on leading axes by the
+same elementwise or per-frame steps, so a frame's values ignore its stack.
 """
 
 from functools import lru_cache
@@ -70,27 +73,27 @@ def pam_for_qam(m):
 
 
 def modulate(bits, alphabet):
-    """Gray-map a bit array onto an array of PAM levels.
+    """Gray-map bits (..., K * bit width) onto PAM levels (..., K).
 
     The bit count must be a multiple of the alphabet's bit width.
     """
     bits = np.asarray(bits, dtype=np.int64)
-    if bits.size % alphabet.bit_width:
+    if bits.shape[-1] % alphabet.bit_width:
         raise ValueError("bit count must be a multiple of the per-symbol width")
-    return alphabet.levels[alphabet.bits_to_index(bits)]
+    return alphabet.levels[alphabet.bits_to_index(bits)].reshape(bits.shape[:-1] + (-1,))
 
 
 def demap(x, alphabet):
-    """Quantize real values to the alphabet and return their Gray bits."""
-    return alphabet.index_to_bits(alphabet.nearest_index(x))
+    """Quantize real values (..., K) to the alphabet; their Gray bits (..., K * bit width)."""
+    return alphabet.index_to_bits(alphabet.nearest_index(x)).reshape(np.shape(x)[:-1] + (-1,))
 
 
 @dataclass(frozen=True, eq=False)
 class LinkInstance:
-    """One channel use: fading matrix, noise realization and linear SNR."""
+    """Channel uses: fading matrices, noise realizations and one linear SNR."""
 
-    h: np.ndarray  # (N, N_r) complex
-    w: np.ndarray  # (T, N_r) complex
+    h: np.ndarray  # (..., N, N_r) complex
+    w: np.ndarray  # (..., T, N_r) complex
     snr: float
 
     def __post_init__(self):
@@ -103,19 +106,23 @@ class LinkInstance:
 
 
 def sample_link(antennas, receive_antennas, delay, snr_db, rng):
-    """Draw one quasi-static Rayleigh link; entries are CN(0, 1)."""
-    scale = np.sqrt(0.5)
-    # each draw holds the real parts, then the imaginary parts
-    h = rng.standard_normal((2, antennas, receive_antennas))
-    w = rng.standard_normal((2, delay, receive_antennas))
-    return LinkInstance(scale * (h[0] + 1j * h[1]), scale * (w[0] + 1j * w[1]),
-                        float(10.0 ** (snr_db / 10.0)))
+    """Quasi-static Rayleigh links, entries CN(0, 1), one per generator in rng's array shape.
+
+    A frame's generator, after its bits, draws h's real parts, then its imaginary parts, then w's.
+    """
+    rngs = np.asarray(rng, dtype=object)
+    rows = np.array([r.standard_normal(2 * (antennas + delay) * receive_antennas)
+                     for r in rngs.flat]).reshape(rngs.shape + (-1, receive_antennas))
+    # rows a:b hold the real parts and the next b - a rows the imaginary: h's, then w's
+    h, w = (np.sqrt(0.5) * (rows[..., a:b, :] + 1j * rows[..., b:2 * b - a, :])
+            for a, b in ((0, antennas), (2 * antennas, 2 * antennas + delay)))
+    return LinkInstance(h, w, float(10.0 ** (snr_db / 10.0)))
 
 
 def transmit(x, link):
-    """Received matrix Y = sqrt(snr) * X @ H + W."""
+    """Received matrices Y = sqrt(snr) * X @ H + W, of shape (..., T, N_r)."""
     x = np.asarray(x, dtype=complex)
-    if x.shape[1] != link.h.shape[0]:
-        raise ValueError(f"codeword has {x.shape[1]} columns, channel has "
-                         f"{link.h.shape[0]} rows")
+    if x.shape[-1] != link.h.shape[-2]:
+        raise ValueError(f"codeword has {x.shape[-1]} columns, channel has "
+                         f"{link.h.shape[-2]} rows")
     return np.sqrt(link.snr) * (x @ link.h) + link.w

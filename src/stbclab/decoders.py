@@ -458,11 +458,11 @@ def pic_decode(problem, mode="exhaustive"):
     r, z = r.reshape(-1, len(spans), k, k), z.reshape(-1, len(spans), k)
     x = np.empty((len(z), k))
     counts = np.empty((len(z), len(spans)), dtype=np.int64)
-    for f in range(len(z)):
-        for i, (s, e) in enumerate(spans):
-            b = k - (e - s)
-            x[f, s:e], _, counts[f, i] = group_joint_decode(
-                z[f, i, b:], r[f, i, b:, b:], problem.alphabet, problem.snr, mode)
+    for i, (s, e) in enumerate(spans):
+        b = k - (e - s)
+        x[:, s:e], _, counts[:, i] = zip(*[group_joint_decode(
+            zf[i, b:], rf[i, b:, b:], problem.alphabet, problem.snr, mode)
+            for rf, zf in zip(r, z)])
     return _result(x[:, position], counts, lead)
 
 
@@ -482,9 +482,9 @@ def picsic_decode(problem, mode="exhaustive"):
     x = np.empty(z.shape)
     counts = np.empty((len(z), len(spans)), dtype=np.int64)
     for i, (s, e) in enumerate(spans):
-        for f in range(len(z)):
-            x[f, s:e], _, counts[f, i] = group_joint_decode(
-                z[f, s:e], r[f, s:e, s:e], problem.alphabet, problem.snr, mode)
+        x[:, s:e], _, counts[:, i] = zip(*[group_joint_decode(
+            zf[s:e], rf[s:e, s:e], problem.alphabet, problem.snr, mode)
+            for rf, zf in zip(r, z)])
         if s:
             z[:, :s] -= root_snr * (r[:, :s, s:e] @ x[:, s:e, None])[..., 0]
     return _result(x[:, position], counts, lead)

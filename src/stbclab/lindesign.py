@@ -6,7 +6,9 @@ A grouping scheme is an ordered partition of the symbol indices; group order
 matters for successive interference cancellation.
 
 All objects are immutable after construction and all operations are pure
-functions, so everything here is safe for concurrent use.
+functions, so everything here is safe for concurrent use.  The per-frame
+functions take a stack of frames on leading axes, each frame by the same
+product as alone, so a stack's results are bitwise its frames' one by one.
 
 Conventions fixed once for the whole package:
   * Complex matrices are vectorized as [vec(Re A); vec(Im A)] with
@@ -33,13 +35,12 @@ def numerical_rank(mat):
 
 
 def vec_complex(a):
-    """Stack a complex matrix into a real vector [vec(Re a); vec(Im a)].
+    """Stack complex matrices (..., T, N) into real vectors [vec(Re a); vec(Im a)].
 
-    Stacking is column-major within each half.  For a T x N input the result
-    has length 2*T*N.
+    Stacking is column-major within each half; each vector has length 2*T*N.
     """
     a = np.asarray(a, dtype=complex)
-    return np.concatenate([a.real.ravel(order="F"), a.imag.ravel(order="F")])
+    return np.stack([a.real, a.imag], -3).swapaxes(-1, -2).reshape(a.shape[:-2] + (-1,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +68,7 @@ class Design:
         k, t, n = w.shape
         if k > 2 * t * n:
             raise ValueError(f"K={k} exceeds 2*T*N={2 * t * n}")
-        if numerical_rank(np.stack([vec_complex(m) for m in w], axis=1)) < k:
+        if numerical_rank(vec_complex(w).T) < k:
             raise ValueError("weight matrices are linearly dependent")
 
     @property
@@ -126,29 +127,31 @@ class GroupingScheme:
 
 
 def assemble_codeword(design, x):
-    """Codeword matrix power_scale * sum_i x_i A_i for a symbol vector x."""
+    """Codeword matrices power_scale * sum_i x_i A_i, (..., T, N), of symbol vectors (..., K)."""
     x = np.asarray(x, dtype=float)
-    k = design.num_real_symbols
-    if x.shape != (k,):
+    k, t, n = design.weight_matrices.shape
+    if x.shape[-1:] != (k,):
         raise ValueError(f"symbol vector must have length {k}, got {x.shape}")
-    w = design.weight_matrices
-    return design.power_scale * np.dot(x[None], w.reshape(k, -1)).reshape(w.shape[1:])
+    # one (1, K) @ (K, T*N) product a frame
+    rows = x[..., None, :] @ design.weight_matrices.reshape(k, -1)
+    return design.power_scale * rows.reshape(x.shape[:-1] + (t, n))
 
 
 def equivalent_channel(design, h):
-    """Real equivalent channel G with columns vec(power_scale * A_i @ H).
+    """Real equivalent channels G with columns vec(power_scale * A_i @ H).
 
     For every symbol vector x, vec_complex(assemble_codeword(design, x) @ H)
-    equals G @ x.  H must have design.antennas rows; the result is a real
-    (2 * N_r * T) x K matrix.
+    equals G @ x.  H (..., N, N_r) must have design.antennas rows; each G is
+    a real (2 * N_r * T) x K matrix.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != design.antennas:
-        raise ValueError(f"channel matrix must have {design.antennas} rows")
-    prods = design.power_scale * (design.weight_matrices @ h)  # (K, T, N_r)
-    g = np.empty((2,) + prods.shape[::-1])  # C order at every N_r
-    g[0], g[1] = prods.real.T, prods.imag.T
-    return g.reshape(-1, design.num_real_symbols)
+    k, t, n = design.weight_matrices.shape
+    if h.ndim < 2 or h.shape[-2] != n:
+        raise ValueError(f"channel matrix must have {n} rows")
+    # one (K*T, N) @ (N, N_r) product a frame; G in C order at every N_r
+    prods = design.power_scale * (design.weight_matrices.reshape(k * t, n) @ h)
+    g = np.stack([prods.real, prods.imag], -3).reshape(h.shape[:-2] + (2, k, t, -1))
+    return g.swapaxes(-1, -3).reshape(h.shape[:-2] + (-1, k))
 
 
 def design_to_json(design):

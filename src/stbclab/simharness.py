@@ -2,13 +2,13 @@
 
 One frame = one codeword: draw bits, Gray-map to PAM, assemble the codeword
 and push it through a fresh quasi-static Rayleigh link.  Each frame seeds
-its own RNG stream from (master_seed, snr_index, frame_index) and is drawn
-on its own (run_frame); the frames of a range are then decoded as one stack
-(run_range), and a frame's decisions do not depend on the frames stacked
-with it.  So the result is a pure function of the configuration no matter
-how frames are scheduled across workers.  Per SNR point the loop stops once
-it has seen min_frame_errors frame errors or max_frames frames, whichever
-comes first, checking at fixed batch boundaries.
+its own RNG stream from (master_seed, snr_index, frame_index) and draws its
+bits (run_frame); a range's frames are then drawn, each generator drawing
+its link after its bits, and decoded as one stack (draw_range, run_range).
+A frame's values do not depend on the frames stacked with it, so the result
+is a pure function of the configuration however frames are scheduled across
+workers.  Per SNR point the loop stops at min_frame_errors frame errors or
+max_frames frames, whichever comes first, checked at batch boundaries.
 
 A link with fewer real observations than real symbols (2*N_r*T < K) is
 overloaded: it is decoded as configured, and the result carries the flag.
@@ -148,31 +148,29 @@ class _SimContext:
             check_ml_cap(self.alphabet, k)
 
     def run_frame(self, snr_index, frame_index):
-        """(bits, x, y, g) of one frame, drawn from its own RNG stream."""
+        """(generator, bits) of one frame: its own RNG stream, after the bits."""
+        rng = np.random.default_rng(np.random.SeedSequence(
+            self.cfg.master_seed, spawn_key=(snr_index, frame_index)))
+        return rng, rng.integers(0, 2, self.bits_per_frame, dtype=np.int64)
+
+    def draw_range(self, snr_index, lo, hi):
+        """(bits, x, y, g, linear snr) of frames lo..hi-1, stacked on a leading axis."""
         cfg = self.cfg
-        rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.master_seed, spawn_key=(snr_index, frame_index))
-        )
-        bits = rng.integers(0, 2, self.bits_per_frame, dtype=np.int64)
+        rngs, bits = zip(*(self.run_frame(snr_index, fi) for fi in range(lo, hi)))
+        bits = np.array(bits)
         x = modulate(bits, self.alphabet)
-        codeword = assemble_codeword(self.design, x)
         link = sample_link(cfg.antennas, cfg.receive_antennas, self.design.delay,
-                           cfg.snr_grid_db[snr_index], rng)
-        y = vec_complex(transmit(codeword, link))
-        g = equivalent_channel(self.design, link.h)
-        return bits, x, y, g
+                           cfg.snr_grid_db[snr_index], rngs)
+        y = vec_complex(transmit(assemble_codeword(self.design, x), link))
+        return bits, x, y, equivalent_channel(self.design, link.h), link.snr
 
     def run_range(self, snr_index, lo, hi):
         """(bit, symbol and frame errors, evaluations, most evaluations in a frame)
-        of frames lo..hi-1, decoded as one stack."""
-        cfg = self.cfg
-        bits, x, y, g = map(np.array, zip(*(self.run_frame(snr_index, fi)
-                                             for fi in range(lo, hi))))
-        snr = 10.0 ** (cfg.snr_grid_db[snr_index] / 10.0)  # as sample_link converts it
+        of frames lo..hi-1, drawn and decoded as one stack."""
+        bits, x, y, g, snr = self.draw_range(snr_index, lo, hi)
         result = decode(DecodeProblem(y, g, self.scheme, self.alphabet, snr),
-                        cfg.decoder, cfg.search_mode)
-        bits_hat = demap(result.decided, self.alphabet).reshape(bits.shape)
-        bit_err = np.count_nonzero(bits_hat != bits, axis=1)
+                        self.cfg.decoder, self.cfg.search_mode)
+        bit_err = np.count_nonzero(demap(result.decided, self.alphabet) != bits, axis=1)
         evals = result.candidate_evaluations
         return (int(bit_err.sum()), int(np.count_nonzero(result.decided != x)),
                 int(np.count_nonzero(bit_err)), int(evals.sum()), int(evals.max()))
@@ -192,6 +190,8 @@ def _worker_range(task):
 
 def run_simulation(cfg, workers=1):
     """Run the configured sweep; the result does not depend on worker count."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     t0 = time.perf_counter()
     ctx = _SimContext(cfg)
     pool = None
@@ -207,7 +207,7 @@ def run_simulation(cfg, workers=1):
             max_ev = frames = 0
             while frames < cfg.max_frames and agg[2] < cfg.min_frame_errors:
                 batch_end = min(frames + FRAME_BATCH, cfg.max_frames)
-                step = -((frames - batch_end) // max(workers, 1))  # ceil: one task a worker
+                step = -((frames - batch_end) // workers)  # ceil: one task a worker
                 tasks = [(si, lo, min(lo + step, batch_end))
                          for lo in range(frames, batch_end, step)]
                 outs = (pool.map(_worker_range, tasks) if pool is not None

@@ -1,4 +1,5 @@
-"""Slow references: projector PIC and PIC-SIC, brute-force ML and group metrics, skip-rule ZF.
+"""Slow references: projector PIC and PIC-SIC, brute-force ML and group metrics, skip-rule ZF,
+one frame's draw.
 
 The decoders search each group on a block of one thresholded ordered QR.
 These oracles decode the slow way instead.  PIC and PIC-SIC project the
@@ -15,6 +16,10 @@ the group-search oracle that of every candidate of one group.  ZF
 solves least squares on the columns the same rank rule keeps, with every
 skipped column's estimate 0; on a full-rank channel that is the
 pseudo-inverse solution.
+
+A frame's draw has its own reference: one frame from its own generator,
+the way the simulator drew it before ranges were drawn as one stack, with
+every step written out for that one frame (frame_oracle).
 
 The falsifier screen has two references.  The direct screen forms every
 candidate X = A_d + U_p, takes each Gram X^H X by einsum and runs the
@@ -218,3 +223,34 @@ def det_rank_screen(y):
     gram = x.conj().swapaxes(-1, -2) @ x
     trace = np.einsum("...jj->...", gram).real
     return np.linalg.det(gram).real <= SCREEN_TAU * trace ** x.shape[-1]
+
+
+def frame_oracle(ctx, snr_index, frame_index):
+    """(bits, x, y, g) of one frame of a simharness._SimContext, drawn on its own.
+
+    The frame's generator draws its bits, Gray-maps them, assembles the
+    codeword from one (1, K) symbol row, draws h (real parts, then
+    imaginary) and then w, transmits, and forms G from each A_i @ H.
+    """
+    cfg, design, alphabet = ctx.cfg, ctx.design, ctx.alphabet
+    rng = np.random.default_rng(
+        np.random.SeedSequence(cfg.master_seed, spawn_key=(snr_index, frame_index)))
+    bits = rng.integers(0, 2, ctx.bits_per_frame, dtype=np.int64)
+    gray = np.arange(alphabet.size)
+    level_of_code = np.argsort(gray ^ (gray >> 1))
+    codes = bits.reshape(-1, alphabet.bit_width) @ (1 << np.arange(alphabet.bit_width)[::-1])
+    x = alphabet.levels[level_of_code[codes]]
+    w = design.weight_matrices
+    k, t, n = w.shape
+    codeword = design.power_scale * np.dot(x[None], w.reshape(k, -1)).reshape(t, n)
+    h = rng.standard_normal((2, n, cfg.receive_antennas))
+    noise = rng.standard_normal((2, t, cfg.receive_antennas))
+    h = np.sqrt(0.5) * (h[0] + 1j * h[1])
+    noise = np.sqrt(0.5) * (noise[0] + 1j * noise[1])
+    snr = float(10.0 ** (cfg.snr_grid_db[snr_index] / 10.0))
+    received = np.sqrt(snr) * (codeword @ h) + noise
+    y = np.concatenate([received.real.ravel(order="F"), received.imag.ravel(order="F")])
+    prods = design.power_scale * (w @ h)  # (K, T, N_r)
+    g = np.empty((2,) + prods.shape[::-1])
+    g[0], g[1] = prods.real.T, prods.imag.T
+    return bits, x, y, g.reshape(-1, k)

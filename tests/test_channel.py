@@ -7,7 +7,7 @@ from stbclab.channel import (
     LinkInstance, demap, modulate, pam_for_qam, sample_link, transmit,
 )
 from stbclab.lindesign import equivalent_channel, vec_complex, assemble_codeword
-from tests.test_lindesign import alamouti_design
+from tests.test_lindesign import alamouti_design, assert_stack_is_the_loop
 
 
 class TestPamAlphabet:
@@ -152,3 +152,49 @@ class TestTransmit:
             sig += np.sum(np.abs(y_sig) ** 2)
             noise += np.sum(np.abs(link.w) ** 2)
         assert abs(sig / noise / 10 ** 0.7 - 1.0) < 0.03
+
+
+class TestStacks:
+    """Each draw-layer function on a stack is bitwise a loop of its single calls."""
+
+    LEAD = (2, 3)
+
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    def test_modulate_and_demap(self, m):
+        a = pam_for_qam(m)
+        bits = np.random.default_rng(m).integers(0, 2, self.LEAD + (6 * a.bit_width,))
+        flat = bits.reshape(-1, bits.shape[-1])
+        assert modulate(flat[0], a).shape == (6,)
+        assert demap(modulate(flat[0], a), a).shape == (6 * a.bit_width,)
+        assert_stack_is_the_loop(modulate(bits, a), [modulate(b, a) for b in flat], self.LEAD)
+        x = modulate(bits, a) + 0.3 * np.random.default_rng(1).standard_normal(self.LEAD + (6,))
+        assert_stack_is_the_loop(demap(x, a), [demap(v, a) for v in x.reshape(-1, 6)],
+                                 self.LEAD)
+
+    @pytest.mark.parametrize("receive", [1, 2, 3])
+    def test_sample_link_draws_each_generator_as_alone(self, receive):
+        def generators():
+            return [[np.random.default_rng(10 * i + j) for j in range(3)] for i in range(2)]
+
+        stacked = sample_link(4, receive, 6, 9.0, generators())
+        singles = [sample_link(4, receive, 6, 9.0, g) for row in generators() for g in row]
+        assert singles[0].h.shape == (4, receive) and singles[0].w.shape == (6, receive)
+        assert stacked.snr == singles[0].snr
+        assert_stack_is_the_loop(stacked.h, [s.h for s in singles], self.LEAD)
+        assert_stack_is_the_loop(stacked.w, [s.w for s in singles], self.LEAD)
+        # each generator draws h, then w: h's draw is that of a lone h
+        rng = np.random.default_rng(0)
+        h = rng.standard_normal((2, 4, receive))
+        assert stacked.h[0, 0].tobytes() == (np.sqrt(0.5) * (h[0] + 1j * h[1])).tobytes()
+
+    def test_transmit(self):
+        rng = np.random.default_rng(3)
+        links = [sample_link(4, 2, 6, 12.0, rng) for _ in range(6)]
+        x = rng.standard_normal((6, 6, 4)) + 1j * rng.standard_normal((6, 6, 4))
+        stacked = LinkInstance(np.array([k.h for k in links]).reshape(self.LEAD + (4, 2)),
+                               np.array([k.w for k in links]).reshape(self.LEAD + (6, 2)),
+                               links[0].snr)
+        singles = [transmit(xi, k) for xi, k in zip(x, links)]
+        assert singles[0].shape == (6, 2)
+        assert_stack_is_the_loop(transmit(x.reshape(self.LEAD + (6, 4)), stacked), singles,
+                                 self.LEAD)

@@ -197,6 +197,12 @@ class TestSimulate:
                          "--workers", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_one_is_exit_1(self, tmp_path, capsys, workers):
+        cfg = self.config(tmp_path, max_frames=8)
+        assert cli.main(["simulate", "--config", str(cfg), "--workers", workers]) == 1
+        assert "error: workers must be at least 1" in capsys.readouterr().err
+
     def test_flag_overrides(self, tmp_path):
         cfg = self.config(tmp_path)
         csv = tmp_path / "o.csv"

@@ -290,7 +290,7 @@ class TestOrderedQr:
     def test_qr_calls_do_not_grow_with_the_stack(self, calls, receive, factors):
         # sim-sec4-overloaded's frames (N_r = 1): every frame moves the same
         # three null columns, so a stack of any size takes four factors.  At
-        # N_r = 2 G has full rank and a stack takes one.  Drawing a frame
+        # N_r = 2 G has full rank and a stack takes one.  Drawing a range
         # takes none.
         from stbclab.simharness import SimConfig, _SimContext
 
@@ -299,10 +299,9 @@ class TestOrderedQr:
         ctx = _SimContext(cfg)
         for size in (1, 2, 7, 60):
             calls.clear()
-            frames = [ctx.run_frame(size % 5, fi) for fi in range(size)]
+            _, _, y, g, snr = ctx.draw_range(size % 5, 0, size)
             assert calls == []
-            _, _, y, g = map(np.array, zip(*frames))
-            picsic_decode(DecodeProblem(y, g, ctx.scheme, ctx.alphabet, 10.0), "conditioned")
+            picsic_decode(DecodeProblem(y, g, ctx.scheme, ctx.alphabet, snr), "conditioned")
             assert len(calls) == factors
 
 

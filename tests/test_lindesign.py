@@ -18,6 +18,13 @@ def alamouti_design():
     return Design(np.stack([a1, a2, a3, a4]))
 
 
+def assert_stack_is_the_loop(stacked, singles, lead):
+    """A stack equals its single calls bitwise, shaped by the leading axes."""
+    singles = np.array(singles)
+    assert stacked.shape == lead + singles.shape[1:]
+    assert stacked.tobytes() == singles.tobytes()
+
+
 class TestVecComplex:
     def test_scalar(self):
         assert np.array_equal(vec_complex(np.array([[1 + 2j]])), [1.0, 2.0])
@@ -197,3 +204,37 @@ class TestJson:
         doc["matrices"].append(doc["matrices"][0])
         with pytest.raises(ValueError, match="shape"):
             design_from_json(doc)
+
+
+class TestStacks:
+    """vec_complex, assemble_codeword and equivalent_channel on stacks: bitwise their loops."""
+
+    LEAD = (3, 2)
+
+    @pytest.fixture(scope="class")
+    def design(self):
+        return build_alamouti_block_code(4, 2)[0]
+
+    def test_vec_complex(self):
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal(self.LEAD + (5, 2)) + 1j * rng.standard_normal(self.LEAD + (5, 2))
+        assert vec_complex(a[0, 0]).shape == (20,)
+        assert_stack_is_the_loop(vec_complex(a), [vec_complex(m) for m in a.reshape(-1, 5, 2)],
+                                 self.LEAD)
+
+    def test_assemble_codeword(self, design):
+        x = np.random.default_rng(1).standard_normal(self.LEAD + (design.num_real_symbols,))
+        singles = [assemble_codeword(design, v) for v in x.reshape(-1, x.shape[-1])]
+        assert singles[0].shape == (design.delay, design.antennas)
+        assert_stack_is_the_loop(assemble_codeword(design, x), singles, self.LEAD)
+
+    @pytest.mark.parametrize("receive", [1, 2, 3])
+    def test_equivalent_channel(self, design, receive):
+        rng = np.random.default_rng(receive)
+        h = (rng.standard_normal(self.LEAD + (4, receive))
+             + 1j * rng.standard_normal(self.LEAD + (4, receive)))
+        g = equivalent_channel(design, h)
+        singles = [equivalent_channel(design, m) for m in h.reshape(-1, 4, receive)]
+        assert singles[0].shape == (2 * receive * design.delay, design.num_real_symbols)
+        assert g.flags.c_contiguous
+        assert_stack_is_the_loop(g, singles, self.LEAD)

@@ -11,11 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stbclab
+from stbclab.channel import sample_link
+from stbclab.lindesign import equivalent_channel
 from stbclab.simharness import (
     CSV_HEADER, FIT_MIN_BIT_ERRORS, FRAME_BATCH, SimConfig, SimResult, SnrPointResult,
     _SimContext, fit_diversity, read_results, render_tradeoff, run_simulation,
     write_results, write_svg_scatter,
 )
+from tests.oracles import frame_oracle
 
 
 def tiny_config(**overrides):
@@ -124,6 +127,11 @@ class TestRunSimulation:
         frames = np.array([ctx.run_range(si, fi, fi + 1) for fi in range(lo, lo + size)])
         assert ctx.run_range(si, lo, lo + size) == (
             *(int(v) for v in frames[:, :4].sum(axis=0)), int(frames[:, 4].max()))
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_below_one_are_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_simulation(tiny_config(max_frames=8), workers=workers)
 
     def test_import_leaves_multiprocessing_out(self):
         # Only a worker pool needs multiprocessing; a fresh process that
@@ -247,6 +255,44 @@ class TestRunSimulation:
                         min_frame_errors=1, max_frames=1, master_seed=0)
         with pytest.raises(ValueError, match="cap"):
             run_simulation(cfg)
+
+
+class TestDrawRange:
+    """A range is drawn as one stack, bitwise as its frames drawn one at a time."""
+
+    LINKS = {
+        "sec4(4,2)": dict(family="sec4", antennas=4, layers=2),
+        "sec4(2,1)": dict(family="sec4", antennas=2, layers=1),
+        "sec3(4,4,2)": dict(family="sec3", antennas=4, group_size=4, layers=2),
+        "sec3(3,2,2)": dict(family="sec3", antennas=3, group_size=2, layers=2),
+    }
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(LINKS)), st.sampled_from([1, 2, 3]),
+           st.sampled_from([4, 16, 64]), st.integers(0, 2 ** 32), st.integers(0, 2),
+           st.integers(0, 500), st.integers(1, 40))
+    def test_stacked_range_is_bitwise_the_frame_oracle(self, link, receive, qam, seed,
+                                                       si, lo, size):
+        # tobytes() compares the sign of zero too
+        cfg = SimConfig(**self.LINKS[link], receive_antennas=receive, qam=qam,
+                        snr_grid_db=(0.0, 11.0, 27.5), master_seed=seed)
+        ctx = _SimContext(cfg)
+        stacked = ctx.draw_range(si, lo, lo + size)
+        assert stacked[4] == 10.0 ** (cfg.snr_grid_db[si] / 10.0)
+        frames = [frame_oracle(ctx, si, fi) for fi in range(lo, lo + size)]
+        for got, want in zip(stacked, zip(*frames)):
+            want = np.array(want)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_frame_keeps_only_its_generator_and_bits(self):
+        # the generator comes back after the bits: its link is drawn next
+        ctx = _SimContext(tiny_config())
+        rng, bits = ctx.run_frame(1, 5)
+        want = frame_oracle(ctx, 1, 5)
+        link = sample_link(2, 1, ctx.design.delay, 10.0, rng)
+        assert bits.tobytes() == want[0].tobytes()
+        assert equivalent_channel(ctx.design, link.h).tobytes() == want[3].tobytes()
 
 
 class TestOverload:
