@@ -34,9 +34,11 @@ Every decoder takes one problem or a stack of problems that share the
 grouping, alphabet and SNR (y (B, 2*N_r*T), G (B, 2*N_r*T, K)); one
 problem is a stack with no leading axis, decoded by the same code.  A
 stack takes one QR call over every frame and order, one more per round of
-moved null columns, and one product per PIC-SIC cancellation; the group
-searches run one per (frame, group).  LAPACK factors each matrix on its
-own, so a frame's decisions do not depend on the frames stacked with it.
+moved null columns, one product per PIC-SIC cancellation and one weights
+call per group; the group searches run one per (frame, group), each on
+its frame's row of weights.  LAPACK factors each matrix on its own and
+the weights take no BLAS call, so a frame's decisions do not depend on
+the frames stacked with it.
 
 One rank rule decides which columns the QR keeps, for every decoder and on
 every input (_ordered_qr): a column is null when its residual off the kept
@@ -68,21 +70,23 @@ Group search modes:
 
 Both evaluate one metric, ||py - sqrt(snr) pg x||^2 less ||py||^2, as
 features(x) @ w (_gram_weights).  The features are the levels of x in units
-of half the spacing, u_i, and their products u_i u_j, all small integers;
-w is rounded to a power-of-two grid on which every partial sum is exact.
-So a candidate's metric is one number whatever the search, layout, order
-of summation, BLAS build or evaluation in NumPy or in Python floats, and
-x and -x tie exactly at y = 0.  The exhaustive metrics are one matvec of a
-feature table cached per alphabet and symbol count, or, when that table
-would pass GRAM_MAX_TABLE doubles (ML near ML_CAP), sums over a head and
-a tail table (_metrics).
+of half the spacing, u_i, and their products u_i u_j, all small integers.
+Each weight sums single products over the group's rows in index order,
+with no BLAS call, and w is rounded to a power-of-two grid on which every
+partial sum is exact.  So a candidate's metric is one number whatever the
+stack, search, layout, order of summation, BLAS build or evaluation in
+NumPy or in Python floats, and x and -x tie exactly at y = 0.  The
+exhaustive metrics are one matvec of a feature table cached per alphabet
+and symbol count, or, when that table would pass GRAM_MAX_TABLE doubles
+(ML near ML_CAP), sums over a head and a tail table (_metrics).
 A search plan cached per alphabet and symbol count (_search_plan) holds
-the feature constants, the indices that split w between the head and the
-tail table and, for the conditioned search, those that gather w into two
-columns.  One product of the integer table of the other n - 1 symbols
-with those columns gives every non-pivot candidate's own metric and, less
-the pivot's linear weight, its pivot coefficient c; both are exact for
-the reason the metric is.
+the feature constants, the columns whose products make w, the indices
+that split w between the head and the tail table and, for the
+conditioned search, those that gather w into two columns.  One product
+of the integer table of the other n - 1 symbols with those columns gives
+every non-pivot candidate's own metric and, less the pivot's linear
+weight, its pivot coefficient c; both are exact for the reason the
+metric is.
 The conditioned search (_conditioned_metrics) takes the pivot level by
 np.searchsorted of -c / (2 w00) among the midpoints of the levels in
 units: at a true midpoint that quotient of two grid multiples is exact,
@@ -90,10 +94,9 @@ and the lower level wins.  A conditioned search of at most
 FLOAT_MAX_EVALS evaluations, such as PIC-SIC's on two 4-QAM symbols, is
 cheaper without NumPy's per-call cost: _float_search evaluates the same
 sums and the same bisection in Python floats on w.tolist(), with the
-table's rows cached as tuples (_float_plan).  w itself always comes from
-NumPy, so it carries the same rounding on either path.  Every path numbers
-the candidates lexicographically, so the winning row's level indices are
-its digits in base sqrt(M), the alphabet size; no table holds them.
+table's rows cached as tuples (_float_plan).  Every path numbers the
+candidates lexicographically, so the winning row's level indices are its
+digits in base sqrt(M), the alphabet size; no table holds them.
 
 Ties between equal metrics resolve to the candidate earliest in
 lexicographic enumeration order (the first symbol varies slowest), in both
@@ -141,6 +144,8 @@ class DecodeProblem:
         g = np.asarray(self.g, dtype=float)
         if g.ndim < 2 or y.shape != g.shape[:-1]:
             raise ValueError("received vector length must match channel rows")
+        if not (np.isfinite(y).all() and np.isfinite(g).all()):
+            raise ValueError("received vector and channel must be finite")
         if self.scheme is not None and self.scheme.num_symbols != g.shape[-1]:
             raise ValueError("grouping scheme does not match channel columns")
         if not 0 <= self.snr < math.inf:
@@ -273,12 +278,13 @@ def _units(alphabet):
 
 @lru_cache(maxsize=None)
 def _search_plan(alphabet, n):
-    """(fmax, scales, pairs, rest, head, tail, across): what n-symbol searches share (cached).
+    """(fmax2, scales, left, right, rest, head, tail, across): what n-symbol searches share.
 
-    The features are u_i, then u_i u_j for i <= j.  fmax bounds each
-    feature column (the largest |u|, or its square), scales turn
-    (sqrt(snr) pg^T py, snr pg^T pg) into the column weights, and pairs are
-    the flat indices of (i, j) in an n x n matrix.  rest picks, for the
+    The features are u_i, then u_i u_j for i <= j.  fmax2 is twice the
+    largest |feature| of each column (the largest |u|, or its square).
+    left and right are, for each feature, the two columns of [py,
+    sqrt(snr) pg] whose products over the rows sum to its Gram entry, and
+    scales turn those sums into the weights.  rest picks, for the
     features of symbols 1..n-1, two columns of weights: their own, and in
     the first n-1 rows the pivot's products with their u_i (the rows after
     those are padding, to be zeroed).  head, tail and across pick the
@@ -292,9 +298,10 @@ def _search_plan(alphabet, n):
     cross = np.zeros_like(own)
     cross[:n - 1] = np.arange(n + 1, 2 * n)
     a = n // 2
-    return _frozen(np.concatenate([np.full(n, top), np.full(len(i), top * top)]),
+    return _frozen(np.concatenate([np.full(n, 2 * top), np.full(len(i), 2 * top * top)]),
                    np.concatenate([np.full(n, -2 * h), np.where(i == j, 1.0, 2.0) * h * h]),
-                   i * n + j, np.stack([own, cross], axis=1),
+                   np.r_[np.zeros(n, int), i + 1], np.r_[1:n + 1, j + 1],
+                   np.stack([own, cross], axis=1),
                    np.r_[:a, n + np.flatnonzero(j < a)],
                    np.r_[a:n, n + np.flatnonzero(i >= a)],
                    n + np.flatnonzero((i < a) & (j >= a)))
@@ -311,18 +318,26 @@ def _gram_table(alphabet, n):
 def _gram_weights(py, pg, alphabet, snr):
     """Weights w with features @ w = ||py - sqrt(snr) pg x||^2 - ||py||^2.
 
-    w is rounded to a power-of-two grid with sum_k fmax_k |w_k| < 2**53 grid.
-    Every feature is an integer, so every partial sum of a table row times
-    w is a multiple of grid that a double holds exactly, and a candidate's
-    metric is the same number however it is summed.  Unrounded, it need
-    not be: OpenBLAS sums some rows of a table in a different order from
-    others.
+    py (..., rows) and pg (..., rows, n) give w (..., F); one group is a
+    stack with no leading axis.  With a = [py, sqrt(snr) pg], w_k is
+    scales[k] times the sum of a[:, left[k]] * a[:, right[k]] over the rows,
+    in index order, so a group's w is the same bits whatever its stack,
+    memory layout or BLAS build.  w is rounded to the power-of-two grid
+    ulp(sum_k fmax2_k |w_k|), that sum also in index order.  fmax2 being
+    twice each feature's largest magnitude, every partial sum of a table
+    row times w is a multiple of grid below 2**53 grid, held exactly, so a
+    candidate's metric is the same number however it is summed.
     """
-    fmax, scales, pairs = _search_plan(alphabet, pg.shape[1])[:3]
-    # pg.T.dot(pg) is the Gram product pg.T @ pg gives, at less call overhead
-    w = scales * np.concatenate([math.sqrt(snr) * (py @ pg), snr * pg.T.dot(pg).take(pairs)])
-    grid = math.ldexp(1.0, max(math.frexp(fmax @ np.abs(w))[1] - 52, -1074))
-    return np.rint(w / grid) * grid
+    pg = np.multiply(math.sqrt(snr), pg)
+    fmax2, scales, left, right = _search_plan(alphabet, pg.shape[-1])[:4]
+    a = np.concatenate((py[..., None], pg), -1)
+    w = np.add.accumulate(a.take(left, -1) * a.take(right, -1), -2)[..., -1, :]
+    w *= scales
+    t = w.T  # rounded in place: transposed, one group's grid is a scalar, cheaper to broadcast
+    grid = np.spacing(np.add.accumulate(fmax2 * np.abs(w), -1)[..., -1]).T
+    np.rint(np.divide(t, grid, t), t)
+    t *= grid
+    return w
 
 
 def _metrics(w, alphabet, n):
@@ -338,29 +353,27 @@ def _metrics(w, alphabet, n):
     if w.ndim > 1:
         return np.stack([_metrics(v, alphabet, n) for v in w.T], axis=1)
     a = n // 2
-    head, tail, across = _search_plan(alphabet, n)[4:]
+    head, tail, across = _search_plan(alphabet, n)[5:]
     fh, ft = _gram_table(alphabet, a), _gram_table(alphabet, n - a)
     mixed = (fh[:, :a] @ w[across].reshape(a, n - a)) @ ft[:, :n - a].T
     return ((fh @ w[head])[:, None] + ft @ w[tail] + mixed).ravel()
 
 
-def group_joint_decode(py, pg, alphabet, snr, mode="exhaustive"):
-    """Jointly decode one group of pg.shape[1] symbols from its projected observation.
+def group_joint_decode(w, pg, alphabet, mode="exhaustive"):
+    """Jointly decode one group of pg.shape[1] symbols from its weights w (_gram_weights).
 
     Returns (level values, level indices, metric evaluation count), the
-    indices a fresh array.  Both modes evaluate the metric of _gram_weights
+    indices a fresh array.  Both modes evaluate the metric features @ w
     and return the same argmin, and of equal least metrics the
     lexicographically first candidate; the conditioned mode falls back to
-    the exhaustive search when the pivot column is exactly zero.  A
+    the exhaustive search when the pivot column of pg is exactly zero.  A
     conditioned search of at most FLOAT_MAX_EVALS evaluations runs in Python
     floats (_float_search), to the same metrics.
     """
-    py = np.asarray(py, dtype=float)
     pg = np.asarray(pg, dtype=float)
     n = pg.shape[1]
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown group search mode {mode!r}")
-    w = _gram_weights(py, pg, alphabet, snr)
     if mode == "conditioned" and n >= 1 and np.count_nonzero(pg[:, 0]):
         count = alphabet.size ** (n - 1)
         if count <= FLOAT_MAX_EVALS:
@@ -419,7 +432,7 @@ def _float_plan(alphabet, n):
     features, and of the pivot's products with their u_i.
     """
     u, mid = _units(alphabet)
-    own, cross = _search_plan(alphabet, n)[3].T
+    own, cross = _search_plan(alphabet, n)[4].T
     return (tuple(map(tuple, _gram_table(alphabet, n - 1).tolist())), tuple(u.tolist()),
             tuple(mid.tolist()), tuple(own.tolist()), tuple(cross[:n - 1].tolist()))
 
@@ -433,7 +446,7 @@ def _conditioned_metrics(w, alphabet, n):
     rounds to 0 leaves c u, least at the lowest level unless c < 0.
     """
     u, mid = _units(alphabet)
-    w00, both = w[n], w[_search_plan(alphabet, n)[3]]
+    w00, both = w[n], w[_search_plan(alphabet, n)[4]]
     both[n - 1:, 1] = 0.0  # the padding of the cross weights
     rest, c = _metrics(both, alphabet, n - 1).T
     c += w[0]
@@ -460,9 +473,9 @@ def pic_decode(problem, mode="exhaustive"):
     counts = np.empty((len(z), len(spans)), dtype=np.int64)
     for i, (s, e) in enumerate(spans):
         b = k - (e - s)
+        w = _gram_weights(z[:, i, b:], r[:, i, b:, b:], problem.alphabet, problem.snr)
         x[:, s:e], _, counts[:, i] = zip(*[group_joint_decode(
-            zf[i, b:], rf[i, b:, b:], problem.alphabet, problem.snr, mode)
-            for rf, zf in zip(r, z)])
+            wf, rf[i, b:, b:], problem.alphabet, mode) for rf, wf in zip(r, w)])
     return _result(x[:, position], counts, lead)
 
 
@@ -482,9 +495,9 @@ def picsic_decode(problem, mode="exhaustive"):
     x = np.empty(z.shape)
     counts = np.empty((len(z), len(spans)), dtype=np.int64)
     for i, (s, e) in enumerate(spans):
+        w = _gram_weights(z[:, s:e], r[:, s:e, s:e], problem.alphabet, problem.snr)
         x[:, s:e], _, counts[:, i] = zip(*[group_joint_decode(
-            zf[s:e], rf[s:e, s:e], problem.alphabet, problem.snr, mode)
-            for rf, zf in zip(r, z)])
+            wf, rf[s:e, s:e], problem.alphabet, mode) for rf, wf in zip(r, w)])
         if s:
             z[:, :s] -= root_snr * (r[:, :s, s:e] @ x[:, s:e, None])[..., 0]
     return _result(x[:, position], counts, lead)

@@ -63,6 +63,8 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         grid = self.snr_grid_db
+        if not np.isfinite(grid).all():
+            raise ValueError("snr_grid_db must be finite")
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_grid_db must be non-empty and strictly ascending")
         if self.min_frame_errors < 1 or self.max_frames < 1:
@@ -149,8 +151,8 @@ class _SimContext:
 
     def run_frame(self, snr_index, frame_index):
         """(generator, bits) of one frame: its own RNG stream, after the bits."""
-        rng = np.random.default_rng(np.random.SeedSequence(
-            self.cfg.master_seed, spawn_key=(snr_index, frame_index)))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            self.cfg.master_seed, spawn_key=(snr_index, frame_index))))
         return rng, rng.integers(0, 2, self.bits_per_frame, dtype=np.int64)
 
     def draw_range(self, snr_index, lo, hi):

@@ -1,5 +1,5 @@
 """Slow references: projector PIC and PIC-SIC, brute-force ML and group metrics, skip-rule ZF,
-one frame's draw.
+the group weights in Python floats, one frame's draw.
 
 The decoders search each group on a block of one thresholded ordered QR.
 These oracles decode the slow way instead.  PIC and PIC-SIC project the
@@ -17,6 +17,9 @@ solves least squares on the columns the same rank rule keeps, with every
 skipped column's estimate 0; on a full-rank channel that is the
 pseudo-inverse solution.
 
+A group's Gram weights have their own reference, the fixed-order
+definition written out in Python floats for one group (gram_weights_oracle).
+
 A frame's draw has its own reference: one frame from its own generator,
 the way the simulator drew it before ranges were drawn as one stack, with
 every step written out for that one frame (frame_oracle).
@@ -29,10 +32,11 @@ below SCREEN_TAU times the trace to the N-th power.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from stbclab.decoders import DecodeResult, group_joint_decode
+from stbclab.decoders import DecodeResult, _gram_weights, group_joint_decode
 from stbclab.diversity import SCREEN_TAU
 from stbclab.lindesign import RANK_EPS
 
@@ -110,7 +114,8 @@ def oracle_decode(problem, name, mode="exhaustive"):
     decided = np.zeros(problem.g.shape[1])
     counts = []
     for group, _, py, pg in group_views(problem, name, decided):
-        levels, _, used = group_joint_decode(py, pg, problem.alphabet, problem.snr, mode)
+        w = _gram_weights(py, pg, problem.alphabet, problem.snr)
+        levels, _, used = group_joint_decode(w, pg, problem.alphabet, mode)
         decided[group] = levels
         counts.append(used)
     return DecodeResult(decided, int(sum(counts)), tuple(counts))
@@ -125,6 +130,39 @@ def group_metrics(py, pg, alphabet, snr):
     cands = np.array(list(itertools.product(alphabet.levels, repeat=pg.shape[1])))
     resid = py[:, None] - np.sqrt(snr) * (pg @ cands.T)
     return cands, np.einsum("ij,ij->j", resid, resid)
+
+
+def gram_weights_oracle(py, pg, alphabet, snr):
+    """One group's weights in the fixed order, in Python floats, as an array.
+
+    The features of x are u_i = x_i / h, with h half the level spacing,
+    then u_i u_j for i <= j in row-major order.  With a = [py, sqrt(snr) pg]
+    row by row, u_i's weight is -2 h times the sum over the rows of
+    a[r][0] * a[r][i + 1], and u_i u_j's is h h (i = j) or 2 h h (i < j)
+    times that of a[r][i + 1] * a[r][j + 1]: one multiply a product, the
+    rows added in index order from the first.  The weights are rounded to
+    multiples of grid = ulp(sum_k 2 fmax_k |w_k|), that sum also in index
+    order from its first term, fmax_k being the largest |feature| of
+    column k, half-way cases to even.
+    """
+    root, h = math.sqrt(snr), alphabet.spacing / 2
+    a = [[float(v)] + [root * float(e) for e in row] for v, row in zip(py, pg)]
+    n = len(a[0]) - 1
+    top = float(round(max(abs(float(v)) for v in alphabet.levels) / h))
+    columns = ([(0, i + 1, -2 * h, top) for i in range(n)]
+               + [(i + 1, j + 1, (1.0 if i == j else 2.0) * h * h, top * top)
+                  for i in range(n) for j in range(i, n)])
+    w, bound = [], None
+    for left, right, scale, fmax in columns:
+        total = a[0][left] * a[0][right]
+        for row in a[1:]:
+            total += row[left] * row[right]
+        w.append(scale * total)
+        term = 2 * fmax * abs(w[-1])
+        bound = term if bound is None else bound + term
+    grid = math.ulp(bound)
+    # round() drops the sign of a zero quotient, which np.rint keeps
+    return np.array([math.copysign(round(v / grid), v / grid) * grid for v in w])
 
 
 def ml_oracle(problem):

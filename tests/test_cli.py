@@ -203,6 +203,20 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(cfg), "--workers", workers]) == 1
         assert "error: workers must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", [[8.0, float("nan")], [8.0, float("inf")],
+                                      [-float("inf"), 0.0]])
+    def test_non_finite_snr_grid_is_exit_1_before_any_point(self, tmp_path, capsys, grid):
+        cfg = self.config(tmp_path, snr_grid_db=grid, max_frames=8)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert "error: snr_grid_db must be finite" in err and "snr=" not in out
+
+    def test_non_finite_snr_flag_is_exit_1(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, max_frames=8)
+        assert cli.main(["simulate", "--config", str(cfg), "--snr", "8,nan"]) == 1
+        out, err = capsys.readouterr()
+        assert "error: snr_grid_db must be finite" in err and "snr=" not in out
+
     def test_flag_overrides(self, tmp_path):
         cfg = self.config(tmp_path)
         csv = tmp_path / "o.csv"

@@ -5,8 +5,8 @@ from stbclab import decoders
 from stbclab.channel import modulate, pam_for_qam, sample_link, transmit
 from stbclab.constructions import build_alamouti_block_code, build_diagonal_code
 from stbclab.decoders import (
-    DecodeProblem, decode, group_joint_decode, ml_decode, pic_decode, picsic_decode,
-    zf_decode,
+    DecodeProblem, _gram_weights, decode, group_joint_decode, ml_decode, pic_decode,
+    picsic_decode, zf_decode,
 )
 from stbclab.lindesign import (
     RANK_EPS, GroupingScheme, assemble_codeword, equivalent_channel, vec_complex,
@@ -59,7 +59,8 @@ class TestGroupJointDecode:
         alpha = pam_for_qam(4)
         pg = np.array([[1.0], [2.0]])
         py = pg[:, 0] * alpha.levels[1] * 2.0  # snr 4
-        levels, idx, used = group_joint_decode(py, pg, alpha, 4.0, "conditioned")
+        levels, idx, used = group_joint_decode(_gram_weights(py, pg, alpha, 4.0), pg, alpha,
+                                                "conditioned")
         assert used == 1 and idx[0] == 1 and levels[0] == alpha.levels[1]
 
     def test_noiseless_recovery(self):
@@ -69,7 +70,7 @@ class TestGroupJointDecode:
         truth = alpha.levels[rng.integers(0, 4, 3)]
         py = np.sqrt(9.0) * pg @ truth
         for mode in ("exhaustive", "conditioned"):
-            levels, _, _ = group_joint_decode(py, pg, alpha, 9.0, mode)
+            levels, _, _ = group_joint_decode(_gram_weights(py, pg, alpha, 9.0), pg, alpha, mode)
             assert np.array_equal(levels, truth)
 
     def test_modes_agree_on_noisy_instances(self):
@@ -79,8 +80,9 @@ class TestGroupJointDecode:
             for _ in range(300):
                 pg = rng.standard_normal((6, 2))
                 py = rng.standard_normal(6)
-                le, ie, ce = group_joint_decode(py, pg, alpha, 2.0, "exhaustive")
-                lc, ic, cc = group_joint_decode(py, pg, alpha, 2.0, "conditioned")
+                w = _gram_weights(py, pg, alpha, 2.0)
+                le, ie, ce = group_joint_decode(w, pg, alpha, "exhaustive")
+                lc, ic, cc = group_joint_decode(w, pg, alpha, "conditioned")
                 assert np.array_equal(le, lc) and np.array_equal(ie, ic)
                 assert cc <= ce
         # a 4-symbol 64-QAM group: 4096 candidates, whose table fits one matvec
@@ -89,8 +91,9 @@ class TestGroupJointDecode:
         for _ in range(20):
             pg = rng.standard_normal((8, 4))
             py = rng.standard_normal(8)
-            le, ie, ce = group_joint_decode(py, pg, alpha64, 2.0, "exhaustive")
-            lc, ic, cc = group_joint_decode(py, pg, alpha64, 2.0, "conditioned")
+            w = _gram_weights(py, pg, alpha64, 2.0)
+            le, ie, ce = group_joint_decode(w, pg, alpha64, "exhaustive")
+            lc, ic, cc = group_joint_decode(w, pg, alpha64, "conditioned")
             assert np.array_equal(le, lc) and np.array_equal(ie, ic)
             assert (ce, cc) == (4096, 512)
 
@@ -98,8 +101,9 @@ class TestGroupJointDecode:
         alpha = pam_for_qam(16)
         pg = np.eye(8)[:, :3]
         py = np.zeros(8)
-        _, _, ce = group_joint_decode(py, pg, alpha, 1.0, "exhaustive")
-        _, _, cc = group_joint_decode(py, pg, alpha, 1.0, "conditioned")
+        w = _gram_weights(py, pg, alpha, 1.0)
+        _, _, ce = group_joint_decode(w, pg, alpha, "exhaustive")
+        _, _, cc = group_joint_decode(w, pg, alpha, "conditioned")
         assert ce == 64 and cc == 16
 
     def test_degenerate_pivot_falls_back(self):
@@ -107,7 +111,8 @@ class TestGroupJointDecode:
         pg = np.zeros((4, 2))
         pg[:, 1] = [1.0, 0, 0, 0]
         py = np.zeros(4)
-        levels, idx, used = group_joint_decode(py, pg, alpha, 1.0, "conditioned")
+        levels, idx, used = group_joint_decode(_gram_weights(py, pg, alpha, 1.0), pg, alpha,
+                                                "conditioned")
         assert used == 4  # exhaustive fallback
         assert np.array_equal(idx, [0, 0])  # all-tie resolves to first candidate
 
@@ -144,7 +149,7 @@ class TestGroupJointDecode:
         pg = np.zeros((4, 2))
         py = np.zeros(4)
         for mode in ("exhaustive", "conditioned"):
-            _, idx, _ = group_joint_decode(py, pg, alpha, 1.0, mode)
+            _, idx, _ = group_joint_decode(_gram_weights(py, pg, alpha, 1.0), pg, alpha, mode)
             assert np.array_equal(idx, [0, 0])
 
     def test_conditioned_ties_go_to_the_lexicographic_first(self):
@@ -154,16 +159,16 @@ class TestGroupJointDecode:
         alpha = pam_for_qam(4)
         for _ in range(200):
             pg = rng.standard_normal((4, 2))
-            _, ie, _ = group_joint_decode(np.zeros(4), pg, alpha, 1.0,
-                                          "exhaustive")
-            _, ic, cc = group_joint_decode(np.zeros(4), pg, alpha, 1.0,
-                                           "conditioned")
+            w = _gram_weights(np.zeros(4), pg, alpha, 1.0)
+            _, ie, _ = group_joint_decode(w, pg, alpha, "exhaustive")
+            _, ic, cc = group_joint_decode(w, pg, alpha, "conditioned")
             assert np.array_equal(ie, ic) and cc == 2
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            group_joint_decode(np.zeros(2), np.ones((2, 1)), pam_for_qam(4), 1.0,
-                               "fast")
+            pg = np.ones((2, 1))
+            group_joint_decode(_gram_weights(np.zeros(2), pg, pam_for_qam(4), 1.0), pg,
+                               pam_for_qam(4), "fast")
 
 
 class TestOrderedQr:
@@ -361,10 +366,10 @@ class TestOracleChain:
             for k in range(scheme.num_groups):
                 group = list(scheme.groups[k])
                 proj = complement_projector(problem.g[:, list(scheme.later(k))])
+                pg = proj @ problem.g[:, group]
                 levels, _, _ = group_joint_decode(
-                    proj @ y_k, proj @ problem.g[:, group],
-                    problem.alphabet, problem.snr,
-                    "conditioned",
+                    _gram_weights(proj @ y_k, pg, problem.alphabet, problem.snr),
+                    pg, problem.alphabet, "conditioned",
                 )
                 x_ref[group] = levels
                 y_k = y_k - np.sqrt(problem.snr) * problem.g[:, group] @ levels
@@ -383,10 +388,10 @@ class TestOracleChain:
             for k in range(scheme.num_groups):
                 group = list(scheme.groups[k])
                 proj = complement_projector(problem.g[:, list(scheme.complement(k))])
+                pg = proj @ problem.g[:, group]
                 levels, _, used = group_joint_decode(
-                    proj @ problem.y, proj @ problem.g[:, group],
-                    problem.alphabet, problem.snr,
-                    "conditioned",
+                    _gram_weights(proj @ problem.y, pg, problem.alphabet, problem.snr),
+                    pg, problem.alphabet, "conditioned",
                 )
                 x_ref[group] = levels
                 counts.append(used)
@@ -544,6 +549,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="grouping"):
             DecodeProblem(np.zeros(4), np.zeros((4, 2)),
                           GroupingScheme.contiguous(1, 3), alpha, 1.0)
+
+    @pytest.mark.parametrize("name", ["picsic", "pic", "zf", "ml"])
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("entry", ["y", "g"])
+    def test_non_finite_inputs_are_rejected(self, name, stacked, entry):
+        # a NaN in y or an infinite entry of G was decoded to levels, with no
+        # warning, by every decoder; a stack is checked as a whole
+        design, scheme, _ = build_alamouti_block_code(4, 2)
+        rng = np.random.default_rng(26)
+        g = rng.standard_normal((3, 2 * 2 * design.delay, design.num_real_symbols))
+        y = rng.standard_normal(g.shape[:-1])
+        if entry == "y":
+            y[1, 0] = np.nan
+        else:
+            g[1, 0, 0] = np.inf
+        if not stacked:
+            y, g = y[1], g[1]
+        with pytest.raises(ValueError, match="received vector and channel must be finite"):
+            decode(DecodeProblem(y, g, scheme, pam_for_qam(4), 10.0), name)
 
     @pytest.mark.parametrize("snr", [-1.0, -1e-300, np.nan, np.inf])
     def test_problem_rejects_bad_snr(self, snr):

@@ -12,7 +12,9 @@ tests check that every layout and mode gives a candidate the same metric
 bit for bit, that the conditioned search's pivot level is the least one
 (the lower level at an exact midpoint), and that every form (Python
 floats, one table, split tables) and mode returns the same indices, ties
-included, with the same evaluation counts.  The inputs cover full-rank,
+included, with the same evaluation counts, and that the weights of every
+group in a stack are bit for bit its single call's and the fixed-order
+definition's (gram_weights_oracle).  The inputs cover full-rank,
 triangular, rank-1 and short (rows < n) group channels, exact ties at
 y = 0, zero pivot columns and scaled copies, on groups of 2 to 4096
 candidates.
@@ -28,8 +30,8 @@ from hypothesis import given, settings, strategies as st
 
 from stbclab import decoders
 from stbclab.channel import PamAlphabet, pam_for_qam
-from stbclab.decoders import group_joint_decode
-from tests.oracles import group_metrics
+from stbclab.decoders import _gram_weights, group_joint_decode
+from tests.oracles import gram_weights_oracle, group_metrics
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -94,7 +96,8 @@ def assert_forms_and_modes_agree(py, pg, alphabet, snr):
     for name in FORMS:
         with form(name):
             for mode in decoders.SEARCH_MODES:
-                results[mode, name] = group_joint_decode(py, pg, alphabet, snr, mode)
+                results[mode, name] = group_joint_decode(
+                    _gram_weights(py, pg, alphabet, snr), pg, alphabet, mode)
     (levels, idx, _), *others = results.values()
     for other_levels, other_idx, _ in others:
         assert np.array_equal(other_idx, idx)
@@ -148,6 +151,52 @@ def test_exact_ties_go_to_the_lexicographic_first(args):
     assert results["exhaustive", "table"][0][0] < 0
 
 
+@st.composite
+def weight_stacks(draw):
+    """(py, pg, alphabet, snr) of a stack of groups with leading axes (), (3,) or (2, 3).
+
+    Each group has 1 to 16 rows and symbols, past the 8 terms at which
+    NumPy sums pairwise, and its own scale; some have a zero row (py's
+    entry too) or a zero column, square ones may be triangular, and the
+    arrays are in C order, in Fortran order or strided views.
+    """
+    alphabet = pam_for_qam(draw(st.sampled_from((4, 16, 64))))
+    rows, n = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    lead = draw(st.sampled_from(((), (3,), (2, 3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pg = rng.standard_normal(lead + (rows, n)) * 10.0 ** rng.uniform(-3, 3, lead + (1, 1))
+    py = rng.standard_normal(lead + (rows,))
+    if draw(st.booleans()):
+        r = rng.integers(rows)
+        pg[..., r, :], py[..., r] = 0.0, 0.0
+    if draw(st.booleans()):
+        pg[..., rng.integers(n)] = 0.0
+    if rows == n and draw(st.booleans()):
+        pg = np.triu(pg)
+    layout = draw(st.sampled_from(("C", "F", "strided")))
+    if layout == "F":
+        py, pg = np.asfortranarray(py), np.asfortranarray(pg)
+    elif layout == "strided":
+        py, pg = np.repeat(py, 2, axis=-1)[..., ::2], np.repeat(pg, 2, axis=-1)[..., ::2]
+    snr = draw(st.one_of(st.just(0.0), st.floats(-10.0, 40.0).map(lambda db: 10 ** (db / 10))))
+    return py, pg, alphabet, snr
+
+
+@PROPERTY
+@given(weight_stacks())
+def test_weights_are_the_oracle_in_any_stack(args):
+    # Each group's weights in a stack are bit for bit its weights alone and
+    # the fixed-order definition in Python floats, whatever the layout.
+    py, pg, alphabet, snr = args
+    w = _gram_weights(py, pg, alphabet, snr)
+    n = pg.shape[-1]
+    assert w.shape == pg.shape[:-2] + (n * (n + 3) // 2,)
+    for idx in np.ndindex(pg.shape[:-2]):
+        one = _gram_weights(py[idx], pg[idx], alphabet, snr)
+        oracle = gram_weights_oracle(py[idx], pg[idx], alphabet, snr)
+        assert w[idx].tobytes() == one.tobytes() == oracle.tobytes()
+
+
 @PROPERTY
 @given(group_inputs())
 def test_conditioned_metrics_are_the_exhaustive_minima(args):
@@ -196,8 +245,9 @@ def test_one_symbol_16qam_at_zero_observation_decides_the_lower_middle_level():
     # 0 is the middle midpoint of 16-QAM; both levels beside it tie.
     alphabet = pam_for_qam(16)
     for mode in decoders.SEARCH_MODES:
-        levels, idx, _ = group_joint_decode(np.zeros(2), [[1.0], [0.5]], alphabet, 1.0,
-                                            mode)
+        pg = [[1.0], [0.5]]
+        levels, idx, _ = group_joint_decode(_gram_weights(np.zeros(2), pg, alphabet, 1.0),
+                                            pg, alphabet, mode)
         assert idx[0] == 1 and levels[0] == alphabet.levels[1]
 
 
@@ -269,9 +319,11 @@ def test_searches_are_scale_invariant(args):
     # threshold sends a small pivot column to the exhaustive search.
     py, pg, alphabet, snr = args
     for mode in decoders.SEARCH_MODES:
-        _, idx, used = group_joint_decode(py, pg, alphabet, snr, mode)
-        _, tiny_idx, tiny_used = group_joint_decode(py * 2.0 ** -47, pg * 2.0 ** -47,
-                                                    alphabet, snr, mode)
+        _, idx, used = group_joint_decode(_gram_weights(py, pg, alphabet, snr), pg, alphabet,
+                                          mode)
+        tiny_py, tiny_pg = py * 2.0 ** -47, pg * 2.0 ** -47
+        _, tiny_idx, tiny_used = group_joint_decode(
+            _gram_weights(tiny_py, tiny_pg, alphabet, snr), tiny_pg, alphabet, mode)
         assert np.array_equal(tiny_idx, idx) and tiny_used == used
 
 
@@ -301,25 +353,26 @@ def test_searches_decide_an_oracle_argmin(args):
     _, metrics = group_metrics(py, pg, alphabet, snr)
     scale = py @ py + snr * np.sum(pg ** 2) * np.max(np.abs(alphabet.levels)) ** 2
     for mode in decoders.SEARCH_MODES:
-        _, idx, _ = group_joint_decode(py, pg, alphabet, snr, mode)
+        _, idx, _ = group_joint_decode(_gram_weights(py, pg, alphabet, snr), pg, alphabet,
+                                       mode)
         row = np.ravel_multi_index(tuple(idx), (alphabet.size,) * pg.shape[1])
         assert metrics[row] - metrics.min() <= 1e-10 * scale
 
 
-def searches_run(*args):
+def searches_run(py, pg, alphabet, snr, mode):
     """(tables read, NumPy and Python-float conditioned searches) of one group_joint_decode.
 
     A first call fills the caches, so that only the tables the search
     itself reads are counted: a Python-float search takes its rows from a
     cached plan and reads none.
     """
-    group_joint_decode(*args)
+    group_joint_decode(_gram_weights(py, pg, alphabet, snr), pg, alphabet, mode)
     with mock.patch.object(decoders, "_gram_table", wraps=decoders._gram_table) as tables, \
             mock.patch.object(decoders, "_conditioned_metrics",
                               wraps=decoders._conditioned_metrics) as conditioned, \
             mock.patch.object(decoders, "_float_search",
                               wraps=decoders._float_search) as floats:
-        group_joint_decode(*args)
+        group_joint_decode(_gram_weights(py, pg, alphabet, snr), pg, alphabet, mode)
     return (sorted(call.args[1] for call in tables.call_args_list), conditioned.call_count,
             floats.call_count)
 
@@ -359,10 +412,10 @@ def test_table_ceiling_sends_exhaustive_search_to_split_layout():
     w = decoders._gram_weights(py, pg, alphabet, 4.0)
     with mock.patch.object(decoders, "GRAM_MAX_TABLE", 1024 * 20 - 1):
         assert searches_run(py, pg, alphabet, 4.0, "exhaustive") == ([2, 3], 0, 0)
-        split = group_joint_decode(py, pg, alphabet, 4.0)
+        split = group_joint_decode(_gram_weights(py, pg, alphabet, 4.0), pg, alphabet)
         split_metrics = decoders._metrics(w, alphabet, 5)
     assert searches_run(py, pg, alphabet, 4.0, "exhaustive") == ([5], 0, 0)
-    one = group_joint_decode(py, pg, alphabet, 4.0)
+    one = group_joint_decode(_gram_weights(py, pg, alphabet, 4.0), pg, alphabet)
     assert np.array_equal(one[1], split[1]) and one[2] == split[2] == 1024
     assert np.array_equal(decoders._metrics(w, alphabet, 5), split_metrics)
 
@@ -377,7 +430,7 @@ def test_large_ml_search_builds_no_large_table():
     truth = rng.integers(alphabet.size, size=10)
     py = 10.0 * pg @ alphabet.levels[truth]
     assert searches_run(py, pg, alphabet, 100.0, "exhaustive") == ([5, 5], 0, 0)
-    levels, idx, used = group_joint_decode(py, pg, alphabet, 100.0)
+    levels, idx, used = group_joint_decode(_gram_weights(py, pg, alphabet, 100.0), pg, alphabet)
     assert np.array_equal(idx, truth) and used == 4 ** 10
 
 
@@ -390,7 +443,7 @@ def test_split_layout_decides_the_oracle_argmin():
         py = 2.0 * pg @ alphabet.levels[rng.integers(4, size=8)] + rng.standard_normal(10)
         assert searches_run(py, pg, alphabet, 4.0, "exhaustive") == ([4, 4], 0, 0)
         _, metrics = group_metrics(py, pg, alphabet, 4.0)
-        _, idx, used = group_joint_decode(py, pg, alphabet, 4.0)
+        _, idx, used = group_joint_decode(_gram_weights(py, pg, alphabet, 4.0), pg, alphabet)
         assert np.ravel_multi_index(tuple(idx), (4,) * 8) == metrics.argmin()
         assert used == 65536
 
@@ -400,4 +453,5 @@ def test_gram_form_rejects_unequally_spaced_levels():
     uneven = PamAlphabet(np.array([-1.0, -0.2, 0.2, 1.0]), bit_width=2)
     for mode in decoders.SEARCH_MODES:
         with pytest.raises(ValueError, match="equally spaced"):
-            group_joint_decode(np.zeros(6), np.eye(6)[:, :5], uneven, 1.0, mode)
+            pg = np.eye(6)[:, :5]
+            group_joint_decode(_gram_weights(np.zeros(6), pg, uneven, 1.0), pg, uneven, mode)

@@ -244,6 +244,13 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match=message):
             tiny_config(**{field: value})
 
+    @pytest.mark.parametrize("grid", [(8.0, np.nan), (8.0, np.inf), (-np.inf, 0.0)])
+    def test_non_finite_snr_grid_is_rejected(self, grid):
+        # NaN passed the ascending check and failed after the points before
+        # it had run; -inf ran the whole sweep and failed in the fit
+        with pytest.raises(ValueError, match="snr_grid_db must be finite"):
+            tiny_config(snr_grid_db=grid)
+
     def test_search_mode_checked_for_every_decoder(self):
         # ZF ignores the search mode, but a typo in it is still an error
         with pytest.raises(ValueError, match="unknown search mode"):
