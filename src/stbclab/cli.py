@@ -13,6 +13,7 @@ within the budget, not that full diversity is proven (see verify --help).
 
 import argparse
 import json
+import os
 import sys
 
 from . import decoders, diversity, lindesign, simharness
@@ -37,8 +38,8 @@ def _build_code(args):
 
 def _cmd_build(args):
     design, grouping, spec = _build_code(args)
-    lindesign.save_json(lindesign.design_to_json(design), args.out)
     grouping_out = args.grouping_out or _derived_grouping_path(args.out)
+    lindesign.save_json(lindesign.design_to_json(design), args.out)
     lindesign.save_json(lindesign.grouping_to_json(grouping), grouping_out)
     print(f"K={spec.num_real_symbols} T={spec.delay} N={spec.antennas} "
           f"groups={spec.num_groups} rate={spec.rate} "
@@ -49,8 +50,8 @@ def _cmd_build(args):
 
 
 def _derived_grouping_path(design_path):
-    stem, dot, ext = design_path.rpartition(".")
-    return f"{stem}.grouping.{ext}" if dot else f"{design_path}.grouping"
+    stem, ext = os.path.splitext(design_path)  # the file name's extension only
+    return f"{stem}.grouping{ext}"
 
 
 def _cmd_verify(args):
@@ -59,6 +60,9 @@ def _cmd_verify(args):
             raise ValueError("--design requires --grouping")
         design = lindesign.design_from_json(lindesign.load_json(args.design))
         scheme = lindesign.grouping_from_json(lindesign.load_json(args.grouping))
+    elif None in (args.family, args.antennas, args.layers):
+        raise ValueError("verify needs --design with --grouping, "
+                         "or --family, --antennas and --layers")
     else:
         design, scheme, _ = _build_code(args)
     certified = diversity.certify(design, scheme, args.mode, args.pam_levels)

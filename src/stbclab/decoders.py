@@ -36,7 +36,7 @@ problem is a stack with no leading axis, decoded by the same code.  A
 stack takes one QR call over every frame and order, one more per round of
 moved null columns, one product per PIC-SIC cancellation and one weights
 call per group; the group searches run one per (frame, group), each on
-its frame's row of weights.  LAPACK factors each matrix on its own and
+its frame's row of weights and block.  LAPACK factors each matrix alone and
 the weights take no BLAS call, so a frame's decisions do not depend on
 the frames stacked with it.
 
@@ -93,10 +93,11 @@ units: at a true midpoint that quotient of two grid multiples is exact,
 and the lower level wins.  A conditioned search of at most
 FLOAT_MAX_EVALS evaluations, such as PIC-SIC's on two 4-QAM symbols, is
 cheaper without NumPy's per-call cost: _float_search evaluates the same
-sums and the same bisection in Python floats on w.tolist(), with the
-table's rows cached as tuples (_float_plan).  Every path numbers the
-candidates lexicographically, so the winning row's level indices are its
-digits in base sqrt(M), the alphabet size; no table holds them.
+sums and the same bisection in Python floats on w.tolist(), keeping a
+running least, with the table's rows and the getters of their weights
+cached (_float_plan).  Every path numbers the candidates lexicographically,
+so the winning row's level indices are its digits in base sqrt(M), the
+alphabet size, taken by divmod; no table holds them.
 
 Ties between equal metrics resolve to the candidate earliest in
 lexicographic enumeration order (the first symbol varies slowest), in both
@@ -108,7 +109,7 @@ import dataclasses
 import math
 from bisect import bisect_left
 from functools import lru_cache
-from operator import mul
+from operator import itemgetter, mul
 
 import numpy as np
 from dataclasses import dataclass
@@ -372,10 +373,11 @@ def group_joint_decode(w, pg, alphabet, mode="exhaustive"):
     """
     pg = np.asarray(pg, dtype=float)
     n = pg.shape[1]
+    size = alphabet.size
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown group search mode {mode!r}")
     if mode == "conditioned" and n >= 1 and np.count_nonzero(pg[:, 0]):
-        count = alphabet.size ** (n - 1)
+        count = size ** (n - 1)
         if count <= FLOAT_MAX_EVALS:
             row = _float_search(w.tolist(), alphabet, n)
         else:
@@ -389,10 +391,13 @@ def group_joint_decode(w, pg, alphabet, mode="exhaustive"):
             else:
                 row += int(piv[row]) * count
     else:
-        count = alphabet.size ** n
+        count = size ** n
         row = int(_metrics(w, alphabet, n).argmin())
     # every search numbers the candidates lexicographically: idx holds the digits of row
-    idx = np.array([row // alphabet.size ** (n - 1 - i) % alphabet.size for i in range(n)])
+    digits = [0] * n
+    for i in range(n - 1, -1, -1):
+        row, digits[i] = divmod(row, size)
+    idx = np.array(digits)
     return alphabet.levels[idx], idx, count
 
 
@@ -408,33 +413,34 @@ def _float_search(w, alphabet, n):
     row piv * len(rows) + r wins, as in group_joint_decode.
     """
     rows, units, mid, own, cross = _float_plan(alphabet, n)
-    own = [w[k] for k in own]
-    cross = [w[k] for k in cross]
+    own, cross = own(w), cross(w)
     w0, w00 = w[0], w[n]
-    keyed = []
+    least = (math.inf, 0)
     for r, row in enumerate(rows):
         c = sum(map(mul, row, cross)) + w0  # a row's first n - 1 features are its u
         if w00 > 0:
             p = bisect_left(mid, c / (-2 * w00))
         else:
             p = len(units) - 1 if c < 0 else 0
-        keyed.append((sum(map(mul, row, own)) + (w00 * units[p] + c) * units[p],
-                      p * len(rows) + r))
-    return min(keyed)[1]
+        key = (sum(map(mul, row, own)) + (w00 * units[p] + c) * units[p], p * len(rows) + r)
+        if key < least:
+            least = key
+    return least[1]
 
 
 @lru_cache(maxsize=None)
 def _float_plan(alphabet, n):
-    """(rows, units, midpoints, own, cross) of _float_search on n symbols, as tuples (cached).
+    """(rows, units, midpoints, own, cross) of _float_search on n symbols (cached).
 
-    rows are those of _gram_table(alphabet, n - 1), the features of the
-    non-pivot symbols, and own and cross index w: the weights of those
-    features, and of the pivot's products with their u_i.
+    rows are those of _gram_table(alphabet, n - 1) as tuples, and own and cross
+    take from w the weights of those features, and of the pivot's products with
+    their u_i, w[n + 1:2n].  At n = 1 the one row is empty and takes no weights.
     """
     u, mid = _units(alphabet)
-    own, cross = _search_plan(alphabet, n)[4].T
+    own = _search_plan(alphabet, n)[4][:, 0].tolist()
     return (tuple(map(tuple, _gram_table(alphabet, n - 1).tolist())), tuple(u.tolist()),
-            tuple(mid.tolist()), tuple(own.tolist()), tuple(cross[:n - 1].tolist()))
+            tuple(mid.tolist()), itemgetter(*own) if n > 1 else itemgetter(slice(0)),
+            itemgetter(slice(n + 1, 2 * n)))
 
 
 def _conditioned_metrics(w, alphabet, n):
@@ -475,7 +481,7 @@ def pic_decode(problem, mode="exhaustive"):
         b = k - (e - s)
         w = _gram_weights(z[:, i, b:], r[:, i, b:, b:], problem.alphabet, problem.snr)
         x[:, s:e], _, counts[:, i] = zip(*[group_joint_decode(
-            wf, rf[i, b:, b:], problem.alphabet, mode) for rf, wf in zip(r, w)])
+            wf, rf, problem.alphabet, mode) for rf, wf in zip(r[:, i, b:, b:], w)])
     return _result(x[:, position], counts, lead)
 
 
@@ -497,7 +503,7 @@ def picsic_decode(problem, mode="exhaustive"):
     for i, (s, e) in enumerate(spans):
         w = _gram_weights(z[:, s:e], r[:, s:e, s:e], problem.alphabet, problem.snr)
         x[:, s:e], _, counts[:, i] = zip(*[group_joint_decode(
-            wf, rf[s:e, s:e], problem.alphabet, mode) for rf, wf in zip(r, w)])
+            wf, rf, problem.alphabet, mode) for rf, wf in zip(r[:, s:e, s:e], w)])
         if s:
             z[:, :s] -= root_snr * (r[:, :s, s:e] @ x[:, s:e, None])[..., 0]
     return _result(x[:, position], counts, lead)

@@ -1,10 +1,13 @@
 """Monte Carlo link simulation, diversity-order estimation and results I/O.
 
 One frame = one codeword: draw bits, Gray-map to PAM, assemble the codeword
-and push it through a fresh quasi-static Rayleigh link.  Each frame seeds
-its own RNG stream from (master_seed, snr_index, frame_index) and draws its
-bits (run_frame); a range's frames are then drawn, each generator drawing
-its link after its bits, and decoded as one stack (draw_range, run_range).
+and push it through a fresh quasi-static Rayleigh link.  Each frame has its
+own PCG64 stream, the one SeedSequence(master_seed, spawn_key=(snr_index,
+frame_index)) seeds: a range's seed words are formed in one NumPy pass
+(_frame_seeds), and each frame draws the raw words of its bits (run_frame),
+whose 32-bit halves' top bits are what Generator.integers(0, 2) would draw
+(_raw_bits).  A range's frames are then drawn, each generator drawing its
+link after its bits, and decoded as one stack (draw_range, run_range).
 A frame's values do not depend on the frames stacked with it, so the result
 is a pure function of the configuration however frames are scheduled across
 workers.  Per SNR point the loop stops at min_frame_errors frame errors or
@@ -39,6 +42,9 @@ FRAME_BATCH = 256
 FAMILIES = tuple(f.value for f in Family)
 # SNR points with fewer bit errors than this stay out of the diversity fit.
 FIT_MIN_BIT_ERRORS = 50
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx): (init, mult) of
+# its pool's hashes and of generate_state's, and the multipliers of its mix
+_A, _B, _MIX_L, _MIX_R = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED), 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -149,17 +155,17 @@ class _SimContext:
         if cfg.decoder == "ml":
             check_ml_cap(self.alphabet, k)
 
-    def run_frame(self, snr_index, frame_index):
-        """(generator, bits) of one frame: its own RNG stream, after the bits."""
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            self.cfg.master_seed, spawn_key=(snr_index, frame_index))))
-        return rng, rng.integers(0, 2, self.bits_per_frame, dtype=np.int64)
+    def run_frame(self, seed):
+        """(generator, raw words) of one frame from its seed words (_frame_seeds):
+        its own PCG64 stream, after the words that carry its bits (_raw_bits)."""
+        rng = np.random.Generator(np.random.PCG64(_FrameSeed(seed)))
+        return rng, rng.bit_generator.random_raw(-(-self.bits_per_frame // 2))
 
     def draw_range(self, snr_index, lo, hi):
         """(bits, x, y, g, linear snr) of frames lo..hi-1, stacked on a leading axis."""
         cfg = self.cfg
-        rngs, bits = zip(*(self.run_frame(snr_index, fi) for fi in range(lo, hi)))
-        bits = np.array(bits)
+        rngs, raw = zip(*map(self.run_frame, _frame_seeds(cfg.master_seed, snr_index, lo, hi)))
+        bits = _raw_bits(np.array(raw), self.bits_per_frame)
         x = modulate(bits, self.alphabet)
         link = sample_link(cfg.antennas, cfg.receive_antennas, self.design.delay,
                            cfg.snr_grid_db[snr_index], rngs)
@@ -176,6 +182,54 @@ class _SimContext:
         evals = result.candidate_evaluations
         return (int(bit_err.sum()), int(np.count_nonzero(result.decided != x)),
                 int(np.count_nonzero(bit_err)), int(evals.sum()), int(evals.max()))
+
+
+class _FrameSeed:
+    """A frame's seed words (_frame_seeds), which PCG64 takes as generate_state's.
+
+    _frame_seeds registers it as an ISeedSequence, so that importing this
+    module does not load numpy.random (about 11 ms)."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=None):
+        return self.words
+
+
+def _hash(v, init, mult, start, count):
+    """SeedSequence's hashes (v ^ c_k) * c_(k+1), xor-shifted by 16, of words v, by its
+    constants c_k = init * mult**k mod 2**32, the count of them from k = start."""
+    c = [init * pow(mult, start, 1 << 32) & 0xFFFFFFFF] + [mult] * (count - 1)
+    c = np.multiply.accumulate(np.array(c, dtype=np.uint32), dtype=np.uint32)
+    v = (v.astype(np.uint32) ^ c[:-1]) * c[1:]
+    return v ^ v >> 16
+
+
+def _frame_seeds(master, snr_index, lo, hi):
+    """Seed words (hi - lo, 4) of frames lo..hi-1, in one pass: row f is
+    SeedSequence(master, spawn_key=(snr_index, lo + f)).generate_state(4, np.uint64)."""
+    np.random.bit_generator.ISeedSequence.register(_FrameSeed)
+    # the pool before a frame index's uint32 words (one below 2**32, two above)
+    # are mixed in, after 4 hash constants for each word of its own entropy
+    prefix = np.random.SeedSequence(master, spawn_key=(snr_index,))
+    done = 4 * (max(4, -(-int(master).bit_length() // 32))
+                + max(1, -(-int(snr_index).bit_length() // 32)))
+    out = np.empty((hi - lo, 4), dtype=np.uint64)
+    for a, b in ((lo, min(hi, 1 << 32)), (max(lo, 1 << 32), hi)):  # one index word, then two
+        if a < b:
+            fi, pool = np.arange(a, b, dtype=np.uint64)[:, None], np.tile(prefix.pool, (b - a, 1))
+            for j in range(1 + (a >> 32 > 0)):
+                v = _MIX_L * pool - _MIX_R * _hash(fi >> np.uint64(32 * j), *_A, done + 4 * j, 5)
+                pool = v ^ v >> 16
+            out[a - lo:b - lo] = _hash(np.tile(pool, 2), *_B, 0, 9).astype("<u4").view("<u8")
+    return out
+
+
+def _raw_bits(raw, count):
+    """The count bits (..., count) int64 that integers(0, 2) draws from raw words (..., W):
+    the top bit of each word's 32-bit halves, low half first."""
+    return (raw.astype("<u8").view("<u4") >> 31)[..., :count].astype(np.int64)
 
 
 _WORKER_CTX = None

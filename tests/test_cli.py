@@ -41,6 +41,21 @@ class TestBuild:
                        "--layers", "1", "--out", str(tmp_path / "x.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("out, grouping", [
+        ("./design", "design.grouping"),
+        ("out.v2/design", "out.v2/design.grouping"),
+    ])
+    def test_dot_in_a_directory_name_stays_in_the_path(self, tmp_path, monkeypatch,
+                                                        out, grouping):
+        # only the file name's extension is split off for the grouping path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.v2").mkdir()
+        rc = cli.main(["build", "--family", "sec4", "--antennas", "4",
+                       "--layers", "2", "--out", out])
+        assert rc == 0
+        assert lindesign.grouping_from_json(
+            lindesign.load_json(tmp_path / grouping)).num_groups == 8
+
 
 class TestVerify:
     def test_help_says_exit_0_is_not_a_proof(self, capsys):
@@ -146,6 +161,16 @@ class TestVerify:
             assert self._verify_files(tmp_path, lindesign.design_to_json(design),
                                       {"groups": groups}) == 1
             assert "error: grouping covers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("code", [
+        [], ["--family", "sec4"], ["--family", "sec4", "--antennas", "4"],
+    ])
+    def test_incomplete_code_is_named(self, capsys, code):
+        rc = cli.main(["verify", "--mode", "pic"] + code)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: verify needs --design with --grouping, "
+            "or --family, --antennas and --layers\n")
 
     def test_design_without_grouping_is_exit_1(self, tmp_path):
         rc = cli.main(["verify", "--design", str(tmp_path / "missing.json"),

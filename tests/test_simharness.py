@@ -8,15 +8,15 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import stbclab
 from stbclab.channel import sample_link
 from stbclab.lindesign import equivalent_channel
 from stbclab.simharness import (
     CSV_HEADER, FIT_MIN_BIT_ERRORS, FRAME_BATCH, SimConfig, SimResult, SnrPointResult,
-    _SimContext, fit_diversity, read_results, render_tradeoff, run_simulation,
-    write_results, write_svg_scatter,
+    _FrameSeed, _SimContext, _frame_seeds, _raw_bits, fit_diversity, read_results,
+    render_tradeoff, run_simulation, write_results, write_svg_scatter,
 )
 from tests.oracles import frame_oracle
 
@@ -293,13 +293,45 @@ class TestDrawRange:
             assert got.tobytes() == want.tobytes()
 
     def test_a_frame_keeps_only_its_generator_and_bits(self):
-        # the generator comes back after the bits: its link is drawn next
+        # the generator comes back after the words of its bits: its link is drawn next
         ctx = _SimContext(tiny_config())
-        rng, bits = ctx.run_frame(1, 5)
+        rng, raw = ctx.run_frame(_frame_seeds(ctx.cfg.master_seed, 1, 5, 6)[0])
         want = frame_oracle(ctx, 1, 5)
         link = sample_link(2, 1, ctx.design.delay, 10.0, rng)
-        assert bits.tobytes() == want[0].tobytes()
+        assert _raw_bits(raw, ctx.bits_per_frame).tobytes() == want[0].tobytes()
         assert equivalent_channel(ctx.design, link.h).tobytes() == want[3].tobytes()
+
+
+class TestFrameSeeds:
+    """A range's seed words and bits are those of SeedSequence -> PCG64 -> integers."""
+
+    MASTERS = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 128, 2 ** 130 + 3]),
+                        st.integers(0, 2 ** 130 + 3))
+    # the first frame index: small, about 2**32, where an index gains its second
+    # word, and far above it
+    STARTS = st.one_of(st.integers(0, 1000), st.integers(2 ** 32 - 12, 2 ** 32 + 4),
+                       st.integers(2 ** 40, 2 ** 40 + 1000))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(MASTERS, st.integers(0, 2 ** 40), STARTS, st.integers(1, 12))
+    @example(2 ** 130 + 3, 2 ** 40, 2 ** 32 - 3, 6)  # crosses 2**32
+    def test_seed_words_are_seed_sequences(self, master, si, lo, size):
+        want = [np.random.SeedSequence(master, spawn_key=(si, fi)).generate_state(4, np.uint64)
+                for fi in range(lo, lo + size)]
+        got = _frame_seeds(master, si, lo, lo + size)
+        assert got.dtype == np.uint64 and got.tobytes() == np.array(want).tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(MASTERS, st.integers(0, 2 ** 40), STARTS, st.integers(1, 64))
+    def test_raw_word_bits_are_integers(self, master, si, fi, count):
+        # an odd count leaves the last word's high half undrawn, and the
+        # normals drawn next are the same
+        want = np.random.default_rng(np.random.SeedSequence(master, spawn_key=(si, fi)))
+        rng = np.random.Generator(np.random.PCG64(_FrameSeed(
+            _frame_seeds(master, si, fi, fi + 1)[0])))
+        bits = _raw_bits(rng.bit_generator.random_raw(-(-count // 2)), count)
+        assert bits.tobytes() == want.integers(0, 2, count, dtype=np.int64).tobytes()
+        assert rng.standard_normal(8).tobytes() == want.standard_normal(8).tobytes()
 
 
 class TestOverload:
