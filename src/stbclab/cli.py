@@ -39,6 +39,8 @@ def _build_code(args):
 def _cmd_build(args):
     design, grouping, spec = _build_code(args)
     grouping_out = args.grouping_out or _derived_grouping_path(args.out)
+    if os.path.realpath(grouping_out) == os.path.realpath(args.out):
+        raise ValueError(f"the design and the grouping would both be written to {args.out}")
     lindesign.save_json(lindesign.design_to_json(design), args.out)
     lindesign.save_json(lindesign.grouping_to_json(grouping), grouping_out)
     print(f"K={spec.num_real_symbols} T={spec.delay} N={spec.antennas} "
@@ -54,12 +56,19 @@ def _derived_grouping_path(design_path):
     return f"{stem}.grouping{ext}"
 
 
+def _read(from_json, path):
+    try:
+        return from_json(lindesign.load_json(path))
+    except ValueError as exc:  # json.JSONDecodeError is one too
+        raise ValueError(f"{exc} (in {path})") from exc
+
+
 def _cmd_verify(args):
     if args.design:
         if not args.grouping:
             raise ValueError("--design requires --grouping")
-        design = lindesign.design_from_json(lindesign.load_json(args.design))
-        scheme = lindesign.grouping_from_json(lindesign.load_json(args.grouping))
+        design = _read(lindesign.design_from_json, args.design)
+        scheme = _read(lindesign.grouping_from_json, args.grouping)
     elif None in (args.family, args.antennas, args.layers):
         raise ValueError("verify needs --design with --grouping, "
                          "or --family, --antennas and --layers")
@@ -103,15 +112,8 @@ def _cmd_simulate(args):
     # both keys leave the config whatever the flags say; a flag wins
     csv_out, json_out = doc.pop("csv_out", None), doc.pop("json_out", None)
     csv_out, json_out = args.csv or csv_out, args.json_out or json_out
-    overrides = {
-        "decoder": args.decoder,
-        "search_mode": args.search_mode,
-        "master_seed": args.master_seed,
-        "min_frame_errors": args.min_frame_errors,
-        "max_frames": args.max_frames,
-        "rotation": args.rotation,
-    }
-    doc.update({k: v for k, v in overrides.items() if v is not None})
+    flags = ("decoder", "search_mode", "master_seed", "min_frame_errors", "max_frames", "rotation")
+    doc.update({k: getattr(args, k) for k in flags if getattr(args, k) is not None})
     if args.snr:
         doc["snr_grid_db"] = [float(s) for s in args.snr.split(",")]
     cfg = simharness.SimConfig.from_json(doc)

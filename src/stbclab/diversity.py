@@ -61,6 +61,7 @@ DIFFERENCE_ENUM_CAP = 10_000
 SCREEN_TAU = 1e-12  # det(G) / tr(G)^N at or below which numerical_rank checks X
 SCREEN_KAPPA = 8  # tr(G) below (|A_d|_F + |U_p|_F)^2 / SCREEN_KAPPA flags the pair
 SCREEN_BLOCK = 1 << 13  # matrices screened per block; a block holds whole differences
+_pair_indices = cache(np.triu_indices)  # (j, i) over G's lower triangle, per N
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,11 +105,8 @@ def pam_difference_values(pam_levels):
 def _difference_vectors(group_size, pam_levels, rng):
     """Nonzero difference vectors for one group, exhaustive under the cap."""
     vals = pam_difference_values(pam_levels)
-    total = len(vals) ** group_size
-    if total <= DIFFERENCE_ENUM_CAP:
-        grids = np.meshgrid(*([vals] * group_size), indexing="ij")
-        a = np.stack([g.ravel() for g in grids], axis=1)
-        return a[np.any(a != 0, axis=1)]
+    if len(vals) ** group_size <= DIFFERENCE_ENUM_CAP:
+        return _enumerated_differences(group_size, pam_levels)
     out = np.zeros((DIFFERENCE_ENUM_CAP, group_size), dtype=np.int64)
     filled = 0
     while filled < DIFFERENCE_ENUM_CAP:
@@ -119,26 +117,44 @@ def _difference_vectors(group_size, pam_levels, rng):
     return out
 
 
+@cache
+def _enumerated_differences(group_size, pam_levels):
+    """The nonzero difference vectors in enumeration order, read-only as cached."""
+    vals = pam_difference_values(pam_levels)
+    a = np.stack([g.ravel() for g in np.meshgrid(*[vals] * group_size, indexing="ij")], axis=1)
+    a = a[np.any(a != 0, axis=1)]
+    a.flags.writeable = False
+    return a
+
+
 def _interference_probes(count, trials, rng):
     """Deterministic sparse probes (zero, +-unit vectors) then random draws."""
     if count == 0:
         return np.zeros((1, 0))
-    eye = np.eye(count)
-    det = np.concatenate([np.zeros((1, count)), eye, -eye], axis=0)
-    return np.concatenate([det, rng.standard_normal((trials, count))], axis=0)
+    probes = np.zeros((1 + 2 * count + trials, count))
+    np.fill_diagonal(probes[1:], 1.0)
+    np.negative(probes[1:1 + count], out=probes[1 + count:1 + 2 * count])  # -0.0 as -np.eye
+    rng.standard_normal(out=probes[1 + 2 * count:])
+    return probes
 
 
 def _screen_factors(a_mats, u_mats):
     """Left (Q, D, 2T+2) and right (Q, 2T+2, P) factors of G_ij = (G_A + G_U +
     C + C^H)_ij, C = A_d^H U_p, for every pair of the (count, T, N) a_mats and
     u_mats, q = (i, j) running over G's lower triangle column by column, Q =
-    N(N+1)/2: [conj(A_i); A_j; G_A,ij; 1] and [U_j; conj(U_i); 1; G_U,ij]."""
-    j, i = np.triu_indices(a_mats.shape[-1])
-    a, u = np.moveaxis(a_mats, 0, -1), np.moveaxis(u_mats, 0, -1)
-    ga, gu = (np.einsum("tqc,tqc->qc", x[:, i].conj(), x[:, j]) for x in (a, u))
-    left = np.concatenate([a[:, i].conj(), a[:, j], ga[None], np.ones((1,) + ga.shape)])
-    right = np.concatenate([u[:, j], u[:, i].conj(), np.ones((1,) + gu.shape), gu[None]])
-    return np.ascontiguousarray(np.moveaxis(left, 0, -1)), np.moveaxis(right, 0, 1)
+    N(N+1)/2: [conj(A_i); A_j; G_A,ij; 1] and [U_j; conj(U_i); 1; G_U,ij].
+    Both are written in place as C-contiguous (Q, count, 2T+2); right comes transposed."""
+    t = a_mats.shape[1]
+    j, i = _pair_indices(a_mats.shape[-1])
+    left, right = (np.empty((len(i), len(m), 2 * t + 2), complex) for m in (a_mats, u_mats))
+    a, u = (np.ascontiguousarray(m.transpose(2, 0, 1)) for m in (a_mats, u_mats))
+    np.conjugate(a[i], out=left[..., :t])
+    left[..., t:-2], right[..., :t] = a[j], u[j]
+    np.conjugate(u[i], out=right[..., t:-2])
+    np.einsum("qct,qct->qc", left[..., :t], left[..., t:-2], out=left[..., -2])
+    np.einsum("qct,qct->qc", right[..., t:-2], right[..., :t], out=right[..., -1])
+    left[..., -1] = right[..., -2] = 1
+    return left, right.transpose(0, 2, 1)
 
 
 def _rank_screen(left, right):
@@ -186,7 +202,7 @@ def _search_group(design, group, interference_idx, diffs, probes):
             rank = numerical_rank(x)
             if rank < n:
                 s = np.linalg.svd(x, compute_uv=False)
-                return diffs[start + i], probes[j], rank, float(s[-1])
+                return diffs[start + i].copy(), probes[j], rank, float(s[-1])
     return None
 
 
@@ -196,9 +212,8 @@ def _falsify(design, scheme, pam_levels, trials_per_group, rng_seed, interferenc
     if scheme.num_symbols != design.num_real_symbols:
         raise ValueError(f"grouping covers {scheme.num_symbols} symbols, "
                          f"the design has {design.num_real_symbols}")
-    for k in range(scheme.num_groups):
-        rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(k,)))
-        group = scheme.groups[k]
+    for k, group in enumerate(scheme.groups):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed, spawn_key=(k,))))
         diffs = _difference_vectors(len(group), pam_levels, rng)
         idx = interference_of(k)
         probes = _interference_probes(len(idx), trials_per_group, rng)

@@ -170,7 +170,9 @@ def design_to_json(design):
 
 
 def design_from_json(doc):
-    """Inverse of design_to_json; matrices not of shape (K, T, N, 2) raise ValueError."""
+    """Inverse of design_to_json; a missing key or misshaped matrices raise ValueError."""
+    if missing := {"K", "T", "N", "power_scale", "matrices"} - set(doc):
+        raise ValueError(f"design is missing key(s) {', '.join(sorted(missing))}")
     shape = (int(doc["K"]), int(doc["T"]), int(doc["N"]), 2)
     m = np.asarray(doc["matrices"], dtype=float)  # ragged nesting raises ValueError
     if m.shape != shape:
@@ -186,6 +188,8 @@ def grouping_to_json(scheme):
 
 
 def grouping_from_json(doc):
+    if "groups" not in doc:
+        raise ValueError("grouping is missing key(s) groups")
     groups = tuple(tuple(int(i) - 1 for i in g) for g in doc["groups"])
     k = sum(len(g) for g in groups)
     return GroupingScheme(groups, k)

@@ -24,6 +24,12 @@ A frame's draw has its own reference: one frame from its own generator,
 the way the simulator drew it before ranges were drawn as one stack, with
 every step written out for that one frame (frame_oracle).
 
+The falsifier's inputs have their own references, the forms they were built
+by before each was written in place: the screen factors by gathers and
+concatenate (screen_factors_oracle), the probes from np.eye
+(interference_probes_oracle), the differences by meshgrid
+(enumerated_differences_oracle).
+
 The falsifier screen has two references.  The direct screen forms every
 candidate X = A_d + U_p, takes each Gram X^H X by einsum and runs the
 unpivoted LDL^H on both triangles.  The determinant screen takes each
@@ -37,7 +43,7 @@ import math
 import numpy as np
 
 from stbclab.decoders import DecodeResult, _gram_weights, group_joint_decode
-from stbclab.diversity import SCREEN_TAU
+from stbclab.diversity import SCREEN_TAU, pam_difference_values
 from stbclab.lindesign import RANK_EPS
 
 
@@ -218,6 +224,35 @@ def pair_rows(a, u):
     matrices held batch-last, (T, N, d) and (T, N, p)."""
     x = a[..., :, None] + u[..., None, :]
     return np.concatenate([x.real, x.imag])
+
+
+def screen_factors_oracle(a_mats, u_mats):
+    """diversity._screen_factors by gathers and one concatenate per factor:
+    left (Q, D, 2T+2) C-contiguous, right (Q, 2T+2, P) as a strided view."""
+    j, i = np.triu_indices(a_mats.shape[-1])
+    a, u = np.moveaxis(a_mats, 0, -1), np.moveaxis(u_mats, 0, -1)
+    ga, gu = (np.einsum("tqc,tqc->qc", x[:, i].conj(), x[:, j]) for x in (a, u))
+    left = np.concatenate([a[:, i].conj(), a[:, j], ga[None], np.ones((1,) + ga.shape)])
+    right = np.concatenate([u[:, j], u[:, i].conj(), np.ones((1,) + gu.shape), gu[None]])
+    return np.ascontiguousarray(np.moveaxis(left, 0, -1)), np.moveaxis(right, 0, 1)
+
+
+def interference_probes_oracle(count, trials, rng):
+    """diversity._interference_probes from np.eye and concatenate."""
+    if count == 0:
+        return np.zeros((1, 0))
+    eye = np.eye(count)
+    det = np.concatenate([np.zeros((1, count)), eye, -eye], axis=0)
+    return np.concatenate([det, rng.standard_normal((trials, count))], axis=0)
+
+
+def enumerated_differences_oracle(group_size, pam_levels):
+    """Every nonzero PAM difference vector over a group, by meshgrid, in
+    diversity's enumeration order."""
+    vals = pam_difference_values(pam_levels)
+    grids = np.meshgrid(*([vals] * group_size), indexing="ij")
+    a = np.stack([g.ravel() for g in grids], axis=1)
+    return a[np.any(a != 0, axis=1)]
 
 
 def factor_matrices(left, right):

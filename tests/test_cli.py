@@ -56,6 +56,18 @@ class TestBuild:
         assert lindesign.grouping_from_json(
             lindesign.load_json(tmp_path / grouping)).num_groups == 8
 
+    @pytest.mark.parametrize("grouping", ["a.json", "./a.json", "sub/../a.json"])
+    def test_one_path_for_both_files_is_exit_1(self, tmp_path, monkeypatch, capsys,
+                                               grouping):
+        # the grouping would overwrite the design; nothing is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        rc = cli.main(["build", "--family", "sec4", "--antennas", "4", "--layers", "2",
+                       "--out", "a.json", "--grouping-out", grouping])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "a.json").exists()
+
 
 class TestVerify:
     def test_help_says_exit_0_is_not_a_proof(self, capsys):
@@ -154,6 +166,26 @@ class TestVerify:
             assert self._verify_files(tmp_path, doc,
                                       lindesign.grouping_to_json(grouping)) == 1
             assert "error: weight matrices must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["K", "T", "N", "power_scale", "matrices"])
+    def test_design_file_without_a_key_names_the_key_and_the_file(self, tmp_path, capsys,
+                                                                 key):
+        design, grouping, _ = build_diagonal_code(2, 2, 1)
+        doc = lindesign.design_to_json(design)
+        del doc[key]
+        assert self._verify_files(tmp_path, doc, lindesign.grouping_to_json(grouping)) == 1
+        err = capsys.readouterr().err
+        assert f"design is missing key(s) {key}" in err
+        assert str(tmp_path / "d.json") in err
+
+    def test_grouping_file_without_groups_names_the_key_and_the_file(self, tmp_path,
+                                                                     capsys):
+        design, _, _ = build_diagonal_code(2, 2, 1)
+        doc = lindesign.design_to_json(design)
+        assert self._verify_files(tmp_path, doc, {"group": [[1, 2], [3, 4]]}) == 1
+        err = capsys.readouterr().err
+        assert "grouping is missing key(s) groups" in err
+        assert str(tmp_path / "g.json") in err
 
     def test_grouping_of_other_than_k_symbols_is_exit_1(self, tmp_path, capsys):
         design, _, _ = build_diagonal_code(2, 2, 1)  # K = 4

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stbclab import diversity
 from stbclab.constructions import (
@@ -14,7 +14,10 @@ from stbclab.diversity import (
 )
 from stbclab.lindesign import RANK_EPS, Design, GroupingScheme
 from stbclab.rotations import RotationMatrix, build_rotation, certify_rotation
-from tests.oracles import det_rank_screen, direct_rank_screen, factor_matrices, pair_rows
+from tests.oracles import (
+    det_rank_screen, direct_rank_screen, enumerated_differences_oracle, factor_matrices,
+    interference_probes_oracle, pair_rows, screen_factors_oracle,
+)
 from tests.test_lindesign import alamouti_design
 
 
@@ -338,6 +341,88 @@ class TestScreenWorkspace:
             assert all(np.array_equal(a, b) for a, b in zip(calls, oracle_calls))
         if inputs == "broken":
             assert all(w is not None for w in witnesses)
+
+
+def _laid_out(rng, shape, layout):
+    """A complex normal (count, T, N) stack in the given memory layout."""
+    if layout == "fortran":
+        return np.asfortranarray(_complex_normal(rng, shape))
+    if layout == "strided":  # every other row of a taller stack
+        return _complex_normal(rng, (shape[0], 2 * shape[1], shape[2]))[:, ::2]
+    if layout == "transposed":  # an (N, T, count) stack seen as (count, T, N)
+        return _complex_normal(rng, shape[::-1]).T
+    return _complex_normal(rng, shape)
+
+
+def _generator(seed):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
+
+
+class TestFalsifierInputs:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(diffs=st.integers(1, 9), probes=st.integers(1, 12), t=st.integers(1, 6),
+           n=st.integers(1, 5), layout=st.sampled_from(["c", "fortran", "strided",
+                                                        "transposed"]),
+           zeros=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(diffs=1, probes=1, t=1, n=1, layout="c", zeros=True, seed=0)
+    @example(diffs=1, probes=3, t=2, n=1, layout="strided", zeros=False, seed=1)
+    def test_screen_factors_are_the_oracle_bitwise(self, diffs, probes, t, n, layout,
+                                                   zeros, seed):
+        # the zero probe, and with `zeros` a zero column and -0.0 entries
+        rng = np.random.default_rng(seed)
+        a_mats, u_mats = (_laid_out(rng, (c, t, n), layout) for c in (diffs, probes))
+        u_mats[0] = 0
+        if zeros:
+            a_mats[:, :, 0] = 0
+            u_mats[1:, :, -1] = -0.0
+        left, right = diversity._screen_factors(a_mats, u_mats)
+        want_left, want_right = screen_factors_oracle(a_mats, u_mats)
+        assert (left.shape, right.shape) == (want_left.shape, want_right.shape)
+        assert left.flags.c_contiguous and right.transpose(0, 2, 1).flags.c_contiguous
+        assert left.tobytes() == want_left.tobytes()
+        assert right.tobytes() == want_right.tobytes()
+        # the products of the falsifier's C-contiguous stacks, block by block.  A
+        # one-difference block is a GEMV, whose bits follow right's strides; the
+        # oracle's gathers lay right out the same way except at T = 1
+        a_mats, u_mats = np.ascontiguousarray(a_mats), np.ascontiguousarray(u_mats)
+        left, right = diversity._screen_factors(a_mats, u_mats)
+        want_left, want_right = screen_factors_oracle(a_mats, u_mats)
+        start = int(rng.integers(diffs))
+        for lo in {0, start, diffs - 1}:
+            if t > 1 or diffs - lo > 1:
+                assert (np.matmul(left[:, lo:], right).tobytes()
+                        == np.matmul(want_left[:, lo:], want_right).tobytes())
+
+    @pytest.mark.parametrize("trials", [0, 1, 200])
+    @pytest.mark.parametrize("count", [0, 1, 14])
+    def test_probes_are_the_eye_form_bitwise(self, count, trials):
+        # the same Generator stream as default_rng, -np.eye's -0.0 entries included
+        rng, want_rng = _generator(7), np.random.default_rng(
+            np.random.SeedSequence(7, spawn_key=(1,)))
+        probes = diversity._interference_probes(count, trials, rng)
+        want = interference_probes_oracle(count, trials, want_rng)
+        assert probes.shape == want.shape and probes.tobytes() == want.tobytes()
+        assert np.signbit(probes[1 + count:1 + 2 * count]).all()
+        assert rng.standard_normal(3).tobytes() == want_rng.standard_normal(3).tobytes()
+
+    @pytest.mark.parametrize("group_size, pam", [(1, 2), (2, 4), (3, 8), (4, 4)])
+    def test_cached_differences_are_read_only_meshgrid_form(self, group_size, pam):
+        rng = _generator(3)
+        diffs = diversity._difference_vectors(group_size, pam, rng)
+        assert diversity._difference_vectors(group_size, pam, rng) is diffs
+        assert not diffs.flags.writeable
+        with pytest.raises(ValueError):
+            diffs[0, 0] = 0
+        want = enumerated_differences_oracle(group_size, pam)
+        assert diffs.dtype == want.dtype and diffs.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == _generator(3).bit_generator.state  # no draw
+
+    def test_a_witness_difference_is_its_own(self):
+        design, scheme, _ = _identity_diagonal(2, 2, 1)
+        w = falsify_pic(design, scheme, pam_levels=2, trials_per_group=5)
+        w.difference[:] = 0
+        again = falsify_pic(design, scheme, pam_levels=2, trials_per_group=5)
+        assert list(again.difference) == [2, 0]
 
 
 class TestScreenScale:
