@@ -41,6 +41,7 @@ def _cmd_build(args):
     grouping_out = args.grouping_out or _derived_grouping_path(args.out)
     if os.path.realpath(grouping_out) == os.path.realpath(args.out):
         raise ValueError(f"the design and the grouping would both be written to {args.out}")
+    _check_writable((args.out, grouping_out))
     lindesign.save_json(lindesign.design_to_json(design), args.out)
     lindesign.save_json(lindesign.grouping_to_json(grouping), grouping_out)
     print(f"K={spec.num_real_symbols} T={spec.delay} N={spec.antennas} "
@@ -49,6 +50,24 @@ def _cmd_build(args):
     print(f"design -> {args.out}")
     print(f"grouping -> {grouping_out}")
     return 0
+
+
+def _check_writable(paths):
+    """Open every path for writing, truncating none; when one fails (OSError),
+    remove the files this call created and re-raise, so a failed check
+    leaves every path as it was."""
+    made = []
+    try:
+        for path in paths:
+            try:
+                open(path, "x").close()
+                made.append(path)
+            except FileExistsError:
+                open(path, "a").close()
+    except OSError:
+        for path in made:
+            os.remove(path)
+        raise
 
 
 def _derived_grouping_path(design_path):
@@ -203,7 +222,7 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, TypeError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,6 +44,13 @@ class CodeSpec:
     grouping_variant: str = "fine"
 
     def __post_init__(self):
+        """Check the family's rules.  family may be its token (sec3 | sec4), and
+        sec4's group size, fixed at N/2, may be omitted (None or 0)."""
+        object.__setattr__(self, "family", Family(self.family))
+        if not self.group_size:
+            if self.family is Family.DIAGONAL:
+                raise ValueError("sec3 requires a group size (lambda)")
+            object.__setattr__(self, "group_size", self.antennas // 2)
         n, lam, nt = self.layers, self.group_size, self.antennas
         if n < 1 or nt < 1 or lam < 1:
             raise ValueError("antennas, group size and layers must be positive")
@@ -53,12 +60,12 @@ class CodeSpec:
             if lam > nt:
                 raise ValueError(f"group size {lam} exceeds antenna count {nt}")
             if self.grouping_variant == "coarse":
-                raise ValueError("diagonal family has no coarse grouping variant")
+                raise ValueError("sec3 has no coarse grouping")
         else:
             if nt % 2:
                 raise ValueError("alamouti_block family needs an even antenna count")
             if lam != nt // 2:
-                raise ValueError(f"alamouti_block group size must be N/2 = {nt // 2}")
+                raise ValueError(f"sec4 group size is fixed at N/2 = {nt // 2}")
 
     @property
     def num_real_symbols(self):
@@ -99,34 +106,36 @@ class CodeSpec:
     @classmethod
     def from_delay(cls, family, antennas, delay, group_size=None, grouping_variant="fine"):
         """Spec for given (N, T); T infeasible for the family raises ValueError."""
-        family = Family(family)
         if delay < antennas:
             raise ValueError(f"delay {delay} is below the antenna count {antennas}")
-        if family is Family.DIAGONAL:
-            if group_size is None:
-                raise ValueError("diagonal family needs an explicit group size")
-            return cls(family, antennas, group_size, delay - antennas + 1)
-        if delay % 2 or antennas % 2:
+        if Family(family) is Family.DIAGONAL:
+            layers = delay - antennas + 1
+        elif delay % 2 or antennas % 2:
             raise ValueError("alamouti_block family needs even N and even T")
-        return cls(
-            family, antennas, antennas // 2, (delay - antennas + 2) // 2,
-            grouping_variant=grouping_variant,
-        )
+        else:
+            layers = (delay - antennas + 2) // 2
+        return cls(family, antennas, group_size, layers, grouping_variant)
 
 
-def _rotation_entries(rotation, dim):
+def _code_from_layout(spec, rotation, place, normalize):
+    """(design, grouping, spec) of the code whose codeword of x is the T x N
+    zero matrix into which place(z, mat) writes z, x rotated group by group.
+    The weights are the codewords of the unit vectors, and the groups are
+    spec.num_groups contiguous runs of symbols."""
+    lam, k = spec.group_size, spec.num_real_symbols
     if rotation is None:
-        rotation = build_rotation(dim)
+        rotation = build_rotation(lam)
     q = np.asarray(rotation.entries if isinstance(rotation, RotationMatrix) else rotation,
                    dtype=float)
-    if q.shape != (dim, dim):
-        raise ValueError(f"rotation dimension {q.shape} does not match the group size {dim}")
-    return q
-
-
-def _rotate_groups(q, x, group_size):
-    """Apply the rotation blockwise to contiguous groups of a symbol vector."""
-    return (x.reshape(-1, group_size) @ q.T).ravel()
+    if q.shape != (lam, lam):
+        raise ValueError(f"rotation dimension {q.shape} does not match the group size {lam}")
+    weights = np.zeros((k, spec.delay, spec.antennas), dtype=complex)
+    for e, mat in zip(np.eye(k), weights):
+        place((e.reshape(-1, lam) @ q.T).ravel(), mat)
+    design = Design(weights)
+    if normalize:
+        design = normalize_power(design)
+    return design, GroupingScheme.contiguous(k // spec.num_groups, spec.num_groups), spec
 
 
 def build_diagonal_code(antennas, group_size, layers, rotation=None, normalize=True):
@@ -137,24 +146,15 @@ def build_diagonal_code(antennas, group_size, layers, rotation=None, normalize=T
     or None to build the certified rotation of that size.
     """
     spec = CodeSpec(Family.DIAGONAL, antennas, group_size, layers)
-    q = _rotation_entries(rotation, group_size)
     nt, lam, n = antennas, group_size, layers
-    delay = spec.delay
 
-    def encode(x):
-        z = _rotate_groups(q, np.asarray(x, dtype=float), lam)
-        mat = np.zeros((delay, nt), dtype=complex)
+    def place(z, mat):
         for m in range(n):
             w = z[2 * m * lam: (2 * m + 1) * lam] + 1j * z[(2 * m + 1) * lam: (2 * m + 2) * lam]
             v = w[np.arange(nt) % lam]
             mat[m + np.arange(nt), np.arange(nt)] = v
-        return mat
 
-    design = Design(np.stack([encode(e) for e in np.eye(spec.num_real_symbols)]))
-    if normalize:
-        design = normalize_power(design)
-    grouping = GroupingScheme.contiguous(lam, spec.num_groups)
-    return design, grouping, spec
+    return _code_from_layout(spec, rotation, place, normalize)
 
 
 def alamouti_block(za, zb, zc, zd):
@@ -171,16 +171,11 @@ def build_alamouti_block_code(antennas, layers, rotation=None, variant="fine",
     Same return convention as build_diagonal_code.  variant="coarse" keeps
     the same design but merges adjacent group pairs into N-real-symbol groups.
     """
-    spec = CodeSpec(Family.ALAMOUTI_BLOCK, antennas, antennas // 2, layers,
-                    grouping_variant=variant)
-    lam = antennas // 2
-    q = _rotation_entries(rotation, lam)
-    n, delay = layers, spec.delay
+    spec = CodeSpec(Family.ALAMOUTI_BLOCK, antennas, None, layers, variant)
+    lam = spec.group_size
 
-    def encode(x):
-        z = _rotate_groups(q, np.asarray(x, dtype=float), lam)
-        mat = np.zeros((delay, antennas), dtype=complex)
-        for m in range(n):
+    def place(z, mat):
+        for m in range(layers):
             for l in range(lam):
                 blk = alamouti_block(
                     z[(4 * m) * lam + l], z[(4 * m + 1) * lam + l],
@@ -188,44 +183,23 @@ def build_alamouti_block_code(antennas, layers, rotation=None, variant="fine",
                 )
                 r0, c0 = 2 * (m + l), 2 * l
                 mat[r0: r0 + 2, c0: c0 + 2] = blk
-        return mat
 
-    design = Design(np.stack([encode(e) for e in np.eye(spec.num_real_symbols)]))
-    if normalize:
-        design = normalize_power(design)
-    if variant == "fine":
-        grouping = GroupingScheme.contiguous(lam, 4 * n)
-    else:
-        fine = GroupingScheme.contiguous(lam, 4 * n)
-        merged = tuple(
-            fine.groups[2 * j] + fine.groups[2 * j + 1] for j in range(2 * n)
-        )
-        grouping = GroupingScheme(merged, spec.num_real_symbols)
-    return design, grouping, spec
+    return _code_from_layout(spec, rotation, place, normalize)
 
 
 def build_code(family, antennas, layers, group_size=None, variant="fine",
                identity_rotation=False):
     """Construct a member of either family, named by its token (sec3 | sec4).
 
-    sec3 needs the group size; sec4 fixes it at N/2, so it may be omitted
-    (None or 0).  Only sec4 has the coarse grouping.  identity_rotation
-    builds the deliberately broken ablation with an identity rotation in
-    place of the certified one.  Same return convention as the builders.
+    CodeSpec checks the family's rules.  identity_rotation builds the
+    deliberately broken ablation with an identity rotation in place of the
+    certified one.  Same return convention as the builders.
     """
-    family = Family(family)
-    if family is Family.DIAGONAL:
-        if not group_size:
-            raise ValueError("sec3 requires a group size (lambda)")
-        if variant != "fine":
-            raise ValueError("sec3 has no coarse grouping")
-        rotation = np.eye(group_size) if identity_rotation else None
-        return build_diagonal_code(antennas, group_size, layers, rotation=rotation)
-    if group_size and group_size != antennas // 2:
-        raise ValueError(f"sec4 group size is fixed at N/2 = {antennas // 2}")
-    rotation = np.eye(antennas // 2) if identity_rotation else None
-    return build_alamouti_block_code(antennas, layers, rotation=rotation,
-                                     variant=variant)
+    spec = CodeSpec(family, antennas, group_size, layers, variant)
+    rotation = np.eye(spec.group_size) if identity_rotation else None
+    if spec.family is Family.DIAGONAL:
+        return build_diagonal_code(antennas, spec.group_size, layers, rotation=rotation)
+    return build_alamouti_block_code(antennas, layers, rotation=rotation, variant=variant)
 
 
 def normalize_power(design):
@@ -262,8 +236,6 @@ def tabulate_tradeoff(antennas, delay):
     is the published 2N-symbol grouping of the diagonal code.
     """
     nt, t = antennas, delay
-    if nt < 1 or t < nt:
-        raise ValueError(f"infeasible parameters: need T >= N >= 1, got N={nt}, T={t}")
     even_ok = nt % 2 == 0 and t % 2 == 0
     rows = []
     for fam in TRADEOFF_FAMILIES:

@@ -34,11 +34,11 @@ Every decoder takes one problem or a stack of problems that share the
 grouping, alphabet and SNR (y (B, 2*N_r*T), G (B, 2*N_r*T, K)); one
 problem is a stack with no leading axis, decoded by the same code.  A
 stack takes one QR call over every frame and order, one more per round of
-moved null columns, one product per PIC-SIC cancellation and one weights
-call per group; the group searches run one per (frame, group), each on
-its frame's row of weights and block.  LAPACK factors each matrix alone and
-the weights take no BLAS call, so a frame's decisions do not depend on
-the frames stacked with it.
+moved null columns, one product per PIC-SIC cancellation, one weights call
+per group and ZF's one solve; the group searches run one per (frame,
+group), each on its frame's row of weights and block.  LAPACK factors and
+solves each matrix alone and the weights take no BLAS call, so a frame's
+decisions do not depend on the frames stacked with it.
 
 One rank rule decides which columns the QR keeps, for every decoder and on
 every input (_ordered_qr): a column is null when its residual off the kept
@@ -51,9 +51,10 @@ zero rows add nothing to any metric, candidates that differ only along the
 lost directions tie, and the tie rule below picks among them.  A full-rank
 G keeps every column, and its R is the plain QR's.
 
-ZF takes the QR of sqrt(snr) G in column order, solves the kept rows'
-triangular system for the kept symbols and sets every null symbol's
-estimate to 0, then quantizes each entry to its nearest level.  On a
+ZF takes the QR of sqrt(snr) G in column order and solves every frame's
+triangular system in one call, each null column taken as its unit column:
+the kept rows give the kept symbols, and a null symbol's zero row and zero
+z give it 0.  Each entry is then quantized to its nearest level.  On a
 full-rank G that is the pseudo-inverse estimate.  A null column lies in
 the span of the kept columns before it, so its symbol is not observed
 apart from them; on an overloaded link this differs from the
@@ -527,18 +528,15 @@ def ml_decode(problem):
 def zf_decode(problem):
     """Zero-forcing: least squares on the thresholded QR, quantized symbol by symbol.
 
-    The estimate solves the kept rows' triangular system; a null column lies
-    in the span of the kept columns before it, and its estimate is 0.
+    One solve over the stack takes each null column as its unit column: its
+    row of r and its z are zero, so its estimate is 0.
     """
     k = problem.g.shape[-1]
     lead = problem.y.shape[:-1]
     r, z = _ordered_qr(np.sqrt(problem.snr) * problem.g, problem.y, np.arange(k))
     r, z = r.reshape(-1, k, k), z.reshape(-1, k)
-    estimate = np.zeros(z.shape)
-    # each frame keeps its own columns, so each solves its own system
-    for rf, zf, ef in zip(r, z, estimate):
-        kept = np.diagonal(rf) != 0
-        ef[kept] = np.linalg.solve(rf[np.ix_(kept, kept)], zf[kept])
+    r = np.where(np.diagonal(r, 0, 1, 2)[:, None, :] == 0, np.eye(k), r)
+    estimate = np.linalg.solve(r, z[:, :, None])[:, :, 0]
     counts = np.zeros((len(z), 0), dtype=np.int64)
     return _result(problem.alphabet.quantize(estimate), counts, lead)
 

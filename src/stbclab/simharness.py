@@ -144,7 +144,7 @@ class _SimContext:
     """Design, grouping and alphabet prebuilt once per process."""
 
     def __init__(self, cfg):
-        self.design, self.scheme, self.spec = build_code(
+        self.design, self.scheme, _ = build_code(
             cfg.family, cfg.antennas, cfg.layers, cfg.group_size,
             variant=cfg.grouping_variant, identity_rotation=cfg.rotation == "identity")
         self.cfg = cfg

@@ -15,7 +15,9 @@ ML takes the residual norm of every candidate over the raw channel, and
 the group-search oracle that of every candidate of one group.  ZF
 solves least squares on the columns the same rank rule keeps, with every
 skipped column's estimate 0; on a full-rank channel that is the
-pseudo-inverse solution.
+pseudo-inverse solution.  ZF's one solve over a stack has its own
+reference, the form it took before: each frame solves its own kept rows of
+the thresholded QR (zf_kept_rows_estimate).
 
 A group's Gram weights have their own reference, the fixed-order
 definition written out in Python floats for one group (gram_weights_oracle).
@@ -42,7 +44,7 @@ import math
 
 import numpy as np
 
-from stbclab.decoders import DecodeResult, _gram_weights, group_joint_decode
+from stbclab.decoders import DecodeResult, _gram_weights, _ordered_qr, group_joint_decode
 from stbclab.diversity import SCREEN_TAU, pam_difference_values
 from stbclab.lindesign import RANK_EPS
 
@@ -191,6 +193,19 @@ def zf_estimate(problem):
     _, kept = skip_rule_kept(g, range(g.shape[1]))
     estimate = np.zeros(g.shape[1])
     estimate[kept] = np.linalg.lstsq(g[:, kept], problem.y, rcond=None)[0]
+    return estimate
+
+
+def zf_kept_rows_estimate(problem):
+    """zf_decode's estimate, one frame at a time: each frame of the stack
+    solves the kept rows of its thresholded QR for its kept symbols, and
+    every null symbol's estimate is 0."""
+    k = problem.g.shape[-1]
+    r, z = _ordered_qr(np.sqrt(problem.snr) * problem.g, problem.y, np.arange(k))
+    estimate = np.zeros(z.shape)
+    for rf, zf, ef in zip(r.reshape(-1, k, k), z.reshape(-1, k), estimate.reshape(-1, k)):
+        kept = np.diagonal(rf) != 0
+        ef[kept] = np.linalg.solve(rf[np.ix_(kept, kept)], zf[kept])
     return estimate
 
 

@@ -68,6 +68,39 @@ class TestBuild:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "a.json").exists()
 
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("out, grouping", [
+        ("a.json", "nodir/g.json"), ("nodir/a.json", "g.json"),
+        ("a.json", "d"), ("d", "g.json"),
+    ])
+    def test_a_path_that_cannot_be_written_leaves_both_files(self, tmp_path, monkeypatch,
+                                                             capsys, out, grouping, existing):
+        # whichever file fails, neither is created or changed
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        if existing:
+            for name in ("a.json", "g.json"):
+                (tmp_path / name).write_text("old\n")
+        before = sorted((p.name, p.is_file() and p.read_text()) for p in tmp_path.iterdir())
+        rc = cli.main(["build", "--family", "sec4", "--antennas", "4", "--layers", "2",
+                       "--out", out, "--grouping-out", grouping])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert sorted((p.name, p.is_file() and p.read_text())
+                      for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "sec4", "--antennas", "2", "--layers", "1", "--out", "{d}"],
+    ["simulate", "--config", "{d}"],
+    ["tradeoff", "--antennas", "2", "--delay", "2", "--csv", "{d}"],
+])
+def test_a_directory_for_a_file_is_exit_1(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main([a.format(d=tmp_path) for a in argv])
+    assert rc == 1
+    assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_help_says_exit_0_is_not_a_proof(self, capsys):

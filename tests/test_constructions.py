@@ -125,6 +125,17 @@ class TestAlamoutiBlockFamily:
         _, g, _ = build_alamouti_block_code(4, 2, variant="coarse")
         assert g.groups == ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11), (12, 13, 14, 15))
 
+    @pytest.mark.parametrize("antennas", [2, 4, 6, 8])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_coarse_groups_merge_fine_pairs(self, antennas, layers):
+        # coarse group j is fine groups 2j and 2j+1 together, over the same design
+        fine_design, fine, _ = build_alamouti_block_code(antennas, layers)
+        design, coarse, _ = build_alamouti_block_code(antennas, layers, variant="coarse")
+        assert coarse.groups == tuple(a + b for a, b in zip(fine.groups[::2], fine.groups[1::2]))
+        assert coarse.num_symbols == fine.num_symbols
+        assert design.weight_matrices.tobytes() == fine_design.weight_matrices.tobytes()
+        assert design.power_scale == fine_design.power_scale
+
     def test_block_determinant_identity(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
@@ -177,6 +188,34 @@ class TestCodeSpecSweep:
             CodeSpec.from_delay("sec3", 4, 3, group_size=2)
         with pytest.raises(ValueError):
             CodeSpec.from_delay("sec4", 4, 7)
+
+
+class TestCodeSpecRules:
+    @pytest.mark.parametrize("args, match", [
+        ((Family.DIAGONAL, 3, 2, 4, "coarse"), "sec3 has no coarse grouping"),
+        ((Family.ALAMOUTI_BLOCK, 4, 3, 2), r"sec4 group size is fixed at N/2 = 2"),
+        ((Family.ALAMOUTI_BLOCK, 6, 2, 1, "coarse"), r"sec4 group size is fixed at N/2 = 3"),
+        ((Family.DIAGONAL, 3, None, 4), r"sec3 requires a group size \(lambda\)"),
+        ((Family.DIAGONAL, 3, 0, 4), r"sec3 requires a group size \(lambda\)"),
+        (("sec5", 4, 2, 2), "sec5"),
+    ])
+    def test_rejects_what_the_family_rules_out(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            CodeSpec(*args)
+
+    @pytest.mark.parametrize("group_size", [None, 0, 2])
+    def test_family_token_and_omitted_sec4_group_size(self, group_size):
+        spec = CodeSpec("sec4", 4, group_size, 2)
+        assert spec == CodeSpec(Family.ALAMOUTI_BLOCK, 4, 2, 2)
+        assert spec.family is Family.ALAMOUTI_BLOCK and spec.group_size == 2
+
+    def test_from_delay_leaves_the_family_rules_to_the_spec(self):
+        with pytest.raises(ValueError, match="sec3 requires a group size"):
+            CodeSpec.from_delay("sec3", 4, 6)
+        with pytest.raises(ValueError, match="sec3 has no coarse grouping"):
+            CodeSpec.from_delay("sec3", 4, 6, 2, grouping_variant="coarse")
+        assert CodeSpec.from_delay("sec4", 4, 6, grouping_variant="coarse") == CodeSpec(
+            Family.ALAMOUTI_BLOCK, 4, 2, 2, "coarse")
 
 
 class TestBuildCode:

@@ -28,7 +28,9 @@ from stbclab.channel import pam_for_qam
 from stbclab.constructions import build_code
 from stbclab.decoders import DecodeProblem
 from stbclab.lindesign import RANK_EPS, Design, GroupingScheme, equivalent_channel
-from tests.oracles import metric_gaps, ml_oracle, oracle_decode, zf_estimate, zf_oracle
+from tests.oracles import (
+    metric_gaps, ml_oracle, oracle_decode, zf_estimate, zf_kept_rows_estimate, zf_oracle,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -226,17 +228,23 @@ def test_residual_above_rank_eps_keeps_triangular_path(problem, name, mode):
     assert_same(got, ref)
 
 
-def assert_stack_keeps_the_bits(problem):
-    """_ordered_qr gives each frame of a stack the (r, z) bits of a call on
-    that frame alone, in each order a decoder uses.  The stack holds the
-    problem's channel between an i.i.d. Gaussian one and a copy with its
-    first column zeroed, so the frames move different null columns."""
+def mixed_stack(problem):
+    """(gs, ys): the problem's channel between an i.i.d. Gaussian one and a
+    copy with its first column zeroed, so the frames have different null
+    columns."""
     rng = np.random.default_rng(0)
     g = problem.g
     zeroed = g.copy()
     zeroed[:, 0] = 0.0
     gs = np.array([rng.standard_normal(g.shape), g, zeroed])
-    ys = np.array([problem.y, problem.y, rng.standard_normal(len(problem.y))])
+    return gs, np.array([problem.y, problem.y, rng.standard_normal(len(problem.y))])
+
+
+def assert_stack_keeps_the_bits(problem):
+    """_ordered_qr gives each frame of a mixed stack the (r, z) bits of a
+    call on that frame alone, in each order a decoder uses."""
+    gs, ys = mixed_stack(problem)
+    g = problem.g
     sic, pic = decoders._cancellation_orders(problem.scheme)[:2]
     for order in (sic, pic, np.arange(g.shape[1])):
         r, z = decoders._ordered_qr(gs, ys, order)
@@ -256,6 +264,49 @@ def test_overloaded_link_qr_is_the_same_in_a_stack(scheme, data):
 @given(near_copy_problems(RANK_EPS / 100))
 def test_residual_below_rank_eps_qr_is_the_same_in_a_stack(problem):
     assert_stack_keeps_the_bits(problem)
+
+
+class EstimateRecorder:
+    """An alphabet that records every vector it quantizes."""
+
+    def __init__(self, alphabet):
+        self.alphabet, self.seen = alphabet, []
+
+    def quantize(self, v):
+        self.seen.append(v)
+        return self.alphabet.quantize(v)
+
+
+def assert_zf_stack_is_the_kept_rows_solve(problem):
+    """zf_decode's one solve over a mixed stack gives every frame the
+    estimate and decisions, bit for bit, of its own kept-rows solve."""
+    gs, ys = mixed_stack(problem)
+    stack = dataclasses.replace(problem, y=ys, g=gs)
+    recorder = EstimateRecorder(problem.alphabet)
+    got = decoders.zf_decode(dataclasses.replace(stack, alphabet=recorder))
+    want = zf_kept_rows_estimate(stack)
+    (estimate,) = recorder.seen
+    assert estimate.tobytes() == want.tobytes()
+    assert got.decided.tobytes() == problem.alphabet.quantize(want).tobytes()
+
+
+@PROPERTY
+@given(full_rank_problems())
+def test_full_rank_zf_stack_is_the_kept_rows_solve(problem):
+    assert_zf_stack_is_the_kept_rows_solve(problem)
+
+
+@PROPERTY
+@given(groupings(), st.data())
+def test_overloaded_link_zf_stack_is_the_kept_rows_solve(scheme, data):
+    rng, g = data.draw(channels(scheme.num_symbols, overloaded=True))
+    assert_zf_stack_is_the_kept_rows_solve(make_problem(rng, g, scheme, 4, 12.0))
+
+
+@PROPERTY
+@given(near_copy_problems(RANK_EPS / 100))
+def test_residual_below_rank_eps_zf_stack_is_the_kept_rows_solve(problem):
+    assert_zf_stack_is_the_kept_rows_solve(problem)
 
 
 @st.composite
