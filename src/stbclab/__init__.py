@@ -25,8 +25,8 @@ from .decoders import (
     picsic_decode, zf_decode,
 )
 from .simharness import (
-    SimConfig, SimResult, fit_diversity, read_results, render_tradeoff,
-    run_simulation, write_ber_curves, write_results,
+    SimConfig, SimResult, fit_diversity, render_ber_curves, render_scatter, render_tradeoff,
+    run_simulation,
 )
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ within the budget, not that full diversity is proven (see verify --help).
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -37,13 +38,12 @@ def _build_code(args):
 
 
 def _cmd_build(args):
-    design, grouping, spec = _build_code(args)
-    grouping_out = args.grouping_out or _derived_grouping_path(args.out)
-    if os.path.realpath(grouping_out) == os.path.realpath(args.out):
-        raise ValueError(f"the design and the grouping would both be written to {args.out}")
-    _check_writable((args.out, grouping_out))
-    lindesign.save_json(lindesign.design_to_json(design), args.out)
-    lindesign.save_json(lindesign.grouping_to_json(grouping), grouping_out)
+    stem, ext = os.path.splitext(args.out)  # the file name's extension only
+    grouping_out = args.grouping_out or f"{stem}.grouping{ext}"
+    with _outputs(args.out, grouping_out) as texts:
+        design, grouping, spec = _build_code(args)
+        texts[args.out] = _json_text(lindesign.design_to_json(design))
+        texts[grouping_out] = _json_text(lindesign.grouping_to_json(grouping))
     print(f"K={spec.num_real_symbols} T={spec.delay} N={spec.antennas} "
           f"groups={spec.num_groups} rate={spec.rate} "
           f"exponent={spec.worst_case_exponent}")
@@ -52,11 +52,20 @@ def _cmd_build(args):
     return 0
 
 
-def _check_writable(paths):
-    """Open every path for writing, truncating none; when one fails (OSError),
-    remove the files this call created and re-raise, so a failed check
-    leaves every path as it was."""
-    made = []
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Check a command's output paths before its work, and write them after it.
+
+    The with block fills the dict it gets with each path's text (a path of
+    None is an output not asked for).  Two paths that resolve to one file
+    raise ValueError.  Each path is opened for writing, truncating none; any
+    failure from then on, KeyboardInterrupt too, removes the files it created.
+    """
+    paths = [p for p in paths if p]
+    real = [os.path.realpath(p) for p in paths]
+    if shared := [p for p, r in zip(paths, real) if real.count(r) > 1]:
+        raise ValueError(f"{shared[0]} and {shared[1]} are one file; give each output its own")
+    made, texts = [], {}
     try:
         for path in paths:
             try:
@@ -64,21 +73,30 @@ def _check_writable(paths):
                 made.append(path)
             except FileExistsError:
                 open(path, "a").close()
-    except OSError:
+        yield texts
+        for path in paths:
+            with open(path, "w") as f:
+                f.write(texts[path])
+    except BaseException:
         for path in made:
             os.remove(path)
         raise
 
 
-def _derived_grouping_path(design_path):
-    stem, ext = os.path.splitext(design_path)  # the file name's extension only
-    return f"{stem}.grouping{ext}"
+def _json_text(doc):
+    return json.dumps(doc, indent=1) + "\n"
 
 
 def _read(from_json, path):
+    """from_json of the JSON object in the file at path; a file without one, or a
+    document from_json rejects (ValueError, TypeError), raises ValueError naming it."""
     try:
-        return from_json(lindesign.load_json(path))
-    except ValueError as exc:  # json.JSONDecodeError is one too
+        with open(path) as f:
+            doc = json.load(f)
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        return from_json(doc)
+    except (ValueError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
         raise ValueError(f"{exc} (in {path})") from exc
 
 
@@ -93,31 +111,32 @@ def _cmd_verify(args):
                          "or --family, --antennas and --layers")
     else:
         design, scheme, _ = _build_code(args)
-    certified = diversity.certify(design, scheme, args.mode, args.pam_levels)
-    falsify = diversity.falsify_pic if args.mode == "pic" else diversity.falsify_picsic
-    witness = falsify(design, scheme, pam_levels=args.pam_levels,
-                      trials_per_group=args.trials, rng_seed=args.seed)
-    report = {
-        "mode": args.mode,
-        "certified": certified,
-        "witness": witness.to_json() if witness else None,
-        "budget": {
-            "pam_levels": args.pam_levels,
-            "trials_per_group": args.trials,
-            "rng_seed": args.seed,
-            "groups": scheme.num_groups,
-        },
-    }
-    print(json.dumps(report, indent=1))
-    if args.out:
-        lindesign.save_json(report, args.out)
+    with _outputs(args.out) as texts:
+        certified = diversity.certify(design, scheme, args.mode, args.pam_levels)
+        falsify = diversity.falsify_pic if args.mode == "pic" else diversity.falsify_picsic
+        witness = falsify(design, scheme, pam_levels=args.pam_levels,
+                          trials_per_group=args.trials, rng_seed=args.seed)
+        texts[args.out] = report = _json_text({
+            "mode": args.mode,
+            "certified": certified,
+            "witness": witness.to_json() if witness else None,
+            "budget": {
+                "pam_levels": args.pam_levels,
+                "trials_per_group": args.trials,
+                "rng_seed": args.seed,
+                "groups": scheme.num_groups,
+            },
+        })
+    print(report, end="")
     return 2 if witness else 0
 
 
 def _cmd_tradeoff(args):
     csv_path = args.csv or f"tradeoff_N{args.antennas}_T{args.delay}.csv"
     svg_path = args.svg or f"tradeoff_N{args.antennas}_T{args.delay}.svg"
-    rows = simharness.render_tradeoff(args.antennas, args.delay, csv_path, svg_path)
+    with _outputs(csv_path, svg_path) as texts:
+        rows, texts[csv_path], texts[svg_path] = simharness.render_tradeoff(
+            args.antennas, args.delay)
     for r in rows:
         print(f"{r.family:24s} group={r.symbols_per_group:<3d} rate={str(r.rate):>6s} "
               f"exponent={r.exponent}")
@@ -127,16 +146,25 @@ def _cmd_tradeoff(args):
 
 
 def _cmd_simulate(args):
-    doc = lindesign.load_json(args.config)
+    doc = _read(dict, args.config)
     # both keys leave the config whatever the flags say; a flag wins
     csv_out, json_out = doc.pop("csv_out", None), doc.pop("json_out", None)
     csv_out, json_out = args.csv or csv_out, args.json_out or json_out
     flags = ("decoder", "search_mode", "master_seed", "min_frame_errors", "max_frames", "rotation")
     doc.update({k: getattr(args, k) for k in flags if getattr(args, k) is not None})
     if args.snr:
-        doc["snr_grid_db"] = [float(s) for s in args.snr.split(",")]
+        try:
+            doc["snr_grid_db"] = [float(s) for s in args.snr.split(",")]
+        except ValueError:
+            raise ValueError(f"--snr takes comma-separated dB values, got {args.snr!r}") from None
     cfg = simharness.SimConfig.from_json(doc)
-    result = simharness.run_simulation(cfg, workers=args.workers)
+    with _outputs(csv_out, json_out, args.svg) as texts:
+        result = simharness.run_simulation(cfg, workers=args.workers)
+        texts[csv_out] = result.to_csv()
+        texts[json_out] = _json_text(result.to_json())
+        texts[args.svg] = simharness.render_ber_curves(
+            {cfg.decoder: result},
+            title=f"{cfg.family} N={cfg.antennas} n={cfg.layers} {cfg.decoder}")
     if result.overloaded:
         print("warning: overloaded link, 2*N_r*T < K: fewer real observations "
               "than real symbols, so the groups cannot all be separated",
@@ -152,17 +180,9 @@ def _cmd_simulate(args):
     if few:
         print(f"left out of the fit: {few} dB "
               f"(fewer than {simharness.FIT_MIN_BIT_ERRORS} bit errors)")
-    if csv_out:
-        simharness.write_results(result, csv_out, "csv")
-        print(f"csv -> {csv_out}")
-    if json_out:
-        simharness.write_results(result, json_out, "json")
-        print(f"json -> {json_out}")
-    if args.svg:
-        simharness.write_ber_curves(args.svg, {cfg.decoder: result},
-                                    title=f"{cfg.family} N={cfg.antennas} "
-                                          f"n={cfg.layers} {cfg.decoder}")
-        print(f"svg -> {args.svg}")
+    for label, path in (("csv", csv_out), ("json", json_out), ("svg", args.svg)):
+        if path:
+            print(f"{label} -> {path}")
     return 0
 
 

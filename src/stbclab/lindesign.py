@@ -17,8 +17,6 @@ Conventions fixed once for the whole package:
     1-based indices (see design_to_json / grouping_to_json).
 """
 
-import json
-
 import numpy as np
 from dataclasses import dataclass
 
@@ -194,13 +192,3 @@ def grouping_from_json(doc):
     k = sum(len(g) for g in groups)
     return GroupingScheme(groups, k)
 
-
-def save_json(obj, path):
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=1)
-        f.write("\n")
-
-
-def load_json(path):
-    with open(path) as f:
-        return json.load(f)

@@ -1,4 +1,4 @@
-"""Monte Carlo link simulation, diversity-order estimation and results I/O.
+"""Monte Carlo link simulation, diversity-order estimation, and results as text.
 
 One frame = one codeword: draw bits, Gray-map to PAM, assemble the codeword
 and push it through a fresh quasi-static Rayleigh link.  Each frame has its
@@ -15,6 +15,9 @@ max_frames frames, whichever comes first, checked at batch boundaries.
 
 A link with fewer real observations than real symbols (2*N_r*T < K) is
 overloaded: it is decoded as configured, and the result carries the flag.
+
+Nothing here opens a file: SimResult.to_csv / to_json / from_json and the
+render_* functions give text and JSON documents, which cli writes.
 
 CSV column contract (byte-stable across runs and worker counts):
     snr_db,frames,bit_errors,ber,ser,fer,mean_evals,max_evals
@@ -33,9 +36,7 @@ from .constructions import (  # noqa: F401
     Family, build_alamouti_block_code, build_code, build_diagonal_code, tabulate_tradeoff,
 )
 from .decoders import DECODERS, SEARCH_MODES, DecodeProblem, check_ml_cap, decode
-from .lindesign import (
-    assemble_codeword, equivalent_channel, load_json, save_json, vec_complex,
-)
+from .lindesign import assemble_codeword, equivalent_channel, vec_complex
 
 CSV_HEADER = "snr_db,frames,bit_errors,ber,ser,fer,mean_evals,max_evals"
 FRAME_BATCH = 256
@@ -138,6 +139,34 @@ class SimResult:
     fit_window_db: tuple
     wall_time_s: float = field(compare=False)
     overloaded: bool = False  # 2 * N_r * T < K: fewer observations than symbols
+
+    def to_csv(self):
+        """The points as CSV text, by the module docstring's column contract."""
+        rows = [",".join([_fmt(p.snr_db), str(p.frames), str(p.bit_errors), _fmt(p.ber),
+                          _fmt(p.ser), _fmt(p.fer), _fmt(p.mean_evaluations),
+                          str(p.max_evaluations)])
+                for p in self.points]
+        return "\n".join([CSV_HEADER] + rows) + "\n"
+
+    def to_json(self):
+        """A lossless JSON document of the result; from_json inverts it."""
+        return {
+            "config": self.config.to_json(),
+            "points": [dict(asdict(p), ber=p.ber, ser=p.ser, fer=p.fer,
+                            mean_evaluations=p.mean_evaluations)
+                       for p in self.points],
+            "diversity_order": self.diversity_order,
+            "fit_window_db": list(self.fit_window_db),
+            "wall_time_s": self.wall_time_s,
+            "overloaded": self.overloaded,
+        }
+
+    @classmethod
+    def from_json(cls, doc):
+        names = [f.name for f in fields(SnrPointResult)]
+        points = tuple(SnrPointResult(**{k: p[k] for k in names}) for p in doc["points"])
+        return cls(SimConfig.from_json(doc["config"]), points, doc["diversity_order"],
+                   tuple(doc["fit_window_db"]), doc["wall_time_s"], doc["overloaded"])
 
 
 class _SimContext:
@@ -308,69 +337,23 @@ def _fmt(x):
     return repr(float(x))
 
 
-def write_results(result, path, fmt="csv"):
-    """Write a SimResult as CSV (fixed column contract) or JSON (lossless)."""
-    if fmt == "csv":
-        lines = [CSV_HEADER]
-        for p in result.points:
-            lines.append(",".join([
-                _fmt(p.snr_db), str(p.frames), str(p.bit_errors), _fmt(p.ber),
-                _fmt(p.ser), _fmt(p.fer), _fmt(p.mean_evaluations),
-                str(p.max_evaluations),
-            ]))
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
-    elif fmt == "json":
-        doc = {
-            "config": result.config.to_json(),
-            "points": [dict(asdict(p), ber=p.ber, ser=p.ser, fer=p.fer,
-                            mean_evaluations=p.mean_evaluations)
-                       for p in result.points],
-            "diversity_order": result.diversity_order,
-            "fit_window_db": list(result.fit_window_db),
-            "wall_time_s": result.wall_time_s,
-            "overloaded": result.overloaded,
-        }
-        save_json(doc, path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-
-
-def read_results(path):
-    """Load a JSON results file back into a SimResult."""
-    doc = load_json(path)
-    names = [f.name for f in fields(SnrPointResult)]
-    points = tuple(SnrPointResult(**{k: p[k] for k in names}) for p in doc["points"])
-    return SimResult(
-        SimConfig.from_json(doc["config"]), points, doc["diversity_order"],
-        tuple(doc["fit_window_db"]), doc["wall_time_s"], doc["overloaded"],
-    )
-
-
-def render_tradeoff(antennas, delay, csv_path=None, svg_path=None):
+def render_tradeoff(antennas, delay):
     """Rate vs worst-case-exponent points for all families at (N, T).
 
-    Writes a CSV table and an SVG scatter when paths are given; returns the
-    rows.  Comparison families are included at their published exponents.
+    Returns (rows, csv, svg): the rows, their CSV table and their SVG scatter.
+    Comparison families are included at their published exponents.
     """
     rows = tabulate_tradeoff(antennas, delay)
-    if csv_path:
-        lines = ["family,symbols_per_group,rate,rate_float,exponent,exponent_float"]
-        for r in rows:
-            lines.append(f"{r.family},{r.symbols_per_group},{r.rate},"
-                         f"{float(r.rate)!r},{r.exponent},{float(r.exponent)!r}")
-        with open(csv_path, "w") as f:
-            f.write("\n".join(lines) + "\n")
-    if svg_path:
-        series = {}
-        for r in rows:
-            series.setdefault(r.family, []).append((float(r.rate), float(r.exponent)))
-        write_svg_scatter(
-            svg_path, series, xlabel="rate (cspcu)",
-            ylabel="worst-case exponent e (cost M^e)",
-            title=f"rate vs decoding cost, N={antennas}, T={delay}",
-        )
-    return rows
+    lines = ["family,symbols_per_group,rate,rate_float,exponent,exponent_float"]
+    series = {}
+    for r in rows:
+        lines.append(f"{r.family},{r.symbols_per_group},{r.rate},"
+                     f"{float(r.rate)!r},{r.exponent},{float(r.exponent)!r}")
+        series.setdefault(r.family, []).append((float(r.rate), float(r.exponent)))
+    svg = render_scatter(series, xlabel="rate (cspcu)",
+                         ylabel="worst-case exponent e (cost M^e)",
+                         title=f"rate vs decoding cost, N={antennas}, T={delay}")
+    return rows, "\n".join(lines) + "\n", svg
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -385,9 +368,9 @@ def _ticks(lo, hi, target=6):
     return [round(first + i * step, 10) for i in range(int((hi - first) / step) + 1)]
 
 
-def write_svg_scatter(path, series, xlabel="", ylabel="", title="", ylog=False,
-                      lines=False):
-    """Self-contained 640 x 480 SVG scatter plot, one marker set (and color) per series.
+def render_scatter(series, xlabel="", ylabel="", title="", ylog=False, lines=False):
+    """The text of a self-contained 640 x 480 SVG scatter plot, one marker set
+    (and color) per series.
 
     Axes are linear; ylog=True switches the y axis to log10 with decade
     ticks (non-positive y values are dropped).  lines=True also connects
@@ -456,12 +439,11 @@ def write_svg_scatter(path, series, xlabel="", ylabel="", title="", ylog=False,
         out.append(f'<circle cx="{margin + inner_w - 120}" cy="{ly - 4}" r="4" fill="{color}"/>')
         out.append(f'<text x="{margin + inner_w - 110}" y="{ly}">{label}</text>')
     out.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(out) + "\n")
+    return "\n".join(out) + "\n"
 
 
-def write_ber_curves(path, results, title="BER vs SNR"):
-    """Waterfall plot (log BER over dB) for one or more labeled SimResults.
+def render_ber_curves(results, title="BER vs SNR"):
+    """The SVG text of a waterfall plot (log BER over dB) for labeled SimResults.
 
     results is {label: SimResult}; zero-error points are omitted.
     """
@@ -469,5 +451,5 @@ def write_ber_curves(path, results, title="BER vs SNR"):
         label: [(p.snr_db, p.ber) for p in res.points if p.bit_errors > 0]
         for label, res in results.items()
     }
-    write_svg_scatter(path, series, xlabel="SNR (dB)", ylabel="BER",
-                      title=title, ylog=True, lines=True)
+    return render_scatter(series, xlabel="SNR (dB)", ylabel="BER",
+                          title=title, ylog=True, lines=True)

@@ -26,7 +26,7 @@ from stbclab.diversity import (
 )
 from stbclab.lindesign import (
     GroupingScheme, assemble_codeword, design_from_json, equivalent_channel,
-    grouping_from_json, load_json, vec_complex,
+    grouping_from_json, vec_complex,
 )
 from stbclab.rotations import build_rotation, certify_rotation
 from stbclab.simharness import SimConfig, run_simulation
@@ -56,8 +56,8 @@ def test_criterion_01_construction_fidelity_diagonal(tmp_path):
     rc = cli.main(["build", "--family", "sec3", "--antennas", "3", "--lambda", "2",
                    "--layers", "4", "--out", str(out)])
     elapsed = time.perf_counter() - t0
-    design = design_from_json(load_json(out))
-    grouping = grouping_from_json(load_json(tmp_path / "c.grouping.json"))
+    design = design_from_json(json.loads(out.read_text()))
+    grouping = grouping_from_json(json.loads((tmp_path / "c.grouping.json").read_text()))
     spec = CodeSpec(Family.DIAGONAL, 3, 2, 4)
     rot = build_rotation(2)
     x = (np.arange(1, 17, dtype=float).reshape(-1, 2) @ rot.entries).ravel()

@@ -1,10 +1,13 @@
 import argparse
+import ast
+import itertools
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from stbclab import cli, decoders, lindesign, simharness
+from stbclab import cli, decoders, diversity, lindesign, simharness
 from stbclab.constructions import build_diagonal_code
 
 
@@ -14,10 +17,10 @@ class TestBuild:
         rc = cli.main(["build", "--family", "sec3", "--antennas", "3",
                        "--lambda", "2", "--layers", "4", "--out", str(out)])
         assert rc == 0
-        design = lindesign.design_from_json(lindesign.load_json(out))
+        design = lindesign.design_from_json(json.loads(out.read_text()))
         assert design.num_real_symbols == 16 and design.delay == 6
         grouping = lindesign.grouping_from_json(
-            lindesign.load_json(tmp_path / "code.grouping.json"))
+            json.loads((tmp_path / "code.grouping.json").read_text()))
         assert grouping.num_groups == 8
         text = capsys.readouterr().out
         assert "rate=4/3" in text
@@ -27,7 +30,7 @@ class TestBuild:
         rc = cli.main(["build", "--family", "sec4", "--antennas", "4",
                        "--layers", "2", "--out", str(out)])
         assert rc == 0
-        assert lindesign.design_from_json(lindesign.load_json(out)).antennas == 4
+        assert lindesign.design_from_json(json.loads(out.read_text())).antennas == 4
 
     def test_infeasible_is_exit_1(self, tmp_path, capsys):
         rc = cli.main(["build", "--family", "sec3", "--antennas", "2",
@@ -54,7 +57,7 @@ class TestBuild:
                        "--layers", "2", "--out", out])
         assert rc == 0
         assert lindesign.grouping_from_json(
-            lindesign.load_json(tmp_path / grouping)).num_groups == 8
+            json.loads((tmp_path / grouping).read_text())).num_groups == 8
 
     @pytest.mark.parametrize("grouping", ["a.json", "./a.json", "sub/../a.json"])
     def test_one_path_for_both_files_is_exit_1(self, tmp_path, monkeypatch, capsys,
@@ -100,6 +103,156 @@ def test_a_directory_for_a_file_is_exit_1(tmp_path, monkeypatch, capsys, argv):
     rc = cli.main([a.format(d=tmp_path) for a in argv])
     assert rc == 1
     assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+
+
+# Each command that writes files: a command line that works, its output
+# flags, and the call that does its work.
+OUTPUT_COMMANDS = {
+    "build": (["build", "--family", "sec4", "--antennas", "2", "--layers", "1"],
+              ["--out", "--grouping-out"], (cli, "build_code")),
+    "verify": (["verify", "--family", "sec4", "--antennas", "2", "--layers", "1",
+                "--mode", "pic", "--trials", "5", "--pam-levels", "2"],
+               ["--out"], (diversity, "certify")),
+    "tradeoff": (["tradeoff", "--antennas", "2", "--delay", "2"], ["--csv", "--svg"],
+                 (simharness, "render_tradeoff")),
+    "simulate": (["simulate", "--config", "cfg.json"], ["--csv", "--json-out", "--svg"],
+                 (simharness, "run_simulation")),
+}
+# The same commands, failing in their work: an infeasible code, a negative
+# trial count, an infeasible (N, T) and a config of sec4 with an odd N.
+FAILING_COMMANDS = {
+    "build": ["build", "--family", "sec3", "--antennas", "2", "--lambda", "3", "--layers", "1"],
+    "verify": OUTPUT_COMMANDS["verify"][0] + ["--trials", "-1"],
+    "tradeoff": ["tradeoff", "--antennas", "4", "--delay", "2"],
+    "simulate": ["simulate", "--config", "odd.json"],
+}
+
+
+class TestOutputRule:
+    @pytest.fixture
+    def cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = dict(family="sec4", antennas=2, layers=1, snr_grid_db=[10.0],
+                   min_frame_errors=1, max_frames=8)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        (tmp_path / "odd.json").write_text(json.dumps(dict(cfg, antennas=3)))
+        (tmp_path / "d").mkdir()
+        return tmp_path
+
+    @staticmethod
+    def listing(root):
+        return sorted((str(p.relative_to(root)), p.is_file() and p.read_text())
+                      for p in root.rglob("*"))
+
+    @staticmethod
+    def put_old(root, paths):
+        """An old file at each of the paths that can hold one."""
+        for path in paths:
+            if (root / path).parent.is_dir() and not (root / path).is_dir():
+                (root / path).write_text("old\n")
+
+    @staticmethod
+    def run(argv, paths):
+        """cli.main on argv with each output flag's path."""
+        return cli.main(argv + [a for flag, path in paths.items() for a in (flag, path)])
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("bad", ["nodir/x", "d"])
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (_, flags, _) in OUTPUT_COMMANDS.items()
+        for flag in flags])
+    def test_a_path_that_cannot_be_written_fails_before_the_work(
+            self, cwd, monkeypatch, capsys, command, flag, bad, existing):
+        argv, flags, (owner, work) = OUTPUT_COMMANDS[command]
+        monkeypatch.setattr(owner, work, lambda *a, **k: pytest.fail("the work ran"))
+        paths = {f: f"out{i}" for i, f in enumerate(flags)}
+        paths[flag] = bad
+        if existing:
+            self.put_old(cwd, paths.values())
+        before = self.listing(cwd)
+        assert self.run(argv, paths) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: [Errno")
+        assert self.listing(cwd) == before
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("command, pair", [
+        (command, pair) for command, (_, flags, _) in OUTPUT_COMMANDS.items()
+        for pair in itertools.combinations(flags, 2)])
+    def test_two_outputs_on_one_path_fail_before_the_work(
+            self, cwd, monkeypatch, capsys, command, pair, existing):
+        argv, flags, (owner, work) = OUTPUT_COMMANDS[command]
+        monkeypatch.setattr(owner, work, lambda *a, **k: pytest.fail("the work ran"))
+        paths = {f: f"out{i}" for i, f in enumerate(flags)}
+        paths.update(zip(pair, ("x", "d/../x")))
+        if existing:
+            self.put_old(cwd, paths.values())
+        before = self.listing(cwd)
+        assert self.run(argv, paths) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: x and d/../x are one file; give each output its own\n"
+        assert self.listing(cwd) == before
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("command", sorted(FAILING_COMMANDS))
+    def test_a_failure_after_the_check_leaves_no_created_file(self, cwd, capsys, command,
+                                                              existing):
+        flags = OUTPUT_COMMANDS[command][1]
+        paths = {f: f"out{i}" for i, f in enumerate(flags)}
+        if existing:
+            self.put_old(cwd, paths.values())
+        before = self.listing(cwd)
+        assert self.run(FAILING_COMMANDS[command], paths) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert self.listing(cwd) == before
+
+    def test_an_interrupted_sweep_leaves_no_created_file(self, cwd, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(simharness, "run_simulation", interrupted)
+        (cwd / "old.csv").write_text("old\n")
+        before = self.listing(cwd)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["simulate", "--config", "cfg.json", "--csv", "old.csv",
+                      "--json-out", "r.json", "--svg", "r.svg"])
+        assert self.listing(cwd) == before
+
+
+@pytest.mark.parametrize("value", [5, "x", [1, 2]])
+@pytest.mark.parametrize("which", ["config", "design", "grouping"])
+def test_an_input_that_is_not_a_json_object_is_named(tmp_path, capsys, which, value):
+    design, grouping, _ = build_diagonal_code(2, 2, 1)
+    paths = {name: tmp_path / f"{name}.json" for name in ("config", "design", "grouping")}
+    paths["design"].write_text(json.dumps(lindesign.design_to_json(design)))
+    paths["grouping"].write_text(json.dumps(lindesign.grouping_to_json(grouping)))
+    paths[which].write_text(json.dumps(value))
+    argv = (["simulate", "--config", str(paths["config"])] if which == "config" else
+            ["verify", "--design", str(paths["design"]), "--grouping", str(paths["grouping"]),
+             "--mode", "pic", "--trials", "5", "--pam-levels", "2"])
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (f"error: expected a JSON object, got "
+                                       f"{type(value).__name__} (in {paths[which]})\n")
+
+
+def test_only_cli_touches_files():
+    # open, json.load and json.dump are called in cli alone, and no function
+    # elsewhere takes a path
+    package = pathlib.Path(cli.__file__).parent
+    for module in sorted(package.glob("*.py")):
+        if module.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                assert not (isinstance(f, ast.Name) and f.id == "open"), module.name
+                assert not (isinstance(f, ast.Attribute) and f.attr == "open"), module.name
+                assert not (isinstance(f, ast.Attribute) and f.attr in ("load", "dump")
+                            and isinstance(f.value, ast.Name) and f.value.id == "json"), \
+                    module.name
+            if isinstance(node, ast.arguments):
+                names = [a.arg for a in node.posonlyargs + node.args + node.kwonlyargs]
+                assert not [n for n in names if "path" in n], (module.name, names)
 
 
 class TestVerify:
@@ -154,8 +307,8 @@ class TestVerify:
         design, grouping, _ = build_diagonal_code(2, 2, 1, rotation=np.eye(2),
                                                   normalize=False)
         dpath, gpath = tmp_path / "d.json", tmp_path / "g.json"
-        lindesign.save_json(lindesign.design_to_json(design), dpath)
-        lindesign.save_json(lindesign.grouping_to_json(grouping), gpath)
+        dpath.write_text(json.dumps(lindesign.design_to_json(design)))
+        gpath.write_text(json.dumps(lindesign.grouping_to_json(grouping)))
         rc = cli.main(["verify", "--design", str(dpath), "--grouping", str(gpath),
                        "--mode", "pic", "--trials", "20", "--pam-levels", "2",
                        "--out", str(tmp_path / "report.json")])
@@ -175,8 +328,8 @@ class TestVerify:
 
     def _verify_files(self, tmp_path, design_doc, grouping_doc):
         dpath, gpath = tmp_path / "d.json", tmp_path / "g.json"
-        lindesign.save_json(design_doc, dpath)
-        lindesign.save_json(grouping_doc, gpath)
+        dpath.write_text(json.dumps(design_doc))
+        gpath.write_text(json.dumps(grouping_doc))
         return cli.main(["verify", "--design", str(dpath), "--grouping", str(gpath),
                          "--mode", "pic", "--trials", "10", "--pam-levels", "2"])
 
@@ -220,6 +373,19 @@ class TestVerify:
         assert "grouping is missing key(s) groups" in err
         assert str(tmp_path / "g.json") in err
 
+    @pytest.mark.parametrize("which, key, value", [
+        ("design", "K", None), ("grouping", "groups", 5), ("grouping", "groups", [5])])
+    def test_a_value_of_the_wrong_type_names_the_file(self, tmp_path, capsys, which, key,
+                                                      value):
+        design, grouping, _ = build_diagonal_code(2, 2, 1)
+        docs = {"design": lindesign.design_to_json(design),
+                "grouping": lindesign.grouping_to_json(grouping)}
+        docs[which][key] = value
+        assert self._verify_files(tmp_path, docs["design"], docs["grouping"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.endswith(f" (in {tmp_path / ('d.json' if which == 'design' else 'g.json')})\n")
+
     def test_grouping_of_other_than_k_symbols_is_exit_1(self, tmp_path, capsys):
         design, _, _ = build_diagonal_code(2, 2, 1)  # K = 4
         for groups in ([[1], [2]], [[1, 2], [3, 4], [5, 6]]):
@@ -254,8 +420,12 @@ class TestTradeoff:
         out = capsys.readouterr().out
         assert "diagonal_coarse" in out
 
-    def test_infeasible(self, tmp_path):
+    def test_infeasible(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # where the default output paths lie
         assert cli.main(["tradeoff", "--antennas", "4", "--delay", "2"]) == 1
+        assert cli.main(["tradeoff", "--antennas", "0", "--delay", "2"]) == 1
+        assert "antennas, group size and layers must be positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulate:
@@ -271,12 +441,18 @@ class TestSimulate:
 
     def test_runs_and_writes(self, tmp_path, capsys):
         cfg = self.config(tmp_path)
-        csv = tmp_path / "r.csv"
+        csv, js, svg = tmp_path / "r.csv", tmp_path / "r.json", tmp_path / "r.svg"
         rc = cli.main(["simulate", "--config", str(cfg), "--csv", str(csv),
-                       "--json-out", str(tmp_path / "r.json")])
+                       "--json-out", str(js), "--svg", str(svg)])
         assert rc == 0
         assert csv.read_text().startswith("snr_db,")
         assert "ber=" in capsys.readouterr().out
+        text = js.read_text()
+        assert text == json.dumps(json.loads(text), indent=1) + "\n"
+        result = simharness.SimResult.from_json(json.loads(text))
+        assert csv.read_text() == result.to_csv()
+        assert svg.read_text() == simharness.render_ber_curves(
+            {"picsic": result}, title="sec4 N=2 n=1 picsic")
 
     def test_worker_counts_byte_identical(self, tmp_path):
         cfg = self.config(tmp_path)
@@ -307,6 +483,12 @@ class TestSimulate:
         out, err = capsys.readouterr()
         assert "error: snr_grid_db must be finite" in err and "snr=" not in out
 
+    def test_snr_flag_that_is_not_numbers_is_named(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, max_frames=8)
+        assert cli.main(["simulate", "--config", str(cfg), "--snr", "8,,12"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --snr takes comma-separated dB values, got '8,,12'\n")
+
     def test_flag_overrides(self, tmp_path):
         cfg = self.config(tmp_path)
         csv = tmp_path / "o.csv"
@@ -325,7 +507,7 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(cfg), "--csv", str(csv),
                          "--json-out", str(js)]) == 0
         assert csv.read_text().startswith("snr_db,")
-        assert simharness.read_results(js).points[0].frames == 8
+        assert simharness.SimResult.from_json(json.loads(js.read_text())).points[0].frames == 8
         assert not any(p.exists() for p in keyed.values())
         # without the flags the keys still name the outputs
         assert cli.main(["simulate", "--config", str(cfg)]) == 0

@@ -198,6 +198,9 @@ class TestCodeSpecRules:
         ((Family.DIAGONAL, 3, None, 4), r"sec3 requires a group size \(lambda\)"),
         ((Family.DIAGONAL, 3, 0, 4), r"sec3 requires a group size \(lambda\)"),
         (("sec5", 4, 2, 2), "sec5"),
+        ((Family.DIAGONAL, 0, 1, 1), "antennas, group size and layers must be positive"),
+        ((Family.ALAMOUTI_BLOCK, 4, 2, 0), "antennas, group size and layers must be positive"),
+        ((Family.ALAMOUTI_BLOCK, 4, 2, 2, "medium"), "grouping_variant must be 'fine' or"),
     ])
     def test_rejects_what_the_family_rules_out(self, args, match):
         with pytest.raises(ValueError, match=match):

@@ -694,6 +694,16 @@ class TestCertify:
         assert numerical_rank(mat) == 1
         assert not certify(design, scheme, "pic") and not certify(design, scheme, "picsic")
 
+    def test_a_group_above_the_rotation_sizes_is_not_proven(self):
+        # one group of 9 real symbols, two to each entry of a 5 x 1 codeword:
+        # the box search is sized for rotations (at most 8), so certify says
+        # False without searching, and does not raise
+        w = np.zeros((9, 5, 1), dtype=complex)
+        w[np.arange(9), np.arange(9) // 2, 0] = np.where(np.arange(9) % 2, 1j, 1)
+        scheme = GroupingScheme((tuple(range(9)),), 9)
+        for mode in ("pic", "picsic"):
+            assert certify(Design(w), scheme, mode) is False
+
     def test_bad_inputs(self):
         design, scheme, _ = build_diagonal_code(2, 2, 1)
         with pytest.raises(ValueError, match="mode"):

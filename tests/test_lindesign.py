@@ -57,6 +57,11 @@ class TestDesign:
         with pytest.raises(ValueError, match="weight matrices must be finite"):
             Design(w)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2, 2, 1)])
+    def test_weights_must_be_a_k_t_n_array(self, shape):
+        with pytest.raises(ValueError, match=r"must be a \(K, T, N\) array"):
+            Design(np.ones(shape, dtype=complex))
+
     def test_too_many_symbols_rejected(self):
         w = np.zeros((9, 2, 1), dtype=complex)
         with pytest.raises(ValueError):

@@ -15,8 +15,8 @@ from stbclab.channel import sample_link
 from stbclab.lindesign import equivalent_channel
 from stbclab.simharness import (
     CSV_HEADER, FIT_MIN_BIT_ERRORS, FRAME_BATCH, SimConfig, SimResult, SnrPointResult,
-    _FrameSeed, _SimContext, _frame_seeds, _raw_bits, fit_diversity, read_results,
-    render_tradeoff, run_simulation, write_results, write_svg_scatter,
+    _FrameSeed, _SimContext, _frame_seeds, _raw_bits, fit_diversity, render_ber_curves,
+    render_scatter, render_tradeoff, run_simulation,
 )
 from tests.oracles import frame_oracle
 
@@ -239,6 +239,7 @@ class TestRunSimulation:
         ("receive_antennas", 0, "receive_antennas"),
         ("receive_antennas", -1, "receive_antennas"),
         ("master_seed", -1, "master_seed"),
+        ("rotation", "random", "rotation must be 'certified' or 'identity'"),
     ])
     def test_rejected_at_construction(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -336,8 +337,7 @@ class TestFrameSeeds:
 
 class TestOverload:
     @pytest.mark.parametrize("receive_antennas, overloaded", [(1, True), (2, False)])
-    def test_flag_follows_observations_against_symbols(self, tmp_path,
-                                                        receive_antennas, overloaded):
+    def test_flag_follows_observations_against_symbols(self, receive_antennas, overloaded):
         # sec4(4,2): K = 16 real symbols, T = 6, so 2 * N_r * T is 12 or 24
         cfg = SimConfig(family="sec4", antennas=4, layers=2,
                         receive_antennas=receive_antennas, qam=4, decoder="picsic",
@@ -345,10 +345,9 @@ class TestOverload:
                         min_frame_errors=1, max_frames=8, master_seed=5)
         res = run_simulation(cfg)
         assert res.overloaded is overloaded
-        path = tmp_path / "r.json"
-        write_results(res, path, "json")
-        assert json.loads(path.read_text())["overloaded"] is overloaded
-        assert read_results(path) == res
+        doc = json.loads(json.dumps(res.to_json()))
+        assert doc["overloaded"] is overloaded
+        assert SimResult.from_json(doc) == res
 
     # sec4(4,2) at N_r = 1, 4-QAM, seed 2026, 64 frames at each of 8/16/24 dB,
     # early stop off: per point (bit, symbol and frame errors, total and
@@ -386,47 +385,34 @@ class TestOverload:
 
 
 class TestResultsIo:
-    def test_csv_header_exact(self, tmp_path):
+    def test_csv_header_exact(self):
         cfg = tiny_config(snr_grid_db=(10.0,), min_frame_errors=1, max_frames=64)
         res = run_simulation(cfg)
-        path = tmp_path / "out.csv"
-        write_results(res, path)
-        text = path.read_text().splitlines()
+        text = res.to_csv().splitlines()
         assert text[0] == CSV_HEADER == "snr_db,frames,bit_errors,ber,ser,fer,mean_evals,max_evals"
         assert len(text) == 2
 
-    def test_csv_row_matches_point(self, tmp_path):
+    def test_csv_row_matches_point(self):
         cfg = tiny_config(snr_grid_db=(4.0,), min_frame_errors=5, max_frames=512)
         res = run_simulation(cfg)
-        path = tmp_path / "out.csv"
-        write_results(res, path)
-        row = path.read_text().splitlines()[1].split(",")
+        row = res.to_csv().splitlines()[1].split(",")
         p = res.points[0]
         assert row == [repr(p.snr_db), str(p.frames), str(p.bit_errors),
                        repr(p.ber), repr(p.ser), repr(p.fer),
                        repr(p.mean_evaluations), str(p.max_evaluations)]
 
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         cfg = tiny_config()
         res = run_simulation(cfg)
-        path = tmp_path / "out.json"
-        write_results(res, path, "json")
-        text = path.read_text()
-        assert text == json.dumps(json.loads(text), indent=1) + "\n"
-        back = read_results(path)
+        doc = res.to_json()
+        assert json.loads(json.dumps(doc)) == doc
+        back = SimResult.from_json(json.loads(json.dumps(doc)))
         assert back == res
         assert back.wall_time_s == res.wall_time_s
 
-    def test_empty_result_csv(self, tmp_path):
+    def test_empty_result_csv(self):
         res = SimResult(tiny_config(), (), None, (), 0.0)
-        path = tmp_path / "empty.csv"
-        write_results(res, path)
-        assert path.read_text() == CSV_HEADER + "\n"
-
-    def test_unknown_format(self, tmp_path):
-        res = SimResult(tiny_config(), (), None, (), 0.0)
-        with pytest.raises(ValueError):
-            write_results(res, tmp_path / "x", "yaml")
+        assert res.to_csv() == CSV_HEADER + "\n"
 
     def test_config_json_round_trip(self):
         cfg = tiny_config()
@@ -449,16 +435,13 @@ class TestDiversityFitWindow:
 
 
 class TestRenderTradeoff:
-    def test_files_written(self, tmp_path):
-        csv = tmp_path / "t.csv"
-        svg = tmp_path / "t.svg"
-        rows = render_tradeoff(8, 12, csv, svg)
+    def test_table_and_plot_texts(self):
+        rows, csv, svg = render_tradeoff(8, 12)
         assert any(r.family == "alamouti_block" for r in rows)
-        lines = csv.read_text().splitlines()
+        lines = csv.splitlines()
         assert lines[0] == "family,symbols_per_group,rate,rate_float,exponent,exponent_float"
         assert f"diagonal,4,5/3,{5 / 3!r},3/2,1.5" in lines
-        text = svg.read_text()
-        assert text.startswith("<svg") and "rate (cspcu)" in text
+        assert svg.startswith("<svg") and "rate (cspcu)" in svg
 
     def test_infeasible(self):
         with pytest.raises(ValueError):
@@ -466,19 +449,15 @@ class TestRenderTradeoff:
 
 
 class TestSvgWriter:
-    def test_minimal_document(self, tmp_path):
-        path = tmp_path / "p.svg"
-        write_svg_scatter(path, {"a": [(0.5, 1.0), (1.0, 2.0)], "b": [(2.0, 0.5)]},
-                          xlabel="x", ylabel="y", title="t")
-        text = path.read_text()
+    def test_minimal_document(self):
+        text = render_scatter({"a": [(0.5, 1.0), (1.0, 2.0)], "b": [(2.0, 0.5)]},
+                              xlabel="x", ylabel="y", title="t")
         assert text.count("<circle") >= 5  # 3 data points + legend markers
         assert "</svg>" in text
 
-    def test_log_axis_drops_nonpositive(self, tmp_path):
-        path = tmp_path / "log.svg"
-        write_svg_scatter(path, {"ber": [(8.0, 1e-2), (12.0, 1e-4), (16.0, 0.0)]},
-                          ylog=True, lines=True)
-        text = path.read_text()
+    def test_log_axis_drops_nonpositive(self):
+        text = render_scatter({"ber": [(8.0, 1e-2), (12.0, 1e-4), (16.0, 0.0)]},
+                              ylog=True, lines=True)
         assert text.count("<circle") == 3  # 2 surviving points + legend
         assert "<polyline" in text
         assert "1e-4" in text  # decade tick labels
@@ -490,34 +469,26 @@ class TestSvgWriter:
         ({"a": [(1.0, 0.0), (2.0, 0.0)]}, False, "y"),
         ({"a": [(1.0, -3.0), (2.0, -3.0)]}, False, "y"),
     ])
-    def test_one_valued_axis_has_distinct_tick_labels(self, tmp_path, series, ylog, axis):
+    def test_one_valued_axis_has_distinct_tick_labels(self, series, ylog, axis):
         # A zero-width range is padded by one unit each side; it once put
         # six ticks inside [x, x + 1e-9], every one labelled x.
-        path = tmp_path / "one.svg"
-        write_svg_scatter(path, series, ylog=ylog)
         anchor = 'y="446" text-anchor="middle"' if axis == "x" else 'text-anchor="end"'
-        labels = re.findall(anchor + r">([^<]*)</text>", path.read_text())
+        labels = re.findall(anchor + r">([^<]*)</text>", render_scatter(series, ylog=ylog))
         assert len(labels) >= 3 and len(set(labels)) == len(labels)
 
-    def test_negative_linear_y_stays_inside_the_frame(self, tmp_path):
+    def test_negative_linear_y_stays_inside_the_frame(self):
         # The top of a linear y range was max(y) * 1.05, below max(y) when
         # every y is negative: the y = -1 marker sat above the frame.
-        path = tmp_path / "neg.svg"
-        write_svg_scatter(path, {"a": [(1.0, -3.0), (2.0, -1.0)]})
-        text = path.read_text()
+        text = render_scatter({"a": [(1.0, -3.0), (2.0, -1.0)]})
         markers = [float(cy) for cy in re.findall(r'<circle cx="[^"]*" cy="([^"]*)" r="4" '
                                                   r'fill="[^"]*" fill-opacity', text)]
         assert len(markers) == 2 and all(60 <= cy <= 430 for cy in markers)
         ticks = [float(t) for t in re.findall(r'text-anchor="end">([^<]*)</text>', text)]
         assert min(ticks) <= -3 and max(ticks) >= -1
 
-    def test_ber_curves_from_result(self, tmp_path):
-        from stbclab.simharness import write_ber_curves
-
+    def test_ber_curves_from_result(self):
         cfg = tiny_config(snr_grid_db=(0.0, 6.0), min_frame_errors=10,
                           max_frames=512)
         res = run_simulation(cfg)
-        path = tmp_path / "ber.svg"
-        write_ber_curves(path, {"picsic": res})
-        text = path.read_text()
+        text = render_ber_curves({"picsic": res})
         assert text.startswith("<svg") and "BER" in text
