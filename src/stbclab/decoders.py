@@ -80,14 +80,13 @@ NumPy or in Python floats, and x and -x tie exactly at y = 0.  The
 exhaustive metrics are one matvec of a feature table cached per alphabet
 and symbol count, or, when that table would pass GRAM_MAX_TABLE doubles
 (ML near ML_CAP), sums over a head and a tail table (_metrics).
-A search plan cached per alphabet and symbol count (_search_plan) holds
-the feature constants, the columns whose products make w, the indices
-that split w between the head and the tail table and, for the
-conditioned search, those that gather w into two columns.  One product
-of the integer table of the other n - 1 symbols with those columns gives
-every non-pivot candidate's own metric and, less the pivot's linear
-weight, its pivot coefficient c; both are exact for the reason the
-metric is.
+A search plan cached per alphabet and symbol count (_search_plan) holds the
+feature constants, the columns whose products make w, the indices that split
+w between the head and the tail table and, for the conditioned search, those
+that gather w into two columns.  One product of the integer table of the
+other n - 1 symbols with those columns gives every non-pivot candidate's own
+metric and, less the pivot's linear weight, its pivot coefficient c; both
+are exact for the reason the metric is.
 The conditioned search (_conditioned_metrics) takes the pivot level by
 np.searchsorted of -c / (2 w00) among the midpoints of the levels in
 units: at a true midpoint that quotient of two grid multiples is exact,
@@ -97,8 +96,8 @@ cheaper without NumPy's per-call cost: _float_search evaluates the same
 sums and the same bisection in Python floats on w.tolist(), keeping a
 running least, with the table's rows and the getters of their weights
 cached (_float_plan).  Every path numbers the candidates lexicographically,
-so the winning row's level indices are its digits in base sqrt(M), the
-alphabet size, taken by divmod; no table holds them.
+so the winning row's level indices, its digits in base sqrt(M), are a row of
+a table cached with the feature table (_candidates), or unravelled past it.
 
 Ties between equal metrics resolve to the candidate earliest in
 lexicographic enumeration order (the first symbol varies slowest), in both
@@ -192,9 +191,10 @@ def _ordered_qr(g, y, order):
     y], one np.linalg.qr call over every channel and order.  Each null
     column the factors find is moved behind y and those factors taken again,
     in one call a round, so the kept directions are those of the kept
-    columns alone.  LAPACK factors each matrix of a stack on its own, so a
-    channel's (r, z) are bitwise those of a call on it alone.  On a
-    full-rank g, r and z are bitwise the first K rows of the first factor.
+    columns alone; only those factors are gathered back into order.  LAPACK
+    factors each matrix of a stack on its own, so a channel's (r, z) are
+    bitwise those of a call on it alone.  On a full-rank g, r and z are
+    bitwise the first K rows of the first factor.
     """
     rows, k = g.shape[-2:]
     lead = g.shape[:-2] + order.shape[:-1]
@@ -214,6 +214,7 @@ def _ordered_qr(g, y, order):
     m = min(rows, k + 1)
     null = np.abs(h.diagonal(0, 1, 2)) <= limit[:, :m]
     perm = np.tile(np.arange(k + 1), (len(cols), 1))
+    turned = np.flatnonzero(null.any(axis=1))  # the only factors that will move a column
     while null.any():
         # Move the first null column of each factor that has one behind y,
         # and take those factors again.  Only the first is sure: the factor
@@ -230,11 +231,11 @@ def _ordered_qr(g, y, order):
         null[moved] = np.abs(h[moved].diagonal(0, 1, 2)) <= limit[moved, :m]
     # the kept rows, each at its own column's position
     full = np.zeros((len(cols), k + 1, k + 1))
-    full[:, :m] = np.where(_upper(m, k + 1) & (limit[:, :m, None] >= 0),
-                           h.swapaxes(1, 2)[:, :m], 0.0)
-    back = np.argsort(perm, axis=1)
-    r = full[np.arange(len(cols))[:, None, None], back[:, :, None], back[:, None, :]]
-    return r[:, :k, :k].reshape(lead + (k, k)), r[:, :k, k].reshape(lead + (k,))
+    np.copyto(full[:, :m], h.swapaxes(1, 2)[:, :m],
+              where=_upper(m, k + 1) & (limit[:, :m, None] >= 0))
+    back = np.argsort(perm[turned], axis=1)
+    full[turned] = full[turned[:, None, None], back[:, :, None], back[:, None, :]]
+    return full[:, :k, :k].reshape(lead + (k, k)), full[:, :k, k].reshape(lead + (k,))
 
 
 @lru_cache(maxsize=None)
@@ -312,7 +313,7 @@ def _search_plan(alphabet, n):
 @lru_cache(maxsize=None)
 def _gram_table(alphabet, n):
     """The features of every candidate of n symbols, a row each in lexicographic order (cached)."""
-    u = _units(alphabet)[0][np.indices((alphabet.size,) * n).reshape(n, alphabet.size ** n).T]
+    u = _units(alphabet)[0][_candidates(alphabet, n)[1]]
     i, j = np.triu_indices(n)
     return _frozen(np.hstack([u, u[:, i] * u[:, j]]))[0]
 
@@ -365,19 +366,20 @@ def group_joint_decode(w, pg, alphabet, mode="exhaustive"):
     """Jointly decode one group of pg.shape[1] symbols from its weights w (_gram_weights).
 
     Returns (level values, level indices, metric evaluation count), the
-    indices a fresh array.  Both modes evaluate the metric features @ w
-    and return the same argmin, and of equal least metrics the
-    lexicographically first candidate; the conditioned mode falls back to
-    the exhaustive search when the pivot column of pg is exactly zero.  A
-    conditioned search of at most FLOAT_MAX_EVALS evaluations runs in Python
-    floats (_float_search), to the same metrics.
+    indices a fresh array and the values perhaps a cached read-only row.
+    Both modes evaluate the metric features @ w and return the same argmin,
+    and of equal least metrics the lexicographically first candidate; the
+    conditioned mode falls back to the exhaustive search when the pivot
+    column of pg is exactly zero.  A conditioned search of at most
+    FLOAT_MAX_EVALS evaluations runs in Python floats (_float_search), to
+    the same metrics.
     """
     pg = np.asarray(pg, dtype=float)
-    n = pg.shape[1]
-    size = alphabet.size
+    n, size = pg.shape[1], alphabet.size
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown group search mode {mode!r}")
-    if mode == "conditioned" and n >= 1 and np.count_nonzero(pg[:, 0]):
+    # a triangular block's pivot column is zero exactly when its first entry is
+    if mode == "conditioned" and n >= 1 and (pg[0, 0] or any(pg[:, 0])):
         count = size ** (n - 1)
         if count <= FLOAT_MAX_EVALS:
             row = _float_search(w.tolist(), alphabet, n)
@@ -394,12 +396,18 @@ def group_joint_decode(w, pg, alphabet, mode="exhaustive"):
     else:
         count = size ** n
         row = int(_metrics(w, alphabet, n).argmin())
-    # every search numbers the candidates lexicographically: idx holds the digits of row
-    digits = [0] * n
-    for i in range(n - 1, -1, -1):
-        row, digits[i] = divmod(row, size)
-    idx = np.array(digits)
+    if size ** n * n * (n + 3) // 2 <= GRAM_MAX_TABLE:  # when _metrics may hold the table
+        levels, idx = _candidates(alphabet, n)
+        return levels[row], idx[row].copy(), count
+    idx = np.array(np.unravel_index(row, (size,) * n))
     return alphabet.levels[idx], idx, count
+
+
+@lru_cache(maxsize=None)
+def _candidates(alphabet, n):
+    """(levels, indices) of every candidate of n symbols, row r's indices its digits (cached)."""
+    idx = np.indices((alphabet.size,) * n).reshape(n, alphabet.size ** n).T
+    return _frozen(alphabet.levels[idx], idx)
 
 
 def _float_search(w, alphabet, n):
@@ -416,14 +424,13 @@ def _float_search(w, alphabet, n):
     rows, units, mid, own, cross = _float_plan(alphabet, n)
     own, cross = own(w), cross(w)
     w0, w00 = w[0], w[n]
+    half, count, top = -2 * w00, len(rows), len(units) - 1
     least = (math.inf, 0)
     for r, row in enumerate(rows):
-        c = sum(map(mul, row, cross)) + w0  # a row's first n - 1 features are its u
-        if w00 > 0:
-            p = bisect_left(mid, c / (-2 * w00))
-        else:
-            p = len(units) - 1 if c < 0 else 0
-        key = (sum(map(mul, row, own)) + (w00 * units[p] + c) * units[p], p * len(rows) + r)
+        c = sum(map(mul, row, cross), w0)  # a row's first n - 1 features are its u
+        p = bisect_left(mid, c / half) if w00 > 0 else (top if c < 0 else 0)
+        u = units[p]
+        key = (sum(map(mul, row, own), (w00 * u + c) * u), p * count + r)
         if key < least:
             least = key
     return least[1]

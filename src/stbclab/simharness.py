@@ -68,18 +68,21 @@ class SimConfig:
     rotation: str = "certified"  # "identity" runs the deliberately broken ablation
 
     def __post_init__(self):
+        least = {"min_frame_errors": 1, "max_frames": 1, "receive_antennas": 1, "master_seed": 0}
+        for f in fields(self):  # a bool is an int, and 10.5 would pass the bounds
+            value = getattr(self, f.name)
+            if f.type is int and (type(value) is bool or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.name in least and value < least[f.name]:
+                raise ValueError(f"{f.name} must be at least {least[f.name]}")
+        if np.ndim(self.snr_grid_db) != 1:  # a string would be read one character at a time
+            raise ValueError(f"snr_grid_db must be a list of dB values, got {self.snr_grid_db!r}")
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         grid = self.snr_grid_db
         if not np.isfinite(grid).all():
             raise ValueError("snr_grid_db must be finite")
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_grid_db must be non-empty and strictly ascending")
-        if self.min_frame_errors < 1 or self.max_frames < 1:
-            raise ValueError("stop rule must be positive")
-        if self.receive_antennas < 1:
-            raise ValueError("receive_antennas must be at least 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
         if self.rotation not in ("certified", "identity"):
             raise ValueError("rotation must be 'certified' or 'identity'")
         if self.family not in FAMILIES:

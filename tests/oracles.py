@@ -19,6 +19,11 @@ pseudo-inverse solution.  ZF's one solve over a stack has its own
 reference, the form it took before: each frame solves its own kept rows of
 the thresholded QR (zf_kept_rows_estimate).
 
+The thresholded ordered QR has its own reference, the form it took before
+only the factors that moved a null column were gathered back into order:
+every factor gathered through argsort(perm), the identity on a factor that
+moved none (ordered_qr_gather_oracle).
+
 A group's Gram weights have their own reference, the fixed-order
 definition written out in Python floats for one group (gram_weights_oracle).
 
@@ -138,6 +143,46 @@ def group_metrics(py, pg, alphabet, snr):
     cands = np.array(list(itertools.product(alphabet.levels, repeat=pg.shape[1])))
     resid = py[:, None] - np.sqrt(snr) * (pg @ cands.T)
     return cands, np.einsum("ij,ij->j", resid, resid)
+
+
+def ordered_qr_gather_oracle(g, y, order):
+    """_ordered_qr's (r, z), assembled by one gather of every factor.
+
+    The same stacked factors and rounds of moved null columns as _ordered_qr;
+    then the kept rows of every factor, moved or not, are put at their own
+    column's positions by indexing with argsort(perm).
+    """
+    rows, k = g.shape[-2:]
+    lead = g.shape[:-2] + order.shape[:-1]
+    g = g.reshape(-1, rows, k)
+    orders = order.reshape(-1, k)
+    cols = np.empty((len(g), len(orders), k + 1, rows))
+    cols[:, :, :k] = g.swapaxes(1, 2)[:, orders]
+    cols[:, :, k] = y.reshape(-1, 1, rows)
+    limit = np.full(cols.shape[:3], -1.0)
+    limit[:, :, :k] = (RANK_EPS * np.sqrt(np.einsum("bij,bij->bj", g, g)))[:, orders]
+    cols, limit = cols.reshape(-1, k + 1, rows), limit.reshape(-1, k + 1)
+    h = np.linalg.qr(cols.swapaxes(1, 2), mode="raw")[0]
+    m = min(rows, k + 1)
+    null = np.abs(h.diagonal(0, 1, 2)) <= limit[:, :m]
+    perm = np.tile(np.arange(k + 1), (len(cols), 1))
+    while null.any():
+        moved = np.flatnonzero(null.any(axis=1))
+        first = null[moved].argmax(axis=1)[:, None]
+        src = np.arange(k + 1)
+        src = src + (src >= first)
+        src[:, -1:] = first
+        at = moved[:, None]
+        perm[moved], limit[moved], cols[moved] = perm[at, src], limit[at, src], cols[at, src]
+        limit[moved, -1] = -1.0
+        h[moved] = np.linalg.qr(cols[moved].swapaxes(1, 2), mode="raw")[0]
+        null[moved] = np.abs(h[moved].diagonal(0, 1, 2)) <= limit[moved, :m]
+    full = np.zeros((len(cols), k + 1, k + 1))
+    full[:, :m] = np.where(np.triu(np.ones((m, k + 1), dtype=bool)) & (limit[:, :m, None] >= 0),
+                           h.swapaxes(1, 2)[:, :m], 0.0)
+    back = np.argsort(perm, axis=1)
+    r = full[np.arange(len(cols))[:, None, None], back[:, :, None], back[:, None, :]]
+    return r[:, :k, :k].reshape(lead + (k, k)), r[:, :k, k].reshape(lead + (k,))
 
 
 def gram_weights_oracle(py, pg, alphabet, snr):

@@ -483,6 +483,16 @@ class TestSimulate:
         out, err = capsys.readouterr()
         assert "error: snr_grid_db must be finite" in err and "snr=" not in out
 
+    @pytest.mark.parametrize("key, value", [("snr_grid_db", "16"), ("max_frames", 10.5),
+                                            ("master_seed", True)])
+    def test_config_value_of_the_wrong_type_is_exit_1_before_any_point(self, tmp_path, capsys,
+                                                                       key, value):
+        # "16" ran 1 dB and 6 dB, 10.5 failed inside the sweep, true ran seed 1
+        cfg = self.config(tmp_path, **{key: value})
+        assert cli.main(["simulate", "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {key} must be ") and "snr=" not in out
+
     def test_snr_flag_that_is_not_numbers_is_named(self, tmp_path, capsys):
         cfg = self.config(tmp_path, max_frames=8)
         assert cli.main(["simulate", "--config", str(cfg), "--snr", "8,,12"]) == 1

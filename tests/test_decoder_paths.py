@@ -14,7 +14,9 @@ keeps it, so a decision may differ; it must still be an argmin of the
 oracle's metric up to RANK_EPS of the metric's scale (assert_oracle_argmin).
 ZF's decision there must equal the ZF oracle's, except where the oracle's
 estimate sits within rounding of a quantization midpoint
-(assert_ml_and_zf_near_their_oracles).
+(assert_ml_and_zf_near_their_oracles).  The QR itself must be bitwise its
+earlier form, which gathered every factor back into order, on stacks that
+mix factors that move null columns with factors that move none.
 """
 
 import dataclasses
@@ -29,7 +31,8 @@ from stbclab.constructions import build_code
 from stbclab.decoders import DecodeProblem
 from stbclab.lindesign import RANK_EPS, Design, GroupingScheme, equivalent_channel
 from tests.oracles import (
-    metric_gaps, ml_oracle, oracle_decode, zf_estimate, zf_kept_rows_estimate, zf_oracle,
+    metric_gaps, ml_oracle, oracle_decode, ordered_qr_gather_oracle, zf_estimate,
+    zf_kept_rows_estimate, zf_oracle,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -264,6 +267,45 @@ def test_overloaded_link_qr_is_the_same_in_a_stack(scheme, data):
 @given(near_copy_problems(RANK_EPS / 100))
 def test_residual_below_rank_eps_qr_is_the_same_in_a_stack(problem):
     assert_stack_keeps_the_bits(problem)
+
+
+@st.composite
+def null_column_stacks(draw):
+    """(gs, ys, scheme): 1 to 6 Gaussian channels of one shape, some with
+    columns to move.
+
+    Each channel keeps every column, or has a column that is a multiple of
+    another, a zero column, or both.  With K - 2 to K + 3 rows, a stack may
+    be overloaded, where every column after the rows-th kept one is null.
+    """
+    scheme = draw(groupings())
+    k = scheme.num_symbols
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gs = rng.standard_normal((draw(st.integers(1, 6)), draw(st.integers(max(1, k - 2), k + 3)), k))
+    for g in gs:
+        kind = draw(st.sampled_from(("full", "duplicate", "zero", "both")))
+        if kind in ("duplicate", "both"):
+            i, j = rng.choice(k, 2, replace=False)
+            g[:, j] = rng.standard_normal() * g[:, i]
+        if kind in ("zero", "both"):
+            g[:, rng.integers(k)] = 0.0
+    return gs, rng.standard_normal(gs.shape[:2]), scheme
+
+
+@PROPERTY
+@given(null_column_stacks())
+def test_qr_assembly_is_the_gather_form(stack):
+    # Only the factors that moved a null column are gathered back into
+    # order; every factor's (r, z), in the PIC-SIC order, PIC's stacked
+    # orders and column order, one frame or a stack, are the gather form's
+    # bits.
+    gs, ys, scheme = stack
+    sic, pic = decoders._cancellation_orders(scheme)[:2]
+    for order in (sic, pic, np.arange(scheme.num_symbols)):
+        for g, y in ((gs, ys), (gs[0], ys[0])):
+            got, ref = decoders._ordered_qr(g, y, order), ordered_qr_gather_oracle(g, y, order)
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class EstimateRecorder:

@@ -12,7 +12,9 @@ tests check that every layout and mode gives a candidate the same metric
 bit for bit, that the conditioned search's pivot level is the least one
 (the lower level at an exact midpoint), and that every form (Python
 floats, one table, split tables) and mode returns the same indices, ties
-included, with the same evaluation counts, and that the weights of every
+included, as a fresh array with the same evaluation counts (the indices
+below the table ceiling are a row of a cached table, each row's digits in
+base L), and that the weights of every
 group in a stack are bit for bit its single call's and the fixed-order
 definition's (gram_weights_oracle).  The inputs cover full-rank,
 triangular, rank-1 and short (rows < n) group channels, exact ties at
@@ -98,6 +100,9 @@ def assert_forms_and_modes_agree(py, pg, alphabet, snr):
             for mode in decoders.SEARCH_MODES:
                 results[mode, name] = group_joint_decode(
                     _gram_weights(py, pg, alphabet, snr), pg, alphabet, mode)
+    for levels, idx, _ in results.values():  # fresh indices, from a table or not
+        assert idx.flags.writeable and idx.base is None
+        assert np.array_equal(levels, alphabet.levels[idx])
     (levels, idx, _), *others = results.values()
     for other_levels, other_idx, _ in others:
         assert np.array_equal(other_idx, idx)
@@ -418,6 +423,16 @@ def test_table_ceiling_sends_exhaustive_search_to_split_layout():
     one = group_joint_decode(_gram_weights(py, pg, alphabet, 4.0), pg, alphabet)
     assert np.array_equal(one[1], split[1]) and one[2] == split[2] == 1024
     assert np.array_equal(decoders._metrics(w, alphabet, 5), split_metrics)
+    # Below the ceiling a search reads its row's levels and indices from a
+    # cached table: row r's indices are r's digits in base L.
+    for qam in (4, 16, 64):
+        alphabet = pam_for_qam(qam)
+        size = alphabet.size
+        for n in range(1, 5):
+            levels, idx = decoders._candidates(alphabet, n)
+            digits = np.arange(size ** n)[:, None] // size ** np.arange(n - 1, -1, -1) % size
+            assert np.array_equal(idx, digits)
+            assert np.array_equal(levels, alphabet.levels[digits])
 
 
 def test_large_ml_search_builds_no_large_table():

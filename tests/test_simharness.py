@@ -245,6 +245,26 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match=message):
             tiny_config(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("snr_grid_db", "16"),  # was read as the grid (1.0, 6.0)
+        ("snr_grid_db", 16.0),
+        ("snr_grid_db", {8.0, 16.0}),
+        ("snr_grid_db", [[8.0, 16.0]]),
+        ("max_frames", 10.5),
+        ("min_frame_errors", "7"),
+        ("master_seed", True),  # was seed 1
+        ("antennas", 4.0),
+        ("qam", None),
+        ("receive_antennas", np.float64(2.0)),
+    ])
+    def test_value_of_the_wrong_type_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            tiny_config(**{field: value})
+
+    def test_numpy_integers_and_grids_are_taken(self):
+        cfg = tiny_config(master_seed=np.int64(5), snr_grid_db=np.array([4, 8]))
+        assert cfg.master_seed == 5 and cfg.snr_grid_db == (4.0, 8.0)
+
     @pytest.mark.parametrize("grid", [(8.0, np.nan), (8.0, np.inf), (-np.inf, 0.0)])
     def test_non_finite_snr_grid_is_rejected(self, grid):
         # NaN passed the ascending check and failed after the points before
