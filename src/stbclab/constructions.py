@@ -221,12 +221,6 @@ class TradeoffRow(NamedTuple):
     exponent: Fraction
 
 
-# The constructed families, then diagonal_coarse, quoted at its published cost.
-TRADEOFF_FAMILIES = (
-    "toeplitz", "diagonal", "diagonal_coarse", "alamouti_block", "alamouti_block_coarse",
-)
-
-
 def tabulate_tradeoff(antennas, delay):
     """(rate, worst-case exponent) points for every family feasible at (N, T).
 
@@ -236,20 +230,16 @@ def tabulate_tradeoff(antennas, delay):
     is the published 2N-symbol grouping of the diagonal code.
     """
     nt, t = antennas, delay
-    even_ok = nt % 2 == 0 and t % 2 == 0
-    rows = []
-    for fam in TRADEOFF_FAMILIES:
-        if fam == "diagonal_coarse":
-            rows.append(TradeoffRow(fam, 2 * nt, nt * Fraction(t - nt + 1, t), Fraction(nt)))
-            continue
-        if fam in ("toeplitz", "diagonal"):
-            specs = [CodeSpec.from_delay(Family.DIAGONAL, nt, t, lam)
-                     for lam in (range(1, nt + 1) if fam == "diagonal" else (1,))]
-        elif even_ok:
-            specs = [CodeSpec.from_delay(Family.ALAMOUTI_BLOCK, nt, t, grouping_variant=(
-                "coarse" if fam.endswith("coarse") else "fine"))]
-        else:
-            continue
-        rows += [TradeoffRow(fam, s.num_real_symbols // s.num_groups, s.rate,
-                             s.worst_case_exponent) for s in specs]
+
+    def row(family, code_family, **options):
+        s = CodeSpec.from_delay(code_family, nt, t, **options)
+        return TradeoffRow(family, s.num_real_symbols // s.num_groups, s.rate,
+                           s.worst_case_exponent)
+
+    rows = [row("toeplitz", Family.DIAGONAL, group_size=1)]
+    rows += [row("diagonal", Family.DIAGONAL, group_size=lam) for lam in range(1, nt + 1)]
+    rows += [TradeoffRow("diagonal_coarse", 2 * nt, nt * Fraction(t - nt + 1, t), Fraction(nt))]
+    if nt % 2 == 0 and t % 2 == 0:
+        rows += [row("alamouti_block", Family.ALAMOUTI_BLOCK),
+                 row("alamouti_block_coarse", Family.ALAMOUTI_BLOCK, grouping_variant="coarse")]
     return rows

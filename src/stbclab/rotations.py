@@ -9,8 +9,8 @@ Construction: take the maximal real subfield of the m-th cyclotomic field
 with generator theta = 2*cos(2*pi/m).  The twisted trace form
 q(x, y) = c * Tr((2 - theta) * x * y) on the ring of integers is, after the
 unimodular scaling c, an integer positive-definite unimodular form; an
-integral basis on which it is orthonormal is found by enumerating the
-norm-one lattice vectors and is verified exactly in integer arithmetic.
+integral basis on which it is orthonormal comes from a three-term
+recurrence in theta and is verified exactly in integer arithmetic.
 Embedding that basis through the field's real conjugates, scaled by the
 square roots of the (totally positive) twist, yields Q.  Each coordinate of
 Q @ a then equals a nonzero conjugate of a nonzero algebraic integer, which
@@ -75,49 +75,23 @@ def _field_conjugates(dim):
     )
 
 
-def _unit_norm_vectors(gram):
-    """All integer vectors (up to sign) of norm one under an integer Gram form.
-
-    Fincke-Pohst style enumeration on the Cholesky factor; every candidate is
-    re-verified exactly in integer arithmetic before acceptance.
-    """
-    n = gram.shape[0]
-    r = np.linalg.cholesky(gram.astype(float)).T  # upper triangular
-    found = []
-    x = np.zeros(n, dtype=np.int64)
-
-    def descend(i, partial):
-        if i < 0:
-            v = x.copy()
-            nz = np.nonzero(v)[0]
-            if len(nz) == 0:
-                return
-            if v[nz[0]] < 0:
-                v = -v
-            if int(v @ gram @ v) == 1 and not any(np.array_equal(v, s) for s in found):
-                found.append(v)
-            return
-        slack = 1.0 + 1e-9 - float(np.sum(partial[i + 1:] ** 2))
-        if slack < 0:
-            return
-        center = -partial[i] / r[i, i]
-        half = np.sqrt(slack) / r[i, i]
-        for v in range(int(np.ceil(center - half - 1e-9)), int(np.floor(center + half + 1e-9)) + 1):
-            x[i] = v
-            nxt = partial + r[:, i] * v
-            descend(i - 1, nxt)
-        x[i] = 0
-
-    descend(n - 1, np.zeros(n))
-    return found
+def _integral_basis(dim):
+    """Rows p_0 = 1, p_1 = 1 + theta, p_{k+1} = (-1)^k theta p_k + p_{k-1} in the power basis:
+    an integral basis orthonormal under the twisted trace form (dim >= 2)."""
+    basis = np.zeros((dim, dim), dtype=np.int64)
+    basis[0, 0] = basis[1, 0] = basis[1, 1] = 1
+    for k in range(1, dim - 1):  # p_k's top coefficient is 0, so the roll multiplies by theta
+        basis[k + 1] = (-1) ** k * np.roll(basis[k], 1) + basis[k - 1]
+    return basis
 
 
 @lru_cache(maxsize=None)
 def build_rotation(dim):
     """Construct and certify the full-diversity rotation of a given dimension.
 
-    The certificate covers [-CERTIFIED_BOUND, CERTIFIED_BOUND]^dim.  Raises
-    ValueError for unsupported dimensions and RuntimeError if the
+    The basis is _integral_basis's rows, sorted: the sort fixes Q's column
+    order.  The certificate covers [-CERTIFIED_BOUND, CERTIFIED_BOUND]^dim.
+    Raises ValueError for unsupported dimensions and RuntimeError if the
     construction fails its own exact or numerical verification (which would
     indicate a bug, not bad luck).
     """
@@ -131,12 +105,7 @@ def build_rotation(dim):
     gram = np.rint(gram_f).astype(np.int64)
     if np.abs(gram_f - gram).max() > 1e-6:
         raise RuntimeError(f"trace form for dimension {dim} is not integral")
-    basis = _unit_norm_vectors(gram)
-    if len(basis) != dim:
-        raise RuntimeError(
-            f"found {len(basis)} unit-norm vectors for dimension {dim}, expected {dim}"
-        )
-    change = np.array(sorted(basis, key=tuple), dtype=np.int64)
+    change = np.array(sorted(_integral_basis(dim), key=tuple), dtype=np.int64)
     if not np.array_equal(change @ gram @ change.T, np.eye(dim, dtype=np.int64)):
         raise RuntimeError("integral basis fails exact orthonormality check")
     q = np.sqrt(scale * twist)[:, None] * (powers @ change.T.astype(float))

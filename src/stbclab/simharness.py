@@ -24,6 +24,7 @@ CSV column contract (byte-stable across runs and worker counts):
 """
 
 import time
+from numbers import Real
 
 import numpy as np
 from dataclasses import dataclass, field, fields, asdict
@@ -73,12 +74,17 @@ class SimConfig:
             value = getattr(self, f.name)
             if f.type is int and (type(value) is bool or not isinstance(value, (int, np.integer))):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type is str and not isinstance(value, str):
+                raise ValueError(f"{f.name} must be a string, got {value!r}")
             if f.name in least and value < least[f.name]:
                 raise ValueError(f"{f.name} must be at least {least[f.name]}")
-        if np.ndim(self.snr_grid_db) != 1:  # a string would be read one character at a time
-            raise ValueError(f"snr_grid_db must be a list of dB values, got {self.snr_grid_db!r}")
-        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
-        grid = self.snr_grid_db
+        grid = self.snr_grid_db  # "16" would run 1 and 6 dB, and [true, 12] a 1 dB point
+        entries = grid.tolist() if isinstance(grid, np.ndarray) else grid
+        if not isinstance(entries, (list, tuple)) or not all(
+                isinstance(s, Real) and not isinstance(s, bool) for s in entries):
+            raise ValueError(f"snr_grid_db must be a list of dB values, got {grid!r}")
+        grid = tuple(float(s) for s in entries)
+        object.__setattr__(self, "snr_grid_db", grid)
         if not np.isfinite(grid).all():
             raise ValueError("snr_grid_db must be finite")
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):

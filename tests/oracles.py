@@ -37,6 +37,11 @@ concatenate (screen_factors_oracle), the probes from np.eye
 (interference_probes_oracle), the differences by meshgrid
 (enumerated_differences_oracle).
 
+A rotation's integral basis has its own reference, the enumeration it
+came from before the three-term recurrence: every integer vector of norm
+one under the trace form's Gram matrix, found by a Fincke-Pohst search on
+its Cholesky factor (unit_norm_vectors_oracle).
+
 The falsifier screen has two references.  The direct screen forms every
 candidate X = A_d + U_p, takes each Gram X^H X by einsum and runs the
 unpivoted LDL^H on both triangles.  The determinant screen takes each
@@ -387,3 +392,40 @@ def frame_oracle(ctx, snr_index, frame_index):
     g = np.empty((2,) + prods.shape[::-1])
     g[0], g[1] = prods.real.T, prods.imag.T
     return bits, x, y, g.reshape(-1, k)
+
+
+def unit_norm_vectors_oracle(gram):
+    """All integer vectors (up to sign) of norm one under an integer Gram form.
+
+    Fincke-Pohst style enumeration on the Cholesky factor; every candidate is
+    re-verified exactly in integer arithmetic before acceptance.
+    """
+    n = gram.shape[0]
+    r = np.linalg.cholesky(gram.astype(float)).T  # upper triangular
+    found = []
+    x = np.zeros(n, dtype=np.int64)
+
+    def descend(i, partial):
+        if i < 0:
+            v = x.copy()
+            nz = np.nonzero(v)[0]
+            if len(nz) == 0:
+                return
+            if v[nz[0]] < 0:
+                v = -v
+            if int(v @ gram @ v) == 1 and not any(np.array_equal(v, s) for s in found):
+                found.append(v)
+            return
+        slack = 1.0 + 1e-9 - float(np.sum(partial[i + 1:] ** 2))
+        if slack < 0:
+            return
+        center = -partial[i] / r[i, i]
+        half = np.sqrt(slack) / r[i, i]
+        for v in range(int(np.ceil(center - half - 1e-9)), int(np.floor(center + half + 1e-9)) + 1):
+            x[i] = v
+            nxt = partial + r[:, i] * v
+            descend(i - 1, nxt)
+        x[i] = 0
+
+    descend(n - 1, np.zeros(n))
+    return found

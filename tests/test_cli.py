@@ -484,10 +484,12 @@ class TestSimulate:
         assert "error: snr_grid_db must be finite" in err and "snr=" not in out
 
     @pytest.mark.parametrize("key, value", [("snr_grid_db", "16"), ("max_frames", 10.5),
-                                            ("master_seed", True)])
+                                            ("master_seed", True), ("snr_grid_db", [True, 12]),
+                                            ("snr_grid_db", [8, [12]]), ("decoder", ["pic"])])
     def test_config_value_of_the_wrong_type_is_exit_1_before_any_point(self, tmp_path, capsys,
                                                                        key, value):
-        # "16" ran 1 dB and 6 dB, 10.5 failed inside the sweep, true ran seed 1
+        # "16" ran 1 dB and 6 dB, 10.5 failed inside the sweep, true ran seed 1,
+        # [true, 12] a 1 dB point; [8, [12]] and ["pic"] failed without the key
         cfg = self.config(tmp_path, **{key: value})
         assert cli.main(["simulate", "--config", str(cfg)]) == 1
         out, err = capsys.readouterr()

@@ -303,6 +303,17 @@ class TestTradeoff:
         point = [r for r in rows if r.family == "diagonal" and r.symbols_per_group == 2]
         assert point[0].rate == Fraction(4, 3) and point[0].exponent == Fraction(1, 2)
 
+    @pytest.mark.parametrize("antennas, delay, alamouti", [(4, 6, True), (4, 5, False),
+                                                           (3, 4, False)])
+    def test_row_order_is_the_csv_order(self, antennas, delay, alamouti):
+        # the tradeoff CSV lists its rows in this order
+        order = (["toeplitz"] + ["diagonal"] * antennas + ["diagonal_coarse"]
+                 + ["alamouti_block", "alamouti_block_coarse"] * alamouti)
+        rows = tabulate_tradeoff(antennas, delay)
+        assert [r.family for r in rows] == order
+        diagonal = [r.symbols_per_group for r in rows if r.family == "diagonal"]
+        assert diagonal == list(range(1, antennas + 1))
+
     def test_infeasible(self):
         with pytest.raises(ValueError):
             tabulate_tradeoff(4, 3)

@@ -9,6 +9,7 @@ from stbclab import rotations
 from stbclab.rotations import (
     SUPPORTED_DIMENSIONS, RotationMatrix, build_rotation, certify_rotation,
 )
+from tests.oracles import unit_norm_vectors_oracle
 
 
 def brute_force_delta(q, bound):
@@ -106,6 +107,38 @@ class TestBuildRotation:
         b = build_rotation(3)
         assert np.array_equal(a.entries, b.entries)
         assert a.delta_min == b.delta_min
+
+
+def trace_form(dim):
+    """(twist, scale, powers, integer Gram) of build_rotation's trace form."""
+    theta = rotations._field_conjugates(dim)
+    twist = 2.0 - theta
+    scale = 1.0 / (2 * dim if dim & (dim - 1) == 0 else 2 * dim + 1)
+    powers = np.vander(theta, dim, increasing=True)
+    gram = np.rint(scale * (powers.T * twist) @ powers).astype(np.int64)
+    return twist, scale, powers, gram
+
+
+class TestIntegralBasis:
+    """The recurrence's basis is the one the norm-one enumeration finds."""
+
+    DIMS = sorted({d for d in SUPPORTED_DIMENSIONS if d >= 2} | {9, 11})
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_recurrence_matches_the_enumeration(self, dim):
+        *_, gram = trace_form(dim)
+        basis = rotations._integral_basis(dim)
+        assert basis.dtype == np.int64 and basis.shape == (dim, dim)
+        oracle = sorted(unit_norm_vectors_oracle(gram), key=tuple)
+        assert np.array_equal(sorted(basis, key=tuple), oracle)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_rotation_is_the_one_built_from_the_enumeration(self, dim):
+        # bitwise: the sorted oracle basis fixes every entry and column of q
+        twist, scale, powers, gram = trace_form(dim)
+        change = np.array(sorted(unit_norm_vectors_oracle(gram), key=tuple), dtype=np.int64)
+        q = np.sqrt(scale * twist)[:, None] * (powers @ change.T.astype(float))
+        assert build_rotation(dim).entries.tobytes() == q.tobytes()
 
 
 class TestCertifyRotation:

@@ -250,12 +250,23 @@ class TestRunSimulation:
         ("snr_grid_db", 16.0),
         ("snr_grid_db", {8.0, 16.0}),
         ("snr_grid_db", [[8.0, 16.0]]),
+        ("snr_grid_db", [True, 12.0]),  # ran a 1 dB point
+        ("snr_grid_db", ["8", "12"]),  # ran as numbers
+        ("snr_grid_db", [8.0, [12.0]]),  # NumPy's "inhomogeneous shape"
+        ("snr_grid_db", [8.0, None]),
+        ("snr_grid_db", np.array([[8.0, 16.0]])),
+        ("snr_grid_db", np.array([True, False])),
         ("max_frames", 10.5),
         ("min_frame_errors", "7"),
         ("master_seed", True),  # was seed 1
         ("antennas", 4.0),
         ("qam", None),
         ("receive_antennas", np.float64(2.0)),
+        ("decoder", ["pic"]),  # "unhashable type: 'list'"
+        ("family", None),
+        ("grouping_variant", 1),
+        ("search_mode", b"conditioned"),
+        ("rotation", ("identity",)),
     ])
     def test_value_of_the_wrong_type_is_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be "):
@@ -264,6 +275,8 @@ class TestRunSimulation:
     def test_numpy_integers_and_grids_are_taken(self):
         cfg = tiny_config(master_seed=np.int64(5), snr_grid_db=np.array([4, 8]))
         assert cfg.master_seed == 5 and cfg.snr_grid_db == (4.0, 8.0)
+        for grid in (np.array([4.0, 8.0]), [np.float64(4.0), np.int32(8)], (4, 8.0)):
+            assert tiny_config(snr_grid_db=grid).snr_grid_db == (4.0, 8.0)
 
     @pytest.mark.parametrize("grid", [(8.0, np.nan), (8.0, np.inf), (-np.inf, 0.0)])
     def test_non_finite_snr_grid_is_rejected(self, grid):
