@@ -27,9 +27,10 @@ Two kinds of checkers live here:
   SCREEN_KAPPA.  Past it both errors stay below (SCREEN_KAPPA gamma + a few
   hundred roundoffs) tr: under SCREEN_TAU / 10 for T up to 16 and under
   SCREEN_TAU for T up to about 300.  Both tests are ratios, so at any scale
-  the screen flags a superset of the deficient matrices.  Flagged matrices
-  are confirmed by numerical_rank in (difference, probe) order, and the
-  first confirmed one is the witness.  A returned witness is a proof of
+  the screen flags a superset of the deficient matrices; one workspace per
+  call holds every block's arrays, so no block maps fresh pages.  Flagged
+  matrices are confirmed by numerical_rank in (difference, probe) order, and
+  the first confirmed one is the witness.  A returned witness is a proof of
   failure; returning None is NOT a proof of full diversity, only a failed
   falsification at the given budget.
 
@@ -53,7 +54,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .constructions import Family, build_alamouti_block_code, build_diagonal_code
-from .lindesign import RANK_EPS, numerical_rank
+from .lindesign import RANK_EPS, check_integer, numerical_rank
 from .rotations import SUPPORTED_DIMENSIONS, least_magnitudes
 from .rotations import certify_rotation  # noqa: F401  (perfbench's tracer names it here)
 
@@ -97,8 +98,7 @@ def pam_difference_values(pam_levels):
     2k, |k| <= pam_levels - 1.  Descending order fixes the deterministic
     enumeration order of the falsifiers.
     """
-    if pam_levels < 2:
-        raise ValueError("pam_levels must be at least 2")
+    check_integer("pam_levels", pam_levels, 2)
     return 2 * np.arange(pam_levels - 1, -pam_levels, -1, dtype=np.int64)
 
 
@@ -157,34 +157,56 @@ def _screen_factors(a_mats, u_mats):
     return left, right.transpose(0, 2, 1)
 
 
-def _rank_screen(left, right):
+def _screen_workspace(n, pairs):
+    """_rank_screen's scratch for blocks of up to `pairs` pairs of N-column matrices."""
+    return (np.empty((n * (n + 1) // 2 + 2 * n - 1) * pairs, complex),
+            np.empty(4 * pairs), np.empty(2 * pairs, bool))
+
+
+def _rank_screen(left, right, ws):
     """Mask (D, P) over the pairs of the factors (_screen_factors): True where
     tr(G) < (|A_d|_F + |U_p|_F)^2 / SCREEN_KAPPA, the squared norms read off
     as tr(G_A) and tr(G_U), or unless the product of the unpivoted LDL^H
     pivots of G's packed lower triangle, each over tr(G), is finite and above
-    SCREEN_TAU (see the module docstring)."""
+    SCREEN_TAU (see the module docstring).  Every array, the mask too, is in ws."""
     n = int(np.sqrt(2 * len(left)))  # Q = N(N+1)/2
     diag = [k * n - k * (k - 1) // 2 for k in range(n)]  # column k starts at G_kk
-    g = np.matmul(left, right)
-    trace = g.real[diag].sum(axis=0)
-    ratio = np.ones(trace.shape)
+    d, p = left.shape[1], right.shape[2]
+    rows = ws[0][:(len(left) + 2 * n - 1) * d * p].reshape(-1, d, p)
+    g, conj, products, (inverse,) = np.split(rows, np.cumsum([len(left), n - 1, n - 1]))
+    inverse.imag.fill(0)  # 1 / pivot is held complex: NumPy casts a real factor via a buffer
+    trace, ratio, scratch, norms = ws[1][:4 * d * p].reshape(4, d, p)
+    mask, flags = ws[2][:2 * d * p].reshape(2, d, p)
+    np.matmul(left, right, out=g)
+    np.copyto(trace, g[0].real)
+    for s in diag[1:]:
+        np.add(trace, g[s].real, out=trace)
+    ratio.fill(1)
     with np.errstate(all="ignore"):
         for k, s in enumerate(diag):
             pivot, col = g[s].real, g[s + 1:s + n - k]
-            ratio *= np.maximum(pivot, 0) / trace
-            scaled = col.conj() * (1 / pivot)
+            ratio *= np.divide(np.maximum(pivot, 0, out=scratch), trace, out=scratch)
+            np.divide(1, pivot, out=inverse.real)
+            scaled = np.conjugate(col, out=conj[:len(col)])
+            scaled *= inverse
             # Schur complement, column by column: G_ij -= G_ik conj(G_jk) / pivot
             for o, c in enumerate(diag[k + 1:]):
-                g[c:c + n - k - 1 - o] -= col[o:] * scaled[o]
+                g[c:c + n - k - 1 - o] -= np.multiply(col[o:], scaled[o], out=products[o:len(col)])
     a_norm, u_norm = (np.sqrt(f[diag].real.sum(axis=0)) for f in (left[..., -2], right[:, -1]))
-    cancelled = trace * SCREEN_KAPPA < np.add.outer(a_norm, u_norm) ** 2
-    return cancelled | ~(np.isfinite(ratio) & (ratio > SCREEN_TAU))
+    np.copyto(norms, u_norm)  # broadcast by copies: a broadcasting add takes a buffer
+    np.copyto(scratch, a_norm[:, None])
+    np.square(np.add(scratch, norms, out=norms), out=norms)
+    np.isfinite(ratio, out=mask)
+    mask &= np.greater(ratio, SCREEN_TAU, out=flags)
+    np.invert(mask, out=mask)
+    mask |= np.less(np.multiply(trace, SCREEN_KAPPA, out=scratch), norms, out=flags)
+    return mask
 
 
-def _search_group(design, group, interference_idx, diffs, probes):
+def _search_group(design, group, interference_idx, diffs, probes, step, ws):
     """Return the first (a, u) making the combined matrix rank-deficient, or None.
 
-    The (difference, probe) pairs are screened in blocks of whole differences;
+    The (difference, probe) pairs are screened in blocks of `step` differences;
     screened pairs are confirmed by numerical_rank in (difference, probe) order.
     """
     w = design.weight_matrices
@@ -195,9 +217,8 @@ def _search_group(design, group, interference_idx, diffs, probes):
     u_mats = (probes @ w[list(interference_idx)].reshape(len(interference_idx), t * n)
               ).reshape(len(probes), t, n)
     left, right = _screen_factors(a_mats, u_mats)
-    step = max(1, SCREEN_BLOCK // len(u_mats))
     for start in range(0, len(a_mats), step):
-        for i, j in np.argwhere(_rank_screen(left[:, start:start + step], right)):
+        for i, j in np.argwhere(_rank_screen(left[:, start:start + step], right, ws)):
             x = a_mats[start + i] + u_mats[j]
             rank = numerical_rank(x)
             if rank < n:
@@ -207,20 +228,25 @@ def _search_group(design, group, interference_idx, diffs, probes):
 
 
 def _falsify(design, scheme, pam_levels, trials_per_group, rng_seed, interference_of):
-    if trials_per_group < 0:
-        raise ValueError("trials_per_group must be non-negative")
+    check_integer("trials_per_group", trials_per_group, 0)
+    check_integer("rng_seed", rng_seed, 0)
     if scheme.num_symbols != design.num_real_symbols:
         raise ValueError(f"grouping covers {scheme.num_symbols} symbols, "
                          f"the design has {design.num_real_symbols}")
+    searches = []
     for k, group in enumerate(scheme.groups):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed, spawn_key=(k,))))
         diffs = _difference_vectors(len(group), pam_levels, rng)
         idx = interference_of(k)
         probes = _interference_probes(len(idx), trials_per_group, rng)
-        hit = _search_group(design, group, idx, diffs, probes)
+        searches.append((group, idx, diffs, probes, max(1, SCREEN_BLOCK // len(probes))))
+    ws = _screen_workspace(design.antennas,  # per call: one per group is mapped anew
+                           max(min(len(d), step) * len(p) for *_, d, p, step in searches))
+    for k, search in enumerate(searches):
+        hit = _search_group(design, *search, ws)
         if hit is not None:
             a, u, rank, sigma = hit
-            return RankWitness(k, a, u, tuple(idx), rank, sigma)
+            return RankWitness(k, a, u, tuple(search[1]), rank, sigma)
     return None
 
 
@@ -231,9 +257,9 @@ def falsify_pic(design, scheme, pam_levels=4, trials_per_group=1000, rng_seed=0)
     (exhaustively up to a cap), each paired with deterministic sparse probes
     and a shared batch of trials_per_group Gaussian interference vectors over
     the complement.  Witness selection is deterministic: lowest group index,
-    then enumeration order.  Absence of a witness is not a proof.  A negative
-    trials_per_group, or a grouping of other than the design's K symbols,
-    raises ValueError.
+    then enumeration order.  Absence of a witness is not a proof.  A bad
+    pam_levels, trials_per_group or rng_seed, or a grouping of other than the
+    design's K symbols, raises ValueError.
     """
     return _falsify(design, scheme, pam_levels, trials_per_group, rng_seed,
                     scheme.complement)

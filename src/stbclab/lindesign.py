@@ -32,6 +32,14 @@ def numerical_rank(mat):
     return int(np.sum(s > RANK_EPS * s[0]))
 
 
+def check_integer(name, value, least=None):
+    """Raise ValueError naming `name` unless value is a (NumPy) integer, not a bool, >= least."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 def vec_complex(a):
     """Stack complex matrices (..., T, N) into real vectors [vec(Re a); vec(Im a)].
 

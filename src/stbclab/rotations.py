@@ -25,12 +25,11 @@ Supported dimensions: 1, 2, 3, 4, 5, 6 and 8 (dim 7 has neither form).
 
 from functools import lru_cache
 from math import cos, fsum, pi
-from numbers import Integral
 
 import numpy as np
 from dataclasses import dataclass
 
-from .lindesign import RANK_EPS
+from .lindesign import RANK_EPS, check_integer
 
 SUPPORTED_DIMENSIONS = (1, 2, 3, 4, 5, 6, 8)
 
@@ -64,15 +63,13 @@ class RotationMatrix:
 
 
 def _field_conjugates(dim):
-    """Real conjugates of the field generator."""
-    if dim >= 1 and dim & (dim - 1) == 0:
-        return np.array([2.0 * cos(pi * k / (2 * dim)) for k in range(1, 2 * dim, 2)])
+    """Real conjugates of the field generator, up to dim 11 (dim 14's certificate fails)."""
     p = 2 * dim + 1
-    if all(p % q for q in range(2, p)) and p > 2:
+    if 1 <= dim <= 11 and dim & (dim - 1) == 0:
+        return np.array([2.0 * cos(pi * k / (2 * dim)) for k in range(1, 2 * dim, 2)])
+    if 1 <= dim <= 11 and all(p % q for q in range(2, p)):
         return np.array([2.0 * cos(2.0 * pi * j / p) for j in range(1, dim + 1)])
-    raise ValueError(
-        f"unsupported rotation dimension {dim}; supported: {SUPPORTED_DIMENSIONS}"
-    )
+    raise ValueError(f"unsupported rotation dimension {dim}; supported: {SUPPORTED_DIMENSIONS}")
 
 
 def _integral_basis(dim):
@@ -198,10 +195,7 @@ def certify_rotation(q, bound):
         raise ValueError("q must be a non-empty square matrix")
     if not np.isfinite(q).all():
         raise ValueError("q must be finite")
-    if isinstance(bound, bool) or not isinstance(bound, Integral):
-        raise ValueError("bound must be an integer")
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    check_integer("bound", bound, 1)
     delta = float(least_magnitudes(q, int(bound)).min())
     return delta > RANK_EPS, delta
 

@@ -37,7 +37,7 @@ from .constructions import (  # noqa: F401
     Family, build_alamouti_block_code, build_code, build_diagonal_code, tabulate_tradeoff,
 )
 from .decoders import DECODERS, SEARCH_MODES, DecodeProblem, check_ml_cap, decode
-from .lindesign import assemble_codeword, equivalent_channel, vec_complex
+from .lindesign import assemble_codeword, check_integer, equivalent_channel, vec_complex
 
 CSV_HEADER = "snr_db,frames,bit_errors,ber,ser,fer,mean_evals,max_evals"
 FRAME_BATCH = 256
@@ -72,12 +72,10 @@ class SimConfig:
         least = {"min_frame_errors": 1, "max_frames": 1, "receive_antennas": 1, "master_seed": 0}
         for f in fields(self):  # a bool is an int, and 10.5 would pass the bounds
             value = getattr(self, f.name)
-            if f.type is int and (type(value) is bool or not isinstance(value, (int, np.integer))):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type is int:
+                check_integer(f.name, value, least.get(f.name))
             if f.type is str and not isinstance(value, str):
                 raise ValueError(f"{f.name} must be a string, got {value!r}")
-            if f.name in least and value < least[f.name]:
-                raise ValueError(f"{f.name} must be at least {least[f.name]}")
         grid = self.snr_grid_db  # "16" would run 1 and 6 dB, and [true, 12] a 1 dB point
         entries = grid.tolist() if isinstance(grid, np.ndarray) else grid
         if not isinstance(entries, (list, tuple)) or not all(
@@ -284,8 +282,7 @@ def _worker_range(task):
 
 def run_simulation(cfg, workers=1):
     """Run the configured sweep; the result does not depend on worker count."""
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    check_integer("workers", workers, 1)
     t0 = time.perf_counter()
     ctx = _SimContext(cfg)
     pool = None

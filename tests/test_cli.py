@@ -39,6 +39,14 @@ class TestBuild:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_rotation_past_dim_11_is_exit_1(self, tmp_path, capsys):
+        rc = cli.main(["build", "--family", "sec3", "--antennas", "14",
+                       "--lambda", "14", "--layers", "1",
+                       "--out", str(tmp_path / "x.json")])
+        assert rc == 1
+        assert "unsupported rotation dimension 14" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_missing_lambda_is_exit_1(self, tmp_path):
         rc = cli.main(["build", "--family", "sec3", "--antennas", "2",
                        "--layers", "1", "--out", str(tmp_path / "x.json")])
@@ -325,6 +333,12 @@ class TestVerify:
                        "--layers", "2", "--mode", "pic", "--trials", "-1"])
         assert rc == 1
         assert "error: trials_per_group" in capsys.readouterr().err
+
+    def test_negative_seed_is_exit_1(self, capsys):
+        rc = cli.main(["verify", "--family", "sec4", "--antennas", "4",
+                       "--layers", "2", "--mode", "pic", "--seed", "-1"])
+        assert rc == 1
+        assert "error: rng_seed" in capsys.readouterr().err
 
     def _verify_files(self, tmp_path, design_doc, grouping_doc):
         dpath, gpath = tmp_path / "d.json", tmp_path / "g.json"

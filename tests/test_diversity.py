@@ -127,9 +127,16 @@ def _complex_normal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _workspace(left, right):
+    """A screen workspace sized for the whole of left's and right's pairs."""
+    return diversity._screen_workspace(int(np.sqrt(2 * len(left))),
+                                       left.shape[1] * right.shape[2])
+
+
 def _screen(a_mats, u_mats):
     """The screen's mask over the pairs of a_mats and u_mats, (count, T, N) each."""
-    return diversity._rank_screen(*diversity._screen_factors(a_mats, u_mats))
+    left, right = diversity._screen_factors(a_mats, u_mats)
+    return diversity._rank_screen(left, right, _workspace(left, right))
 
 
 class TestRankScreen:
@@ -273,8 +280,8 @@ def _recording(monkeypatch, screen):
     matrices numerical_rank confirms."""
     masks, calls = [], []
 
-    def recording_screen(left, right):
-        masks.append(screen(left, right))
+    def recording_screen(left, right, ws):
+        masks.append(np.array(screen(left, right, ws)))  # the next block reuses ws
         return masks[-1]
 
     def recording_rank(mat):
@@ -286,17 +293,68 @@ def _recording(monkeypatch, screen):
     return masks, calls
 
 
-def _det_screen(left, right):
+def _direct_screen(left, right, ws):
+    return direct_rank_screen(left, right)
+
+
+def _det_screen(left, right, ws):
     return det_rank_screen(pair_rows(*factor_matrices(left, right)))
+
+
+def _outcomes(monkeypatch, screen, runs):
+    """(witness keys with s_min, masks, numerical_rank matrices) of the
+    (falsifier, code, PAM levels, trials, seed) runs through screen."""
+    masks, calls = _recording(monkeypatch, screen)
+    witnesses = []
+    for falsify, (design, grouping, *_), pam, trials, seed in runs:
+        w = falsify(design, grouping, pam, trials, rng_seed=seed)
+        witnesses.append(None if w is None else
+                         _witness_key(w) + (w.smallest_singular_value,))
+    return witnesses, masks, calls
+
+
+def _assert_outcomes_are_the_oracles(monkeypatch, runs):
+    witnesses, masks, calls = _outcomes(monkeypatch, diversity._rank_screen, runs)
+    for oracle in (_direct_screen, _det_screen):
+        oracle_witnesses, oracle_masks, oracle_calls = _outcomes(monkeypatch, oracle, runs)
+        assert witnesses == oracle_witnesses
+        assert len(masks) == len(oracle_masks)
+        assert all(np.array_equal(a, b) for a, b in zip(masks, oracle_masks))
+        assert len(calls) == len(oracle_calls)
+        assert all(np.array_equal(a, b) for a, b in zip(calls, oracle_calls))
+    return witnesses
+
+
+@st.composite
+def _disjoint_designs(draw):
+    """A design whose symbols own disjoint entries of the T x N matrices, in
+    2-3 groups of unequal sizes.  A_d and U_p never overlap, so tr(G) is at
+    least (|A_d|_F + |U_p|_F)^2 / 2 and the cancellation guard flags nothing;
+    an entry no symbol owns can leave X rank-deficient."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3).filter(
+        lambda s: len(set(s)) > 1))
+    k, n = sum(sizes), draw(st.integers(1, 3))
+    t = -(-k // n) + draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    owner = np.full(t * n, -1)
+    owner[rng.permutation(t * n)[:k]] = np.arange(k)  # one entry each, then the rest
+    owner[owner < 0] = rng.integers(-1, k, (owner < 0).sum())
+    w = np.zeros((k, t * n), complex)
+    for i in range(k):
+        w[i, owner == i] = _complex_normal(rng, (owner == i).sum())
+    groups = np.split(rng.permutation(k), np.cumsum(sizes)[:-1])
+    return Design(w.reshape(k, t, n)), GroupingScheme(tuple(map(tuple, groups)), k)
 
 
 class TestScreenWorkspace:
     def test_workspace_mask_matches_a_fresh_screen(self):
         # three "groups": 23 differences in blocks of 5 (a short last block),
         # then a block of 4 x 9 probes, then a block of 3 x 2; each group's
-        # factors are built once and sliced per block, as the falsifier does
+        # factors are built once and sliced per block, as the falsifier does,
+        # and one workspace, sized for the largest block, serves all three
         rng = np.random.default_rng(11)
         t, n = 5, 3
+        ws = diversity._screen_workspace(n, 36)
         for diffs, probes, step in ((23, 4, 5), (4, 9, 4), (3, 2, 3)):
             a_mats = _complex_normal(rng, (diffs, t, n))
             a_mats[::2, :, 0] = 0  # rank-deficient unless the probe fills column 0
@@ -306,7 +364,7 @@ class TestScreenWorkspace:
             left, right = diversity._screen_factors(a_mats, u_mats)
             for start in range(0, diffs, step):
                 block = left[:, start:start + step]
-                mask = diversity._rank_screen(block, right)
+                mask = diversity._rank_screen(block, right, ws)
                 assert np.array_equal(mask, direct_rank_screen(block, right))
                 y = pair_rows(*(np.moveaxis(m, 0, -1)
                                 for m in (a_mats[start:start + step], u_mats)))
@@ -321,26 +379,38 @@ class TestScreenWorkspace:
                     for falsify, build, pam, trials, seed, scheme in BROKEN_INPUTS]
         else:
             runs = [(falsify, code, pam, 200, 2026) for falsify, code, pam in _verify_inputs()]
-
-        def outcomes(screen):
-            masks, calls = _recording(monkeypatch, screen)
-            witnesses = []
-            for falsify, (design, grouping, *_), pam, trials, seed in runs:
-                w = falsify(design, grouping, pam, trials, rng_seed=seed)
-                witnesses.append(None if w is None else
-                                 _witness_key(w) + (w.smallest_singular_value,))
-            return witnesses, masks, calls
-
-        witnesses, masks, calls = outcomes(diversity._rank_screen)
-        for oracle in (direct_rank_screen, _det_screen):
-            oracle_witnesses, oracle_masks, oracle_calls = outcomes(oracle)
-            assert witnesses == oracle_witnesses
-            assert len(masks) == len(oracle_masks)
-            assert all(np.array_equal(a, b) for a, b in zip(masks, oracle_masks))
-            assert len(calls) == len(oracle_calls)
-            assert all(np.array_equal(a, b) for a, b in zip(calls, oracle_calls))
+        witnesses = _assert_outcomes_are_the_oracles(monkeypatch, runs)
         if inputs == "broken":
             assert all(w is not None for w in witnesses)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(code=_disjoint_designs(), trials=st.integers(0, 30),
+           block=st.sampled_from([1, 5, 64, 1 << 13]), seed=st.integers(0, 2 ** 16))
+    def test_one_workspace_serves_groups_of_every_shape(self, code, trials, block, seed):
+        # PIC-SIC gives each group its own probe count P (the last one P = 1),
+        # and the group sizes differ, so the block shape changes from group to
+        # group within the call's one workspace
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(diversity, "SCREEN_BLOCK", block)
+            _assert_outcomes_are_the_oracles(monkeypatch, [(falsify_picsic, code, 2, trials,
+                                                            seed)])
+
+    def test_a_block_allocates_no_pair_sized_array(self):
+        # sec4(4,2)'s PIC block shape: 35 differences x 229 probes of 6 x 4
+        # matrices; once the workspace exists, a block allocates only its
+        # small per-difference and per-probe norms
+        rng = np.random.default_rng(5)
+        left, right = diversity._screen_factors(_complex_normal(rng, (35, 6, 4)),
+                                                _complex_normal(rng, (229, 6, 4)))
+        ws = _workspace(left, right)
+        diversity._rank_screen(left, right, ws)
+        tracemalloc.start()
+        try:
+            diversity._rank_screen(left, right, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 35 * 229 * np.dtype(float).itemsize
 
 
 def _laid_out(rng, shape, layout):
@@ -464,10 +534,10 @@ class TestMemory:
         assert self._peak_mb(lambda: certify_rotation(q, 3)) < 4.0
 
     def test_falsifier_peak(self):
-        # one screen block of 35 differences x 229 probes of 6 x 4 matrices
-        # holds the 10 packed lower Gram entries of every pair (1.3 MB,
-        # complex) beside the probes' factor (0.5 MB) and the LDL^H update's
-        # temporaries: about 4.0 MB
+        # the call's screen workspace, for blocks of 35 differences x 229
+        # probes of 6 x 4 matrices, holds 10 packed lower Gram entries and 7
+        # rows of LDL^H terms a pair (2.2 MB, complex); beside it are the
+        # probes' factor (0.5 MB) and the group's stacks: about 4.6 MB
         design, grouping, _ = build_alamouti_block_code(4, 2)
         assert self._peak_mb(lambda: falsify_picsic(
             design, grouping, pam_levels=4, trials_per_group=200, rng_seed=0)) < 16.0
@@ -489,6 +559,28 @@ class TestFalsifyInputs:
         scheme = GroupingScheme(groups, sum(len(g) for g in groups))
         with pytest.raises(ValueError, match="grouping covers"):
             falsify(design, scheme, pam_levels=2, trials_per_group=10)
+
+
+    @pytest.mark.parametrize("name, value", [
+        ("pam_levels", 2.5), ("trials_per_group", 2.5), ("trials_per_group", True),
+        ("rng_seed", -1), ("rng_seed", True), ("rng_seed", 2.5)])
+    @pytest.mark.parametrize("falsify", [falsify_pic, falsify_picsic])
+    def test_an_ill_posed_argument_is_named(self, falsify, name, value):
+        # 2.5 PAM levels ran as a 4-level alphabet that does not exist, 2.5
+        # trials ended in a TypeError, seed -1 in NumPy's message naming no
+        # argument, and True ran as 1
+        design, grouping, _ = build_diagonal_code(2, 2, 1)
+        args = {"pam_levels": 2, "trials_per_group": 5, "rng_seed": 0, name: value}
+        with pytest.raises(ValueError, match=name):
+            falsify(design, grouping, **args)
+
+    def test_numpy_integers_are_taken(self):
+        design, grouping, _ = _identity_diagonal(2, 2, 1)
+        w = falsify_pic(design, grouping, pam_levels=np.int64(2),
+                        trials_per_group=np.int32(10), rng_seed=np.uint8(0))
+        assert _witness_key(w) == _witness_key(
+            falsify_pic(design, grouping, pam_levels=2, trials_per_group=10, rng_seed=0))
+        assert certify(*build_diagonal_code(2, 2, 1)[:2], "pic", pam_levels=np.int16(4))
 
 
 class TestFalsifyCertifiedCodes:
@@ -710,8 +802,10 @@ class TestCertify:
             certify(design, scheme, "ml")
         with pytest.raises(ValueError, match="grouping covers"):
             certify(design, GroupingScheme(((0,), (1,)), 2), "pic")
-        with pytest.raises(ValueError, match="pam_levels"):
-            certify(design, scheme, "pic", pam_levels=1)
+        # at 2.5 levels the code was "proven" for an alphabet that does not exist
+        for pam_levels in (1, 2.5, "4"):
+            with pytest.raises(ValueError, match="pam_levels"):
+                certify(design, scheme, "pic", pam_levels=pam_levels)
 
 
 @st.composite

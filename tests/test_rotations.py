@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +102,15 @@ class TestBuildRotation:
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError, match="supported"):
             build_rotation(7)
+
+    @pytest.mark.parametrize("dim", [14, 15, 16])
+    def test_a_dimension_past_11_is_rejected_at_once(self, dim):
+        # each has a field, but dim 14's certificate fails after seconds and
+        # 15's and 16's box would need about 0.7 GB
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="supported"):
+            build_rotation(dim)
+        assert time.perf_counter() - start < 1.0
 
     def test_deterministic(self):
         a = build_rotation(3)
